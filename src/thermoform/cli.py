@@ -23,7 +23,7 @@ from .ferroelectric import (
     FerroelectricState,
     fe_step,
 )
-from .geometry import ContactChart, OneForm, d_residual, low_discrepancy_samples, potential_form
+from .geometry import ContactChart, OneForm, low_discrepancy_samples, potential_form, worst_residual
 from .legendre import ConstitutiveSurface, GibbsConnection, connection_curvature, pullback_contact, surface_embed
 from .processes import ProcessCurve, admissibility, entropy_action, spinodal_scan, thermo_metric
 from .thermoelastic import (
@@ -131,17 +131,12 @@ def cmd_check_closed(args) -> int:
     coords = cfg.as_name_list(cfg.need(doc, "coords", "config"), "config.coords")
     form = _load_form(doc, coords)
     box = _load_box(cfg.need(doc, "box", "config"), coords, "config.box")
-    count = int(cfg.as_number(doc.get("count", 64), "config.count"))
+    count = doc.get("count", 64)
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise cfg.ConfigError(f"config.count: expected an integer >= 1, got {count!r}")
     tol = args.tol if args.tol is not None else cfg.as_number(doc.get("tol", 1e-8), "config.tol")
 
-    samples = low_discrepancy_samples(box, count, seed=args.seed)
-    worst, worst_pair = 0.0, (coords[0], coords[0])
-    for x in samples:
-        res = np.abs(d_residual(form, x))
-        i, j = np.unravel_index(int(res.argmax()), res.shape)
-        if res[i, j] > worst:
-            worst = float(res[i, j])
-            worst_pair = (coords[i], coords[j])
+    worst, worst_pair = worst_residual(form, low_discrepancy_samples(box, count, seed=args.seed))
     closed = worst <= tol
     _print_json({
         "closed": closed,
@@ -279,11 +274,11 @@ def _run_trace(args, header, row, state, t0, t1, dt, advance) -> int:
         t = t0 + i * dt
         try:
             state = advance(state, t)
+            rows.append(row(t0 + (i + 1) * dt, state))
         except (ModelError, DomainError) as exc:
             print(f"domain exit at t={t}: {exc}", file=sys.stderr)
             code = EXIT_DOMAIN
             break
-        rows.append(row(t0 + (i + 1) * dt, state))
     _write_csv(args.out, header, rows)
     return code
 

@@ -1,10 +1,14 @@
-"""Scalar-field expressions over named coordinates with forward-mode derivatives.
+"""Scalar-field expressions over named coordinates with exact derivatives.
 
 Everything downstream (potentials, 1-form coefficients, constitutive laws) is
-built from these expressions.  Evaluation propagates exact first and second
-derivatives through the syntax tree using second-order dual numbers, so
-curl/closeness residuals are limited only by round-off, not by finite
-difference noise.
+built from these expressions.  Each expression is lowered once, on its first
+evaluation, to a flat instruction tape with common subexpressions merged.
+Values come from one sweep over plain floats.  Gradients add one reverse
+(adjoint) sweep, whose cost does not grow with the number of variables.
+Hessians run second-order dual numbers over the same tape.  Derivatives are
+exact, so curl/closeness residuals are limited only by round-off, not by
+finite difference noise.  Leaving a function's real domain, overflow
+included, raises DomainError naming the subexpression.
 """
 from __future__ import annotations
 
@@ -309,193 +313,446 @@ def serialize(e: Expression) -> str:
 
 
 def free_names(e: Expression) -> set[str]:
-    if isinstance(e, Num):
-        return set()
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Neg):
-        return free_names(e.arg)
-    if isinstance(e, Bin):
-        return free_names(e.left) | free_names(e.right)
+    """Coordinate names the expression refers to; iterative, so depth is unbounded."""
     out: set[str] = set()
-    for a in e.args:
-        out |= free_names(a)
+    seen: set[int] = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, Var):
+            out.add(node.name)
+        else:
+            stack.extend(_children(node))
     return out
 
 
+def _children(e: Expression) -> tuple[Expression, ...]:
+    if isinstance(e, Neg):
+        return (e.arg,)
+    if isinstance(e, Bin):
+        return (e.left, e.right)
+    if isinstance(e, Call):
+        return e.args
+    return ()
+
+
 # ---------------------------------------------------------------------------
-# Second-order dual numbers.  h is None when only first derivatives are
-# tracked; all the update rules keep h symmetric bitwise.
+# Tape.  An expression is lowered once, without recursion, into a flat list
+# of instructions in post-order (left operand first), and instructions with
+# the same (op, operand slots) are merged.  Slots 0..base-1 hold the
+# constants and then the coordinates in order of first use; instruction k
+# writes slot base + k.  The tape is stored on the root node the first time
+# the expression is evaluated.
+#
+# A plan specializes the tape for one list of differentiated names (wrt):
+# an exponent that depends structurally on none of them counts as constant.
+# That is the dual-number test "the exponent carries no derivative" except
+# where the exponent's derivatives vanish identically, as in x^(y-y),
+# x^(0*y) or x^(y^0): there the exponent counts as variable, so x must be
+# positive.
+# ---------------------------------------------------------------------------
+
+_NEG, _ADD, _SUB, _MUL, _RECIP, _EXP, _LN, _SQRT, _ABS, _POW, _POWI = range(11)
+# What a plan makes of _POW (constant / variable exponent) and, for
+# value-only sweeps, of _SQRT (defined at zero when nothing is differentiated).
+_POWC, _POWV, _SQRT0 = range(11, 14)
+_BINARY = (_ADD, _SUB, _MUL, _POW)
+_BIN_OPS = {"+": _ADD, "-": _SUB, "*": _MUL}
+_UNARY_FNS = {"exp": _EXP, "ln": _LN, "sqrt": _SQRT, "abs": _ABS}
+
+
+class _Tape:
+    __slots__ = ("consts", "names", "code", "nodes", "base", "out", "value_code", "plans")
+
+    def __init__(self, consts, names, code, nodes, out):
+        self.consts = consts            # constant slot values
+        self.names = names              # coordinate per coordinate slot
+        self.code = code                # (op, a, b): operand slots; b is the exponent of _POWI
+        self.nodes = nodes              # source node per instruction, for error messages
+        self.base = len(consts) + len(names)
+        self.out = out
+        self.plans: dict = {}
+        self.value_code = self.plan(None)[0]
+
+    def plan(self, wrt: tuple[str, ...] | None):
+        """(forward code, reverse code, gradient slot per wrt entry); None: value only."""
+        plan = self.plans.get(wrt)
+        if plan is None:
+            plan = self.plans[wrt] = self._make_plan(wrt)
+        return plan
+
+    def _make_plan(self, wrt):
+        names = wrt or ()
+        index = {name: i for i, name in enumerate(names)}
+        dep = [False] * len(self.consts) + [name in index for name in self.names]
+        code, rev = [], []
+        for k, (op, a, b) in enumerate(self.code):
+            d = dep[a] or (op in _BINARY and dep[b])
+            if op == _POW:
+                op = _POWV if dep[b] else _POWC
+            elif op == _SQRT and wrt is None:
+                op = _SQRT0
+            code.append((op, a, b))
+            dep.append(d)
+            if d:
+                rev.append((op, self.base + k, a, b))
+        rev.reverse()
+        # a name the expression does not use reads the spare slot past the end,
+        # which stays 0.0; a repeated name takes its derivative at the last entry
+        slots = [len(dep)] * len(names)
+        for k, name in enumerate(self.names):
+            if name in index:
+                slots[index[name]] = len(self.consts) + k
+        return (self.code if code == self.code else code), rev, slots
+
+
+def _lower(root: Expression) -> _Tape:
+    consts: list[float] = []
+    names: list[str] = []
+    code: list[tuple] = []
+    nodes: list[Expression] = []
+    interned: dict[tuple, tuple] = {}   # (op, operand refs) -> ref
+    ref_of: dict[int, tuple] = {}       # id(node) -> ref; refs are ("c"|"v"|"o", index)
+
+    def intern(key, node):
+        ref = interned.get(key)
+        if ref is None:
+            if key[0] == "c":
+                ref = ("c", len(consts))
+                consts.append(key[2])
+            elif key[0] == "v":
+                ref = ("v", len(names))
+                names.append(key[1])
+            else:
+                ref = ("o", len(code))
+                code.append(key)
+                nodes.append(node)
+            interned[key] = ref
+        return ref
+
+    def power(base, expo, node):
+        if expo[0] == "c" and consts[expo[1]].is_integer():
+            return intern((_POWI, base, int(consts[expo[1]])), node)
+        return intern((_POW, base, expo), node)
+
+    stack = [root]
+    while stack:
+        e = stack[-1]
+        if id(e) in ref_of:
+            stack.pop()
+            continue
+        kids = _children(e)
+        todo = [k for k in kids if id(k) not in ref_of]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        args = [ref_of[id(k)] for k in kids]
+        if isinstance(e, Num):
+            v = float(e.value)
+            ref = intern(("c", v.hex(), v), None)  # keyed on the bits: 0.0 and -0.0 stay apart
+        elif isinstance(e, Var):
+            ref = intern(("v", e.name), None)
+        elif isinstance(e, Neg):
+            ref = intern((_NEG, args[0], None), e)
+        elif isinstance(e, Bin):
+            a, b = args
+            if e.op == "/":
+                ref = intern((_MUL, a, intern((_RECIP, b, None), e)), e)
+            elif e.op == "^":
+                ref = power(a, b, e)
+            else:
+                ref = intern((_BIN_OPS[e.op], a, b), e)
+        elif e.fn == "pow":
+            ref = power(*args, e)
+        elif e.fn in _UNARY_FNS:
+            (a,) = args
+            ref = intern((_UNARY_FNS[e.fn], a, None), e)
+        else:
+            raise ExprError(f"unknown function '{e.fn}'")
+        ref_of[id(e)] = ref
+
+    offset = {"c": 0, "v": len(consts), "o": len(consts) + len(names)}
+
+    def slot(ref) -> int:
+        return offset[ref[0]] + ref[1]
+
+    flat = [(op, slot(a), b if op == _POWI else 0 if b is None else slot(b)) for op, a, b in code]
+    return _Tape(consts, tuple(names), flat, nodes, slot(ref_of[id(root)]))
+
+
+def _lowered(e: Expression) -> _Tape:
+    try:
+        return e._tape
+    except AttributeError:
+        tape = _lower(e)
+        object.__setattr__(e, "_tape", tape)
+        return tape
+
+
+def _domain_error(tape: _Tape, vals: list[float], message: str, value: float) -> DomainError:
+    """Error for the instruction that would write the next slot."""
+    return DomainError(message, tape.nodes[len(vals) - tape.base], value)
+
+
+def _forward(tape: _Tape, code: list[tuple], binding: dict[str, float]) -> list[float]:
+    """Value of every slot, on plain floats, with the domain checks."""
+    try:
+        vals = tape.consts + [float(binding[name]) for name in tape.names]
+    except KeyError as exc:
+        raise BindError(f"unbound coordinate '{exc.args[0]}'") from None
+    push = vals.append
+    try:
+        for op, a, b in code:
+            if op == _MUL:
+                push(vals[a] * vals[b])
+            elif op == _ADD:
+                push(vals[a] + vals[b])
+            elif op == _SUB:
+                push(vals[a] - vals[b])
+            elif op == _POWI:
+                x = vals[a]
+                if x == 0.0 and b < 0:
+                    raise _domain_error(tape, vals, "zero raised to a negative power", x)
+                push(float(x ** b))
+            elif op == _NEG:
+                push(-vals[a])
+            elif op == _RECIP:
+                x = vals[a]
+                if x == 0.0:
+                    raise _domain_error(tape, vals, "division by zero", x)
+                push(1.0 / x)
+            elif op == _POWC:
+                x, p = vals[a], vals[b]
+                if p == round(p):
+                    p = int(round(p))
+                    if x == 0.0 and p < 0:
+                        raise _domain_error(tape, vals, "zero raised to a negative power", x)
+                    push(float(x ** p))
+                elif x <= 0.0:
+                    raise _domain_error(tape, vals, "non-integer power of a non-positive base", x)
+                else:
+                    push(x ** p)
+            elif op == _POWV:
+                x = vals[a]
+                if x <= 0.0:
+                    raise _domain_error(tape, vals, "variable power of a non-positive base", x)
+                push(math.exp(vals[b] * math.log(x)))
+            elif op == _EXP:
+                push(math.exp(vals[a]))
+            elif op == _LN:
+                x = vals[a]
+                if x <= 0.0:
+                    raise _domain_error(tape, vals, "logarithm of a non-positive value", x)
+                push(math.log(x))
+            elif op == _ABS:
+                push(abs(vals[a]))
+            else:  # _SQRT, _SQRT0
+                x = vals[a]
+                if x < 0.0:
+                    raise _domain_error(tape, vals, "square root of a negative value", x)
+                if x == 0.0 and op == _SQRT:
+                    raise _domain_error(tape, vals, "square root not differentiable at zero", x)
+                push(math.sqrt(x))
+    except ArithmeticError:
+        raise _domain_error(tape, vals, "floating-point overflow", vals[a]) from None
+    return vals
+
+
+def _reverse(tape: _Tape, rev: list[tuple], vals: list[float]) -> list[float]:
+    """Adjoint of every slot (and one spare 0.0 past the end): d out / d slot."""
+    adj = [0.0] * (len(vals) + 1)
+    adj[tape.out] = 1.0
+    try:
+        for op, i, a, b in rev:
+            g = adj[i]
+            if op == _MUL:
+                adj[a] += g * vals[b]
+                adj[b] += g * vals[a]
+            elif op == _ADD:
+                adj[a] += g
+                adj[b] += g
+            elif op == _SUB:
+                adj[a] += g
+                adj[b] -= g
+            elif op == _POWI or op == _POWC:
+                x = vals[a]
+                p = b if op == _POWI else vals[b]
+                if p == round(p):
+                    p = int(round(p))
+                    if x != 0.0:
+                        adj[a] += g * (p * x ** (p - 1))
+                    elif p == 1:
+                        adj[a] += g
+                else:
+                    adj[a] += g * (p * x ** (p - 1.0))
+            elif op == _NEG:
+                adj[a] -= g
+            elif op == _RECIP:
+                v = vals[i]
+                adj[a] -= g * v * v
+            elif op == _POWV:
+                x, v = vals[a], vals[i]
+                adj[a] += g * v * (vals[b] * (1.0 / x))
+                adj[b] += g * v * math.log(x)
+            elif op == _EXP:
+                adj[a] += g * vals[i]
+            elif op == _LN:
+                adj[a] += g * (1.0 / vals[a])
+            elif op == _ABS:
+                x = vals[a]
+                if x > 0.0:
+                    adj[a] += g
+                elif x < 0.0:
+                    adj[a] -= g
+            else:  # _SQRT
+                adj[a] += g * (0.5 / vals[i])
+    except ArithmeticError:
+        raise DomainError("floating-point overflow", tape.nodes[i - tape.base], vals[a]) from None
+    return adj
+
+
+# ---------------------------------------------------------------------------
+# Second-order dual numbers, swept over the same tape for Hessians.  All the
+# update rules keep h symmetric bitwise.
 # ---------------------------------------------------------------------------
 
 class _Dual:
     __slots__ = ("v", "g", "h")
 
-    def __init__(self, v: float, g: np.ndarray, h: np.ndarray | None):
+    def __init__(self, v: float, g: np.ndarray, h: np.ndarray):
         self.v = v
         self.g = g
         self.h = h
 
     @staticmethod
-    def constant(v: float, nvars: int, order: int) -> "_Dual":
-        h = np.zeros((nvars, nvars)) if order >= 2 else None
-        return _Dual(float(v), np.zeros(nvars), h)
+    def constant(v: float, nvars: int) -> "_Dual":
+        return _Dual(v, np.zeros(nvars), np.zeros((nvars, nvars)))
 
     @staticmethod
-    def seed(v: float, index: int, nvars: int, order: int) -> "_Dual":
+    def seed(v: float, index: int, nvars: int) -> "_Dual":
         g = np.zeros(nvars)
         g[index] = 1.0
-        h = np.zeros((nvars, nvars)) if order >= 2 else None
-        return _Dual(float(v), g, h)
-
-    def is_const(self) -> bool:
-        return not self.g.any() and (self.h is None or not self.h.any())
+        return _Dual(v, g, np.zeros((nvars, nvars)))
 
     def add(self, o: "_Dual") -> "_Dual":
-        h = None if self.h is None else self.h + o.h
-        return _Dual(self.v + o.v, self.g + o.g, h)
+        return _Dual(self.v + o.v, self.g + o.g, self.h + o.h)
 
     def sub(self, o: "_Dual") -> "_Dual":
-        h = None if self.h is None else self.h - o.h
-        return _Dual(self.v - o.v, self.g - o.g, h)
+        return _Dual(self.v - o.v, self.g - o.g, self.h - o.h)
 
     def neg(self) -> "_Dual":
-        h = None if self.h is None else -self.h
-        return _Dual(-self.v, -self.g, h)
+        return _Dual(-self.v, -self.g, -self.h)
 
     def mul(self, o: "_Dual") -> "_Dual":
-        h = None
-        if self.h is not None:
-            cross = np.outer(self.g, o.g)
-            h = self.h * o.v + cross + cross.T + self.v * o.h
+        cross = np.outer(self.g, o.g)
+        h = self.h * o.v + cross + cross.T + self.v * o.h
         return _Dual(self.v * o.v, self.g * o.v + self.v * o.g, h)
 
-    def recip(self, node: Expression) -> "_Dual":
-        if self.v == 0.0:
-            raise DomainError("division by zero", node, self.v)
+    def recip(self) -> "_Dual":
         inv = 1.0 / self.v
         g = -self.g * inv * inv
-        h = None
-        if self.h is not None:
-            outer = np.outer(self.g, self.g)
-            h = -self.h * inv * inv + 2.0 * outer * inv ** 3
+        outer = np.outer(self.g, self.g)
+        h = -self.h * inv * inv + 2.0 * outer * inv ** 3
         return _Dual(inv, g, h)
 
     def chain(self, f: float, fp: float, fpp: float) -> "_Dual":
         """Apply scalar function with value f and derivatives fp, fpp."""
-        h = None
-        if self.h is not None:
-            h = fp * self.h + fpp * np.outer(self.g, self.g)
+        h = fp * self.h + fpp * np.outer(self.g, self.g)
         return _Dual(f, fp * self.g, h)
 
 
-def _dual_pow(base: _Dual, expo: _Dual, node: Expression) -> _Dual:
-    if expo.is_const():
-        p = expo.v
-        if p == round(p):
-            p = int(round(p))
-            if base.v == 0.0 and p < 0:
-                raise DomainError("zero raised to a negative power", node, base.v)
-            v = float(base.v ** p)
-            if base.v == 0.0:
-                fp = 0.0 if p != 1 else 1.0
-                fpp = 0.0 if p != 2 else 2.0
-            else:
-                fp = p * base.v ** (p - 1)
-                fpp = p * (p - 1) * base.v ** (p - 2)
-            return base.chain(v, fp, fpp)
-        if base.v <= 0.0:
-            raise DomainError("non-integer power of a non-positive base", node, base.v)
-        v = base.v ** p
-        fp = p * base.v ** (p - 1.0)
-        fpp = p * (p - 1.0) * base.v ** (p - 2.0)
+def _dual_pow(base: _Dual, p: float | None, expo: _Dual | None = None) -> _Dual:
+    """base^p for a constant exponent p; base^expo = exp(expo ln base) when p is None."""
+    if p is None:
+        ln_a = base.chain(math.log(base.v), 1.0 / base.v, -1.0 / base.v ** 2)
+        prod = expo.mul(ln_a)
+        e = math.exp(prod.v)
+        return prod.chain(e, e, e)
+    if p == round(p):
+        p = int(round(p))
+        v = float(base.v ** p)
+        if base.v == 0.0:
+            fp = 0.0 if p != 1 else 1.0
+            fpp = 0.0 if p != 2 else 2.0
+        else:
+            fp = p * base.v ** (p - 1)
+            fpp = p * (p - 1) * base.v ** (p - 2)
         return base.chain(v, fp, fpp)
-    # variable exponent: a^b = exp(b ln a), requires a > 0
-    if base.v <= 0.0:
-        raise DomainError("variable power of a non-positive base", node, base.v)
-    ln_a = base.chain(math.log(base.v), 1.0 / base.v, -1.0 / base.v ** 2)
-    prod = expo.mul(ln_a)
-    e = math.exp(prod.v)
-    return prod.chain(e, e, e)
+    v = base.v ** p
+    fp = p * base.v ** (p - 1.0)
+    fpp = p * (p - 1.0) * base.v ** (p - 2.0)
+    return base.chain(v, fp, fpp)
 
 
-def _apply_call(fn: str, args: list[_Dual], node: Expression) -> _Dual:
-    if fn == "pow":
-        return _dual_pow(args[0], args[1], node)
-    (a,) = args
-    if fn == "exp":
-        e = math.exp(a.v)
-        return a.chain(e, e, e)
-    if fn == "ln":
-        if a.v <= 0.0:
-            raise DomainError("logarithm of a non-positive value", node, a.v)
-        return a.chain(math.log(a.v), 1.0 / a.v, -1.0 / a.v ** 2)
-    if fn == "sqrt":
-        if a.v < 0.0:
-            raise DomainError("square root of a negative value", node, a.v)
-        if a.v == 0.0:
-            raise DomainError("square root not differentiable at zero", node, a.v)
-        r = math.sqrt(a.v)
-        return a.chain(r, 0.5 / r, -0.25 / (r * a.v))
-    if fn == "abs":
-        sign = 1.0 if a.v > 0.0 else (-1.0 if a.v < 0.0 else 0.0)
-        return a.chain(abs(a.v), sign, 0.0)
-    raise ExprError(f"unknown function '{fn}'")
-
-
-def _eval_dual(e: Expression, env: dict[str, _Dual], nvars: int, order: int) -> _Dual:
-    if isinstance(e, Num):
-        return _Dual.constant(e.value, nvars, order)
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise BindError(f"unbound coordinate '{e.name}'") from None
-    if isinstance(e, Neg):
-        return _eval_dual(e.arg, env, nvars, order).neg()
-    if isinstance(e, Bin):
-        left = _eval_dual(e.left, env, nvars, order)
-        right = _eval_dual(e.right, env, nvars, order)
-        if e.op == "+":
-            return left.add(right)
-        if e.op == "-":
-            return left.sub(right)
-        if e.op == "*":
-            return left.mul(right)
-        if e.op == "/":
-            return left.mul(right.recip(e))
-        return _dual_pow(left, right, e)
-    args = [_eval_dual(a, env, nvars, order) for a in e.args]
-    return _apply_call(e.fn, args, e)
-
-
-def _run(e: Expression, binding: dict[str, float], wrt: tuple[str, ...], order: int) -> _Dual:
-    if len(set(binding)) != len(binding):
-        raise BindError("duplicate coordinate names in binding")
+def _dual(e: Expression, binding: dict[str, float], wrt: tuple[str, ...]) -> _Dual:
+    """Value, gradient and Hessian of ``e`` by a dual-number sweep over its tape."""
+    tape = _lowered(e)
+    code = tape.plan(wrt)[0]
+    vals = _forward(tape, code, binding)  # the domain checks, as in the other sweeps
     nvars = len(wrt)
     index = {name: i for i, name in enumerate(wrt)}
-    env: dict[str, _Dual] = {}
-    for name, value in binding.items():
-        if name in index:
-            env[name] = _Dual.seed(value, index[name], nvars, order)
-        else:
-            env[name] = _Dual.constant(value, nvars, order)
-    return _eval_dual(e, env, nvars, order)
+    nc = len(tape.consts)
+    duals = [_Dual.constant(v, nvars) for v in vals[:nc]]
+    for k, name in enumerate(tape.names):
+        v = vals[nc + k]
+        duals.append(_Dual.seed(v, index[name], nvars) if name in index else _Dual.constant(v, nvars))
+    push = duals.append
+    try:
+        for op, a, b in code:
+            x = duals[a]
+            if op == _ADD:
+                push(x.add(duals[b]))
+            elif op == _SUB:
+                push(x.sub(duals[b]))
+            elif op == _MUL:
+                push(x.mul(duals[b]))
+            elif op == _NEG:
+                push(x.neg())
+            elif op == _RECIP:
+                push(x.recip())
+            elif op == _POWI:
+                push(_dual_pow(x, b))
+            elif op == _POWC:
+                push(_dual_pow(x, duals[b].v))
+            elif op == _POWV:
+                push(_dual_pow(x, None, duals[b]))
+            elif op == _EXP:
+                f = math.exp(x.v)
+                push(x.chain(f, f, f))
+            elif op == _LN:
+                push(x.chain(math.log(x.v), 1.0 / x.v, -1.0 / x.v ** 2))
+            elif op == _SQRT:
+                r = math.sqrt(x.v)
+                push(x.chain(r, 0.5 / r, -0.25 / (r * x.v)))
+            else:  # _ABS
+                sign = 1.0 if x.v > 0.0 else (-1.0 if x.v < 0.0 else 0.0)
+                push(x.chain(abs(x.v), sign, 0.0))
+    except ArithmeticError:
+        raise DomainError("floating-point overflow", tape.nodes[len(duals) - tape.base], x.v) from None
+    return duals[tape.out]
 
 
 def evaluate(e: Expression, binding: dict[str, float]) -> float:
     """Evaluate at a binding; domain violations raise instead of returning NaN/inf."""
-    return _run(e, binding, (), 1).v
+    tape = _lowered(e)
+    return _forward(tape, tape.value_code, binding)[tape.out]
 
 
 def grad(e: Expression, binding: dict[str, float], wrt: list[str] | tuple[str, ...]) -> np.ndarray:
-    """Exact first derivatives, ordered as ``wrt``."""
-    return _run(e, binding, tuple(wrt), 1).g
+    """Exact first derivatives, ordered as ``wrt``, by one reverse sweep."""
+    tape = _lowered(e)
+    code, rev, slots = tape.plan(tuple(wrt))
+    adj = _reverse(tape, rev, _forward(tape, code, binding))
+    return np.array([adj[s] for s in slots])
 
 
 def hessian(e: Expression, binding: dict[str, float], wrt: list[str] | tuple[str, ...]) -> np.ndarray:
     """Exact second derivatives; symmetric bitwise by construction."""
-    return _run(e, binding, tuple(wrt), 2).h
+    return _dual(e, binding, tuple(wrt)).h
 
 
 # ---------------------------------------------------------------------------

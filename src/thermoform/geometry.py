@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.stats import qmc
 
 from .expr import ScalarField
 
@@ -23,6 +22,7 @@ __all__ = [
     "reeb_flow",
     "d_residual",
     "is_closed",
+    "worst_residual",
     "reconstruct_potential",
     "contact_nondegeneracy",
     "low_discrepancy_samples",
@@ -119,13 +119,22 @@ def d_residual(form: OneForm, x: dict[str, float]) -> np.ndarray:
     return out
 
 
-def is_closed(form: OneForm, samples: list[dict[str, float]], tol: float = 1e-8) -> tuple[bool, float]:
-    """Closeness verdict over a sample set, with the worst residual for reporting."""
+def worst_residual(form: OneForm, samples: list[dict[str, float]]) -> tuple[float, tuple[str, str]]:
+    """Largest |C_ij| over a non-empty sample set, with the pair (x^i, x^j) where it occurs."""
     if not samples:
         raise GeometryError("empty sample set")
-    worst = 0.0
+    worst, pair = 0.0, (form.coords[0], form.coords[0])
     for x in samples:
-        worst = max(worst, float(np.abs(d_residual(form, x)).max()))
+        res = np.abs(d_residual(form, x))
+        i, j = np.unravel_index(int(res.argmax()), res.shape)
+        if res[i, j] > worst:
+            worst, pair = float(res[i, j]), (form.coords[i], form.coords[j])
+    return worst, pair
+
+
+def is_closed(form: OneForm, samples: list[dict[str, float]], tol: float = 1e-8) -> tuple[bool, float]:
+    """Closeness verdict over a sample set, with the worst residual for reporting."""
+    worst, _ = worst_residual(form, samples)
     return worst <= tol, worst
 
 
@@ -198,14 +207,31 @@ def contact_nondegeneracy(chart: ContactChart, x: dict[str, float]) -> float:
     return float(np.linalg.det(mat))
 
 
+def _primes(count: int) -> list[int]:
+    out, k = [], 2
+    while len(out) < count:
+        if all(k % p for p in out):
+            out.append(k)
+        k += 1
+    return out
+
+
 def low_discrepancy_samples(box: dict[str, tuple[float, float]], count: int,
                             seed: int = 0) -> list[dict[str, float]]:
-    """Halton points in an axis-aligned box; deterministic for a given seed."""
+    """Unscrambled Halton points in an axis-aligned box, skipping the first ``seed``.
+
+    Coordinate j is the radical inverse of the point index in the j-th prime.
+    """
     names = list(box)
-    sampler = qmc.Halton(d=len(names), scramble=False)
-    if seed:
-        sampler.fast_forward(seed)
-    unit = sampler.random(count)
+    unit = np.empty((count, len(names)))
+    for j, base in enumerate(_primes(len(names))):
+        for i in range(count):
+            q, f, x = seed + i, 1.0 / base, 0.0
+            while q:
+                q, r = divmod(q, base)
+                x += f * r
+                f /= base
+            unit[i, j] = x
     lo = np.array([box[n][0] for n in names])
     hi = np.array([box[n][1] for n in names])
     pts = lo + unit * (hi - lo)

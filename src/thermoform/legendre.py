@@ -8,6 +8,7 @@ so the pulled-back contact form equals d(sigma).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,9 +55,9 @@ class ConstitutiveSurface:
     def legendre(self) -> LegendreSurface:
         return LegendreSurface(self.chart, self.potential)
 
-    @property
+    @cached_property
     def entropy(self) -> ScalarField:
-        """S = U + sigma as a single field."""
+        """S = U + sigma as a single field, built once so it is compiled once."""
         return ScalarField(
             Bin("+", self.potential.expression, self.production.expression),
             self.potential.coords,

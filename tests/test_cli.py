@@ -63,6 +63,20 @@ bogus: 1
     def test_missing_config_file(self):
         assert main(["check-closed", "--config", "/nonexistent.yaml"]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("count", ["0", "-3", "2.5", "true", "'8'"])
+    def test_count_must_be_a_positive_integer(self, tmp_path, capsys, count):
+        # a verdict over no samples would be vacuous
+        config = write(tmp_path / "c.yaml", f"""
+coords: [x, y]
+coefficients: {{x: "y", y: "-x"}}
+box: {{x: [0.0, 1.0], y: [0.0, 1.0]}}
+count: {count}
+""")
+        assert main(["check-closed", "--config", config]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config.count" in captured.err
+
 
 class TestSimulate:
     THERMO = """
@@ -112,6 +126,21 @@ integration: {t1: 1.0, dt: 0.05}
         header, rows = read_csv(out)
         assert 2 <= len(rows) < 21
         assert rows[-1][header.index("eps")] > 0.0
+
+    def test_overflow_is_a_domain_exit(self, tmp_path, capsys):
+        config = write(tmp_path / "c.yaml", """
+model: thermoelastic
+potential: "ln(eps) + exp(H1)"
+initial: {eps: 1.0, H: [5.0, 0.0, 0.0]}
+integration: {t1: 0.1, dt: 0.001}
+""")
+        out = tmp_path / "trace.csv"
+        # H1' = exp(H1) blows up at t = exp(-5), about 0.0067
+        assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_DOMAIN
+        assert "overflow in 'exp(H1)'" in capsys.readouterr().err
+        header, rows = read_csv(out)
+        assert 2 <= len(rows) < 101
+        assert np.all(np.isfinite(rows))
 
     def test_ferroelectric_harmonic(self, tmp_path, capsys):
         config = write(tmp_path / "c.yaml", """

@@ -1,4 +1,6 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from thermoform.expr import (
     BindError,
     Call,
     DomainError,
+    ExprError,
     Neg,
     Num,
     ParseError,
@@ -21,6 +24,8 @@ from thermoform.expr import (
     parse,
     serialize,
 )
+from thermoform import expr as _expr
+from thermoform.expr import _dual, _forward, _lowered
 from conftest import fd_grad, fd_hessian, random_polynomial_text
 
 VDW_TEXT = "(V-0.1)^(2/3)*exp(S/1.5) - 1/V"
@@ -78,6 +83,30 @@ class TestEval:
     def test_domain_error_names_subexpression(self):
         with pytest.raises(DomainError, match="1/V"):
             evaluate(parse("2 + 1/V"), {"V": 0.0})
+
+    @pytest.mark.parametrize("text,x", [("exp(x)", 1000.0), ("x^500", 1e10)])
+    def test_overflow_is_domain_error(self, text, x):
+        e = parse(text)
+        with pytest.raises(DomainError, match=f"overflow in '{re.escape(text)}'"):
+            evaluate(e, {"x": x})
+        with pytest.raises(DomainError, match=f"overflow in '{re.escape(text)}'"):
+            grad(e, {"x": x}, ["x"])
+
+    def test_sqrt_at_zero_has_a_value_but_no_derivative(self):
+        e = parse("sqrt(x)")
+        assert evaluate(e, {"x": 0.0}) == 0.0
+        with pytest.raises(DomainError, match="not differentiable at zero"):
+            grad(e, {"x": 0.0}, ["x"])
+
+    def test_deep_sum_has_no_recursion_limit(self):
+        # 3000 terms parse to a left-leaning chain 3000 nodes deep
+        n = 3000
+        f = ScalarField.from_text(" + ".join(f"{k}*x*y" for k in range(1, n + 1)), ["x", "y"])
+        c = n * (n + 1) // 2
+        b = {"x": 1.5, "y": 2.0}
+        assert f.value(b) == c * 3.0
+        assert f.grad(b) == pytest.approx([c * 2.0, c * 1.5], rel=1e-12)
+        assert f.hessian(b) == pytest.approx(np.array([[0.0, c], [c, 0.0]]), rel=1e-12)
 
 
 class TestGrad:
@@ -176,6 +205,137 @@ def test_parse_serialize_roundtrip(e):
 def test_roundtrip_on_corpus(text):
     e = parse(text)
     assert parse(serialize(e)) == e
+
+
+# --- the float and reverse sweeps against dual numbers over the same tape ----
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except ExprError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+def _is_overflow(err) -> bool:
+    return err is not None and "overflow" in err[1]
+
+
+def _gradient_magnitude(e, b, names) -> np.ndarray:
+    """Sum over all paths of |product of local partials|, per entry of ``names``.
+
+    Rounding in any gradient sweep is relative to this, however much the
+    true gradient cancels below it.
+    """
+    tape = _lowered(e)
+    code = tape.plan(names)[0]
+    vals = _forward(tape, code, b)
+    index = {name: i for i, name in enumerate(names)}
+    mag = [np.zeros(len(names)) for _ in tape.consts]
+    for name in tape.names:
+        mag.append(np.zeros(len(names)))
+        if name in index:
+            mag[-1][index[name]] = 1.0
+    for k, (op, a, c) in enumerate(code):
+        x, v = vals[a], vals[tape.base + k]
+        if op in (_expr._ADD, _expr._SUB):
+            m = mag[a] + mag[c]
+        elif op == _expr._MUL:
+            m = abs(vals[c]) * mag[a] + abs(x) * mag[c]
+        elif op == _expr._POWV:
+            m = abs(v * vals[c] / x) * mag[a] + abs(v * math.log(x)) * mag[c]
+        elif op in (_expr._NEG, _expr._ABS):
+            m = mag[a]
+        elif op == _expr._RECIP:
+            m = v * v * mag[a]
+        elif op == _expr._EXP:
+            m = v * mag[a]
+        elif op == _expr._LN:
+            m = mag[a] / x
+        elif op == _expr._SQRT:
+            m = 0.5 / v * mag[a]
+        else:  # constant exponent
+            p = c if op == _expr._POWI else vals[c]
+            m = (abs(p * x ** (p - 1)) if x != 0.0 else float(p == 1)) * mag[a]
+        mag.append(m)
+    return mag[tape.out]
+
+
+def check_sweeps_against_dual(e, b, names):
+    """Values bitwise, gradients to 1e-14 and errors as the order-2 dual sweep."""
+    names = tuple(names)
+    tape = _lowered(e)
+    value, value_err = _outcome(lambda: evaluate(e, b))
+    const, const_err = _outcome(lambda: _dual(e, b, ()))
+    if const_err is None:
+        assert value_err is None and _bits(value) == _bits(const.v)
+    elif not _is_overflow(const_err) and "not differentiable" not in const_err[1]:
+        assert value_err == const_err
+
+    # with derivatives taken, the same forward sweep feeds the reverse one
+    fwd, fwd_err = _outcome(lambda: _forward(tape, tape.plan(names)[0], b)[tape.out])
+    g, g_err = _outcome(lambda: grad(e, b, names))
+    dual, dual_err = _outcome(lambda: _dual(e, b, names))
+    if fwd_err is not None:
+        assert g_err == fwd_err and dual_err == fwd_err
+        return
+    assert _bits(fwd) == _bits(dual.v) if dual_err is None else _is_overflow(dual_err)
+    if g_err is not None:
+        # a first-derivative factor overflowed; the dual sweep forms the same factor
+        assert _is_overflow(g_err) and _is_overflow(dual_err)
+        return
+    if dual_err is not None:
+        # only the second-derivative factors of the order-2 sweep overflowed
+        assert _is_overflow(dual_err)
+        return
+    if np.all(np.isfinite(dual.g)):
+        # relative to the summed terms, which the dual's g is unless they cancel
+        with np.errstate(all="ignore"):
+            scale = np.maximum(_gradient_magnitude(e, b, names), 1.0)
+        assert np.all(np.abs(g - dual.g) <= 1e-14 * scale)
+    assert np.array_equal(dual.h, dual.h.T, equal_nan=True)
+
+
+@pytest.mark.parametrize("text", COMPOSITE_CORPUS + [VDW_TEXT])
+@given(x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0))
+@settings(max_examples=50, deadline=None)
+def test_sweeps_match_dual_on_corpus(text, x, y):
+    names = ("x", "y") if text != VDW_TEXT else ("S", "V")
+    check_sweeps_against_dual(parse(text), dict(zip(names, (x, y))), names)
+
+
+@given(e=_expr_strategy(), x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0),
+       z=st.floats(0.01, 3.0), wrt=st.sampled_from([("x", "y", "z", "V", "S"), ("y", "S"), ()]))
+@settings(max_examples=300, deadline=None)
+def test_sweeps_match_dual_on_random_trees(e, x, y, z, wrt):
+    check_sweeps_against_dual(e, {"x": x, "y": y, "z": z, "V": -x, "S": z + 1.0}, wrt)
+
+
+class TestTape:
+    def test_shared_subexpressions_are_merged(self):
+        tape = _lowered(parse("exp(x*y) + exp(x*y) / (x*y)"))
+        # x*y, exp, 1/(x*y), the product and the sum
+        assert len(tape.code) == 5
+
+    def test_merged_division_reports_first_occurrence(self):
+        with pytest.raises(DomainError, match="in 'x/y'"):
+            evaluate(parse("x/y + 2/y"), {"x": 1.0, "y": 0.0})
+
+    def test_signed_zero_constants_stay_apart(self):
+        # -0 + 0*(-0) is -0; with the two zeros merged it would come out +0
+        e = Bin("+", Num(-0.0), Bin("*", Num(0.0), Num(-0.0)))
+        assert math.copysign(1.0, evaluate(e, {})) == -1.0
+
+    def test_structurally_variable_exponent(self):
+        # y - y carries no derivative, but depends on y: the exponent counts as variable
+        e = parse("x^(y-y)")
+        assert evaluate(e, {"x": -2.0, "y": 1.0}) == 1.0
+        with pytest.raises(DomainError, match="variable power"):
+            grad(e, {"x": -2.0, "y": 1.0}, ["x", "y"])
+        assert grad(e, {"x": -2.0, "y": 1.0}, ["x"]) == pytest.approx([0.0])
 
 
 class TestDifferentiate:

@@ -15,6 +15,7 @@ from thermoform.geometry import (
     potential_form,
     reconstruct_potential,
     reeb_flow,
+    worst_residual,
 )
 from conftest import fd_curl, random_polynomial_text
 
@@ -150,6 +151,15 @@ class TestIsClosed:
         with pytest.raises(GeometryError):
             is_closed(form_xy("y", "x"), [])
 
+    def test_worst_residual_names_the_pair(self):
+        # d(eta)_xy = d(x*y)/dy - d(0)/dx = x, largest at the sample with the largest x
+        form = form_xy("x*y", "0")
+        samples = [{"x": 0.5, "y": 2.0}, {"x": -3.0, "y": 0.0}, {"x": 1.0, "y": 1.0}]
+        worst, pair = worst_residual(form, samples)
+        assert worst == 3.0
+        assert pair in (("x", "y"), ("y", "x"))
+        assert is_closed(form, samples) == (False, 3.0)
+
 
 class TestReconstructPotential:
     def test_simple_exact_form(self):
@@ -232,3 +242,22 @@ class TestSampling:
     def test_seed_shifts_sequence(self):
         box = {"x": (0.0, 1.0)}
         assert low_discrepancy_samples(box, 4, seed=1) != low_discrepancy_samples(box, 4)
+
+    def test_frozen_points(self):
+        box = {"a": (0.0, 1.0), "b": (0.0, 1.0), "c": (0.0, 1.0)}
+        pts = [[p[n] for n in box] for p in low_discrepancy_samples(box, 3)]
+        assert pts == [[0.0, 0.0, 0.0], [0.5, 1 / 3, 0.2], [0.25, 2 / 3, 0.4]]
+        pts = [[p[n] for n in box] for p in low_discrepancy_samples(box, 2, seed=4095)]
+        assert pts == [[0.999755859375, 0.09708885840573084, 0.187584],
+                       [0.0001220703125, 0.43042219173906415, 0.387584]]
+
+    @pytest.mark.parametrize("dims", [3, 26])
+    @pytest.mark.parametrize("seed", [0, 1, 17, 4095])
+    def test_matches_scipy_halton_bitwise(self, dims, seed):
+        qmc = pytest.importorskip("scipy.stats.qmc")
+        sampler = qmc.Halton(d=dims, scramble=False)
+        if seed:
+            sampler.fast_forward(seed)
+        box = {f"x{j}": (0.0, 1.0) for j in range(dims)}
+        got = np.array([[p[n] for n in box] for p in low_discrepancy_samples(box, 64, seed=seed)])
+        assert np.array_equal(got.view(np.uint64), sampler.random(64).view(np.uint64))
