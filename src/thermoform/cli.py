@@ -10,31 +10,21 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import config as cfg
-from .expr import DomainError, ScalarField
-from .ferroelectric import (
-    FE_COORDS,
-    FerroelectricConstitutive,
-    FerroelectricForcing,
-    FerroelectricState,
-    fe_step,
-)
+from .expr import DomainError
+from .ferroelectric import FE_COORDS, FerroelectricConstitutive, FerroelectricForcing, FerroelectricState
 from .geometry import ContactChart, OneForm, low_discrepancy_samples, potential_form, worst_residual
 from .legendre import ConstitutiveSurface, GibbsConnection, connection_curvature, pullback_contact, surface_embed
-from .processes import ProcessCurve, admissibility, entropy_action, spinodal_scan, thermo_metric
-from .thermoelastic import (
-    BASE_COORDS,
-    ModelError,
-    ThermoelasticConstitutive,
-    ThermoelasticForcing,
-    ThermoelasticState,
-    step,
-)
-from .vdw import VDW_COORDS, vdw_potential
+from .processes import ProcessCurve, ProcessError, admissibility, entropy_action, spinodal_scan, thermo_metric
+from .point import STATE_NAMES, ModelError, constitutive_from_potential, rk4_step
+from .thermoelastic import BASE_COORDS, ThermoelasticConstitutive, ThermoelasticForcing, ThermoelasticState
+from .vdw import vdw_potential
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -68,7 +58,7 @@ def _read_curve(path: str, coords: tuple[str, ...]) -> ProcessCurve:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header is None or header[0] != "t":
+            if not header or header[0] != "t":
                 raise cfg.ConfigError(f"curve file {path}: first column must be 't'")
             cols = tuple(header[1:])
             missing = set(coords) - set(cols)
@@ -78,11 +68,18 @@ def _read_curve(path: str, coords: tuple[str, ...]) -> ProcessCurve:
             for line in reader:
                 if not line:
                     continue
-                times.append(float(line[0]))
-                rows.append([float(v) for v in line[1:]])
+                where = f"curve file {path}, line {reader.line_num}"
+                if len(line) != len(header):
+                    raise cfg.ConfigError(f"{where}: expected {len(header)} cells, got {len(line)}")
+                try:
+                    values = [float(v) for v in line]
+                except ValueError as exc:
+                    raise cfg.ConfigError(f"{where}: {exc}") from None
+                times.append(values[0])
+                rows.append(values[1:])
     except OSError as exc:
         raise cfg.ConfigError(f"cannot read curve file: {exc}") from exc
-    pts = np.array(rows)[:, [cols.index(name) for name in coords]]
+    pts = np.array(rows).reshape(-1, len(cols))[:, [cols.index(name) for name in coords]]
     return ProcessCurve(coords, np.array(times), pts)
 
 
@@ -131,9 +128,7 @@ def cmd_check_closed(args) -> int:
     coords = cfg.as_name_list(cfg.need(doc, "coords", "config"), "config.coords")
     form = _load_form(doc, coords)
     box = _load_box(cfg.need(doc, "box", "config"), coords, "config.box")
-    count = doc.get("count", 64)
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        raise cfg.ConfigError(f"config.count: expected an integer >= 1, got {count!r}")
+    count = cfg.as_count(doc.get("count", 64), "config.count")
     tol = args.tol if args.tol is not None else cfg.as_number(doc.get("tol", 1e-8), "config.tol")
 
     worst, worst_pair = worst_residual(form, low_discrepancy_samples(box, count, seed=args.seed))
@@ -152,128 +147,108 @@ def _init_vector(doc, key: str, size: int, path: str) -> np.ndarray:
     value = doc.get(key)
     if value is None:
         return np.zeros(size)
-    flat = np.asarray(value, dtype=float).ravel()
-    if flat.size != size:
+    try:
+        flat = np.asarray(value, dtype=float).ravel()
+    except (TypeError, ValueError):
+        flat = None
+    if flat is None or flat.size != size:
         raise cfg.ConfigError(f"{path}.{key}: expected {size} numbers")
     return flat
 
 
-def _simulate_thermoelastic(doc, args) -> int:
-    cfg.check_keys(doc, {"model", "potential", "rho", "k", "initial", "forcing",
-                         "integration", "surface", "output"}, "config")
-    u = cfg.field_from(cfg.need(doc, "potential", "config"), BASE_COORDS, "config.potential")
-    constitutive = ThermoelasticConstitutive(
-        potential=u,
-        rho=cfg.as_number(doc.get("rho", 1.0), "config.rho"),
-        k=cfg.as_number(doc.get("k", 1.0), "config.k"),
-    )
+class _Model(NamedTuple):
+    coords: tuple[str, ...]      # the potential's coordinates
+    constitutive: type
+    params: tuple[str, ...]      # constitutive parameters after the potential, each defaulting to 1
+    state: type
+    initial: tuple[tuple[str, int], ...]  # initial blocks after eps and F, with their sizes
+    forcing: type
+    channels: tuple[tuple[str, str, str], ...]  # (config key, forcing field, config.time_fn_<kind>)
+    keys: tuple[str, ...] = ()   # further top-level keys
+
+
+_MODELS = {
+    "thermoelastic": _Model(
+        BASE_COORDS, ThermoelasticConstitutive, ("rho", "k"), ThermoelasticState, (("H", 3),),
+        ThermoelasticForcing, (("L", "L", "matrix"), ("divq", "divq", "scalar")), ("surface",)),
+    "ferroelectric": _Model(
+        FE_COORDS, FerroelectricConstitutive, ("rho", "k", "inertia"), FerroelectricState,
+        (("H", 3), ("pi", 3), ("grad_pi", 9), ("u", 3), ("grad_u", 9)), FerroelectricForcing,
+        (("E", "E_ext", "vector"), ("L", "L", "matrix"), ("divq", "divq", "scalar"),
+         ("poynting", "poynting_term", "scalar"), ("div_e_tensor", "div_e_tensor", "vector"),
+         ("div_J_grad_u", "div_J_grad_u", "matrix"), ("source_grad_u", "source_grad_u", "matrix"))),
+}
+
+
+def _load_integration(doc) -> tuple[float, float, int]:
+    """(t0, dt, step count); t1 - t0 must be a whole number of steps."""
+    cfg.check_keys(doc, {"t0", "t1", "dt"}, "config.integration")
+    t0 = cfg.as_number(doc.get("t0", 0.0), "config.integration.t0")
+    t1 = cfg.as_number(cfg.need(doc, "t1", "config.integration"), "config.integration.t1")
+    dt = cfg.as_number(cfg.need(doc, "dt", "config.integration"), "config.integration.dt")
+    for key, value in (("t0", t0), ("t1", t1), ("dt", dt)):
+        if not math.isfinite(value):
+            raise cfg.ConfigError(f"config.integration.{key}: expected a finite number, got {value!r}")
+    if dt <= 0 or t1 <= t0:
+        raise cfg.ConfigError("config.integration: need dt > 0 and t1 > t0")
+    steps = (t1 - t0) / dt
+    n_steps = round(steps) if math.isfinite(steps) else 0
+    # a relative slack for the rounding of dt itself (0.001 is not a binary fraction)
+    if n_steps < 1 or abs(steps - n_steps) > 1e-9 * n_steps:
+        raise cfg.ConfigError(f"config.integration.dt: t1 - t0 = {t1 - t0!r} is not a whole "
+                              f"number of steps of {dt!r}")
+    return t0, dt, n_steps
+
+
+def cmd_simulate(args) -> int:
+    doc = cfg.load_yaml(args.config)
+    model = cfg.need(doc, "model", "config")
+    spec = _MODELS.get(model) if isinstance(model, str) else None
+    if spec is None:
+        raise cfg.ConfigError(f"config.model: unknown model {model!r}")
+    cfg.check_keys(doc, {"model", "potential", "initial", "forcing", "integration", "output",
+                         *spec.params, *spec.keys}, "config")
+    u = cfg.field_from(cfg.need(doc, "potential", "config"), spec.coords, "config.potential")
+    constitutive = spec.constitutive(u, **{
+        name: cfg.as_number(doc.get(name, 1.0), f"config.{name}") for name in spec.params})
     init = cfg.need(doc, "initial", "config")
-    cfg.check_keys(init, {"eps", "F", "H"}, "config.initial")
-    state = ThermoelasticState(
-        eps=cfg.as_number(cfg.need(init, "eps", "config.initial"), "config.initial.eps"),
-        F=_init_vector(init, "F", 9, "config.initial") if "F" in init else np.eye(3).ravel(),
-        H=_init_vector(init, "H", 3, "config.initial"),
-    )
-    forcing_doc = doc.get("forcing") or {}
-    cfg.check_keys(forcing_doc, {"L", "divq"}, "config.forcing")
-    forcing = ThermoelasticForcing(
-        L=cfg.time_fn_matrix(forcing_doc.get("L"), "config.forcing.L"),
-        divq=cfg.time_fn_scalar(forcing_doc.get("divq"), "config.forcing.divq"),
-    )
-    t0, t1, dt = _load_integration(cfg.need(doc, "integration", "config"))
+    cfg.check_keys(init, {"eps", "F", *(name for name, _ in spec.initial)}, "config.initial")
+    state = spec.state.from_vector(np.concatenate((
+        [cfg.as_number(cfg.need(init, "eps", "config.initial"), "config.initial.eps")],
+        _init_vector(init, "F", 9, "config.initial") if "F" in init else np.eye(3).ravel(),
+        *(_init_vector(init, name, size, "config.initial") for name, size in spec.initial))))
+    fdoc = doc.get("forcing") or {}
+    cfg.check_keys(fdoc, {key for key, _, _ in spec.channels}, "config.forcing")
+    forcing = spec.forcing(**{
+        name: getattr(cfg, f"time_fn_{kind}")(fdoc.get(key), f"config.forcing.{key}")
+        for key, name, kind in spec.channels})
+    t0, dt, n_steps = _load_integration(cfg.need(doc, "integration", "config"))
 
     sigma = None
     if "surface" in doc:
         sdoc = doc["surface"]
         cfg.check_keys(sdoc, {"sigma"}, "config.surface")
-        sigma = cfg.field_from(cfg.need(sdoc, "sigma", "config.surface"), BASE_COORDS,
+        sigma = cfg.field_from(cfg.need(sdoc, "sigma", "config.surface"), spec.coords,
                                "config.surface.sigma")
 
-    header = ["t", "eps", *BASE_COORDS[1:10], "H1", "H2", "H3", "theta", "U"]
+    header = ["t", *STATE_NAMES[:state.vector().size], "theta", "U"]
     if sigma is not None:
         header += ["sigma_prod", "s"]
 
-    def row(t: float, x: ThermoelasticState) -> list[float]:
+    def row(t: float, x) -> list[float]:
         b = x.binding()
-        u_eps = float(u.grad(b)[0])
-        out = [t, x.eps, *x.F.ravel(), *x.H, 1.0 / u_eps, u.value(b)]
+        out = [t, *x.vector(), 1.0 / constitutive_from_potential(constitutive, x)[0], u.value(b)]
         if sigma is not None:
             sv = sigma.value(b)
             out += [sv, out[-1] + sv]
         return out
 
-    return _run_trace(args, header, row, state, t0, t1, dt,
-                      lambda x, t: step(x, constitutive, forcing, t, dt))
-
-
-def _simulate_ferroelectric(doc, args) -> int:
-    cfg.check_keys(doc, {"model", "potential", "rho", "k", "inertia", "initial",
-                         "forcing", "integration", "output"}, "config")
-    u = cfg.field_from(cfg.need(doc, "potential", "config"), FE_COORDS, "config.potential")
-    constitutive = FerroelectricConstitutive(
-        potential=u,
-        rho=cfg.as_number(doc.get("rho", 1.0), "config.rho"),
-        k=cfg.as_number(doc.get("k", 1.0), "config.k"),
-        inertia=cfg.as_number(doc.get("inertia", 1.0), "config.inertia"),
-    )
-    init = cfg.need(doc, "initial", "config")
-    cfg.check_keys(init, {"eps", "F", "H", "pi", "grad_pi", "u", "grad_u"}, "config.initial")
-    state = FerroelectricState(
-        eps=cfg.as_number(cfg.need(init, "eps", "config.initial"), "config.initial.eps"),
-        F=_init_vector(init, "F", 9, "config.initial") if "F" in init else np.eye(3).ravel(),
-        H=_init_vector(init, "H", 3, "config.initial"),
-        pi=_init_vector(init, "pi", 3, "config.initial"),
-        grad_pi=_init_vector(init, "grad_pi", 9, "config.initial"),
-        u=_init_vector(init, "u", 3, "config.initial"),
-        grad_u=_init_vector(init, "grad_u", 9, "config.initial"),
-    )
-    fdoc = doc.get("forcing") or {}
-    cfg.check_keys(fdoc, {"E", "L", "divq", "poynting", "div_e_tensor",
-                          "div_J_grad_u", "source_grad_u"}, "config.forcing")
-    forcing = FerroelectricForcing(
-        E_ext=cfg.time_fn_vector(fdoc.get("E"), "config.forcing.E"),
-        L=cfg.time_fn_matrix(fdoc.get("L"), "config.forcing.L"),
-        divq=cfg.time_fn_scalar(fdoc.get("divq"), "config.forcing.divq"),
-        poynting_term=cfg.time_fn_scalar(fdoc.get("poynting"), "config.forcing.poynting"),
-        div_e_tensor=cfg.time_fn_vector(fdoc.get("div_e_tensor"), "config.forcing.div_e_tensor"),
-        div_J_grad_u=cfg.time_fn_matrix(fdoc.get("div_J_grad_u"), "config.forcing.div_J_grad_u"),
-        source_grad_u=cfg.time_fn_matrix(fdoc.get("source_grad_u"), "config.forcing.source_grad_u"),
-    )
-    t0, t1, dt = _load_integration(cfg.need(doc, "integration", "config"))
-
-    header = (["t", "eps", *FE_COORDS[1:10], "H1", "H2", "H3",
-               "pi1", "pi2", "pi3", *FE_COORDS[13:22], "u1", "u2", "u3",
-               "gu11", "gu12", "gu13", "gu21", "gu22", "gu23", "gu31", "gu32", "gu33",
-               "theta", "U"])
-
-    def row(t: float, x: FerroelectricState) -> list[float]:
-        b = x.binding()
-        u_eps = float(u.grad(b)[0])
-        return [t, x.eps, *x.F.ravel(), *x.H, *x.pi, *x.grad_pi.ravel(),
-                *x.u, *x.grad_u.ravel(), 1.0 / u_eps, u.value(b)]
-
-    return _run_trace(args, header, row, state, t0, t1, dt,
-                      lambda x, t: fe_step(x, constitutive, forcing, t, dt))
-
-
-def _load_integration(doc) -> tuple[float, float, float]:
-    cfg.check_keys(doc, {"t0", "t1", "dt"}, "config.integration")
-    t0 = cfg.as_number(doc.get("t0", 0.0), "config.integration.t0")
-    t1 = cfg.as_number(cfg.need(doc, "t1", "config.integration"), "config.integration.t1")
-    dt = cfg.as_number(cfg.need(doc, "dt", "config.integration"), "config.integration.dt")
-    if dt <= 0 or t1 <= t0:
-        raise cfg.ConfigError("config.integration: need dt > 0 and t1 > t0")
-    return t0, t1, dt
-
-
-def _run_trace(args, header, row, state, t0, t1, dt, advance) -> int:
-    n_steps = int(round((t1 - t0) / dt))
     rows = [row(t0, state)]
     code = EXIT_OK
     for i in range(n_steps):
         t = t0 + i * dt
         try:
-            state = advance(state, t)
+            state = rk4_step(state, constitutive, forcing, t, dt)
             rows.append(row(t0 + (i + 1) * dt, state))
         except (ModelError, DomainError) as exc:
             print(f"domain exit at t={t}: {exc}", file=sys.stderr)
@@ -281,16 +256,6 @@ def _run_trace(args, header, row, state, t0, t1, dt, advance) -> int:
             break
     _write_csv(args.out, header, rows)
     return code
-
-
-def cmd_simulate(args) -> int:
-    doc = cfg.load_yaml(args.config)
-    model = cfg.need(doc, "model", "config")
-    if model == "thermoelastic":
-        return _simulate_thermoelastic(doc, args)
-    if model == "ferroelectric":
-        return _simulate_ferroelectric(doc, args)
-    raise cfg.ConfigError(f"config.model: unknown model {model!r}")
 
 
 def _surface_from(doc, path: str = "config") -> ConstitutiveSurface:
@@ -314,9 +279,9 @@ def cmd_surface(args) -> int:
         entry = cfg.need(grid_doc, name, "config.grid")
         if not isinstance(entry, list) or len(entry) != 3:
             raise cfg.ConfigError(f"config.grid.{name}: expected [start, stop, count]")
-        start, stop = cfg.as_number(entry[0], "grid"), cfg.as_number(entry[1], "grid")
-        count = int(cfg.as_number(entry[2], "grid"))
-        axes.append(np.linspace(start, stop, count))
+        path = f"config.grid.{name}"
+        start, stop = cfg.as_number(entry[0], path), cfg.as_number(entry[1], path)
+        axes.append(np.linspace(start, stop, cfg.as_count(entry[2], path)))
 
     header = [*coords, "s", *(f"p_{c}" for c in coords), *(f"res_{c}" for c in coords)]
     rows = []
@@ -467,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     except cfg.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ModelError, DomainError) as exc:
+    except (ModelError, DomainError, ProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -12,7 +12,7 @@ import yaml
 
 from .expr import ScalarField
 
-__all__ = ["ConfigError", "load_yaml", "check_keys", "need", "as_number",
+__all__ = ["ConfigError", "load_yaml", "check_keys", "need", "as_number", "as_count",
            "as_name_list", "field_from", "time_fn_scalar", "time_fn_vector",
            "time_fn_matrix"]
 
@@ -50,6 +50,12 @@ def as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     return float(value)
+
+
+def as_count(value: Any, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{path}: expected an integer >= 1, got {value!r}")
+    return value
 
 
 def as_name_list(value: Any, path: str) -> tuple[str, ...]:

@@ -1,27 +1,17 @@
-"""Deformable ferroelectric crystal point: entropy form and seven-equation dynamics.
-
-Base coordinates, fixed order: eps, F11..F33, pi1..pi3, gpi11..gpi33, H1..H3.
-The entropy form is
-
-    eta = theta^-1 d(eps) - (rho theta)^-1 sigma:F^-1 : dF
-          + theta^-1 LE . d(pi) - (rho theta)^-1 LEt : d(grad pi)
-          + beta . dH  [- rho^-1 (theta^-1 div P + div k) dt]
-
-with LE the local electric field and LEt the local electric field tensor.
-Spatial divergences (div q, div LEt, div P, flux/source of grad u) are not
-derivable from point state; each enters as a user-supplied forcing channel
-defaulting to zero.
+"""Deformable ferroelectric crystal point: the point model of ``thermoform.point``
+over the 25 base coordinates eps, F11..F33, pi1..pi3, gpi11..gpi33, H1..H3
+(37-entry state), with its seven forcing channels defaulting to zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .expr import ScalarField, const, div, mul, neg
-from .geometry import OneForm
-from .thermoelastic import ModelError, TemperatureSingularity
+from . import point
+from .expr import ScalarField
+from .point import FE_COORDS, GPI_NAMES, PI_NAMES, FerroelectricState, ModelError
 
 __all__ = [
     "FE_COORDS",
@@ -36,60 +26,6 @@ __all__ = [
     "fe_rates",
     "fe_step",
 ]
-
-EPS_NAME = "eps"
-F_NAMES = tuple(f"F{i}{j}" for i in range(1, 4) for j in range(1, 4))
-PI_NAMES = ("pi1", "pi2", "pi3")
-GPI_NAMES = tuple(f"gpi{i}{j}" for i in range(1, 4) for j in range(1, 4))
-H_NAMES = ("H1", "H2", "H3")
-FE_COORDS = (EPS_NAME,) + F_NAMES + PI_NAMES + GPI_NAMES + H_NAMES
-
-
-def _zero3() -> np.ndarray:
-    return np.zeros(3)
-
-
-def _zero33() -> np.ndarray:
-    return np.zeros((3, 3))
-
-
-@dataclass
-class FerroelectricState:
-    eps: float
-    F: np.ndarray       # 3x3
-    H: np.ndarray       # 3
-    pi: np.ndarray      # polarization per unit mass, 3
-    grad_pi: np.ndarray  # 3x3
-    u: np.ndarray       # pi-dot, 3
-    grad_u: np.ndarray  # 3x3
-
-    def __post_init__(self):
-        self.F = np.asarray(self.F, dtype=float).reshape(3, 3)
-        self.H = np.asarray(self.H, dtype=float).reshape(3)
-        self.pi = np.asarray(self.pi, dtype=float).reshape(3)
-        self.grad_pi = np.asarray(self.grad_pi, dtype=float).reshape(3, 3)
-        self.u = np.asarray(self.u, dtype=float).reshape(3)
-        self.grad_u = np.asarray(self.grad_u, dtype=float).reshape(3, 3)
-        if np.linalg.det(self.F) <= 0.0:
-            raise ModelError("deformation gradient must have positive determinant")
-
-    def binding(self) -> dict[str, float]:
-        out = {EPS_NAME: self.eps}
-        out.update(zip(F_NAMES, self.F.ravel()))
-        out.update(zip(PI_NAMES, self.pi))
-        out.update(zip(GPI_NAMES, self.grad_pi.ravel()))
-        out.update(zip(H_NAMES, self.H))
-        return out
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate(([self.eps], self.F.ravel(), self.H, self.pi,
-                               self.grad_pi.ravel(), self.u, self.grad_u.ravel()))
-
-    @classmethod
-    def from_vector(cls, y: np.ndarray) -> "FerroelectricState":
-        return cls(eps=float(y[0]), F=y[1:10].reshape(3, 3), H=y[10:13],
-                   pi=y[13:16], grad_pi=y[16:25].reshape(3, 3), u=y[25:28],
-                   grad_u=y[28:37].reshape(3, 3))
 
 
 @dataclass(frozen=True)
@@ -108,122 +44,28 @@ class FerroelectricConstitutive:
 
 @dataclass(frozen=True)
 class FerroelectricForcing:
-    E_ext: Callable[[float], np.ndarray] = lambda t: _zero3()
-    L: Callable[[float], np.ndarray] = lambda t: _zero33()
+    E_ext: Callable[[float], np.ndarray] = lambda t: np.zeros(3)
+    L: Callable[[float], np.ndarray] = lambda t: np.zeros((3, 3))
     divq: Callable[[float], float] = lambda t: 0.0
     poynting_term: Callable[[float], float] = lambda t: 0.0
-    div_e_tensor: Callable[[float], np.ndarray] = lambda t: _zero3()  # div of LEt
-    div_J_grad_u: Callable[[float], np.ndarray] = lambda t: _zero33()
-    source_grad_u: Callable[[float], np.ndarray] = lambda t: _zero33()
+    div_e_tensor: Callable[[float], np.ndarray] = lambda t: np.zeros(3)  # div of LEt
+    div_J_grad_u: Callable[[float], np.ndarray] = lambda t: np.zeros((3, 3))
+    source_grad_u: Callable[[float], np.ndarray] = lambda t: np.zeros((3, 3))
 
 
-def _grad_blocks(c: FerroelectricConstitutive, b: dict[str, float]):
-    g = c.potential.grad(b)
-    u_eps = float(g[0])
-    if u_eps == 0.0:
-        raise TemperatureSingularity("dU/d(eps) = 0 at the probe state")
-    return u_eps, g[1:10].reshape(3, 3), g[10:13], g[13:22].reshape(3, 3), g[22:25]
-
-
-def fe_constitutive_from_potential(c: FerroelectricConstitutive, x: FerroelectricState):
-    """(theta^-1, sigma:F^-1 tensor, LE, LEt, beta) by exact gradients of U."""
-    u_eps, g_F, g_pi, g_gpi, g_H = _grad_blocks(c, x.binding())
-    theta = 1.0 / u_eps
-    stress_term = -c.rho * theta * g_F
-    e_loc = theta * g_pi
-    e_loc_tensor = -c.rho * theta * g_gpi
-    beta = g_H
-    return u_eps, stress_term, e_loc, e_loc_tensor, beta
-
-
-def fe_potential_coefficients(c: FerroelectricConstitutive):
-    """Constitutive fields as expressions: theta^-1, stress(9), LE(3), LEt(9), beta(3)."""
-    u = c.potential
-    thetainv = u.partial(EPS_NAME)
-    ti = thetainv.expression
-
-    def over(e):
-        return ScalarField(e, FE_COORDS)
-
-    stress = tuple(over(neg(mul(const(c.rho), div(u.partial(n).expression, ti)))) for n in F_NAMES)
-    e_loc = tuple(over(div(u.partial(n).expression, ti)) for n in PI_NAMES)
-    e_tensor = tuple(over(neg(mul(const(c.rho), div(u.partial(n).expression, ti)))) for n in GPI_NAMES)
-    beta = tuple(u.partial(n) for n in H_NAMES)
-    return thetainv, stress, e_loc, e_tensor, beta
-
-
-def fe_entropy_form(thetainv: ScalarField, stress: tuple[ScalarField, ...],
-                    e_loc: tuple[ScalarField, ...], e_tensor: tuple[ScalarField, ...],
-                    beta: tuple[ScalarField, ...], rho: float,
-                    t_coefficient: ScalarField | None = None) -> OneForm:
-    """Assemble the ferroelectric entropy form from free coefficient fields.
-
-    With ``t_coefficient`` given (the full -rho^-1(theta^-1 div P + div k)
-    channel as one field over the base coordinates plus t) the form gains a
-    dt slot and all coefficients are promoted to the extended space.
-    """
-    if len(stress) != 9 or len(e_loc) != 3 or len(e_tensor) != 9 or len(beta) != 3:
-        raise ModelError("coefficient arity mismatch")
-    coords = FE_COORDS if t_coefficient is None else FE_COORDS + ("t",)
-
-    def over(e):
-        return ScalarField(e, coords)
-
-    coeffs = [over(thetainv.expression)]
-    for s in stress:
-        coeffs.append(over(neg(mul(div(thetainv.expression, const(rho)), s.expression))))
-    for e in e_loc:
-        coeffs.append(over(mul(thetainv.expression, e.expression)))
-    for e in e_tensor:
-        coeffs.append(over(neg(mul(div(thetainv.expression, const(rho)), e.expression))))
-    for b in beta:
-        coeffs.append(over(b.expression))
-    if t_coefficient is not None:
-        coeffs.append(over(t_coefficient.expression))
-    return OneForm(coords, tuple(coeffs))
+# The general point functions; LE and LEt are never None for a ferroelectric potential.
+fe_constitutive_from_potential = point.constitutive_from_potential
+fe_potential_coefficients = point.potential_coefficients
+fe_entropy_form = point.entropy_form
 
 
 def fe_rates(x: FerroelectricState, c: FerroelectricConstitutive,
              f: FerroelectricForcing, t: float) -> np.ndarray:
     """Right-hand side of the coupled first-order system at (t, x)."""
-    u_eps, g_F, g_pi, g_gpi, g_H = _grad_blocks(c, x.binding())
-    theta = 1.0 / u_eps
-    stress_term = -c.rho * theta * g_F      # sigma:F^-1
-    e_loc = theta * g_pi                    # LE
-    e_tensor = -c.rho * theta * g_gpi       # LEt
-
-    L = np.asarray(f.L(t), dtype=float).reshape(3, 3)
-    F_dot = L @ x.F
-    # energy balance: rho eps-dot = sigma:L - rho LE.u + LEt:grad u - div q + div-P channel
-    eps_dot = (float((stress_term * F_dot).sum()) / c.rho
-               - float(e_loc @ x.u)
-               + float((e_tensor * x.grad_u).sum()) / c.rho
-               - f.divq(t) / c.rho
-               + f.poynting_term(t))
-    H_dot = (c.rho / c.k) * g_H
-    pi_dot = x.u
-    u_dot = (np.asarray(f.E_ext(t), dtype=float).reshape(3) + e_loc
-             + np.asarray(f.div_e_tensor(t), dtype=float).reshape(3) / c.rho) / c.inertia
-    grad_pi_dot = x.grad_u
-    grad_u_dot = (np.asarray(f.div_J_grad_u(t), dtype=float).reshape(3, 3)
-                  + np.asarray(f.source_grad_u(t), dtype=float).reshape(3, 3))
-    return np.concatenate(([eps_dot], F_dot.ravel(), H_dot, pi_dot,
-                           grad_pi_dot.ravel(), u_dot, grad_u_dot.ravel()))
-
-
-def _rhs(y: np.ndarray, c, f, t: float) -> np.ndarray:
-    return fe_rates(FerroelectricState.from_vector(y), c, f, t)
+    return point.rhs(x.vector(), c, f, t)
 
 
 def fe_step(x: FerroelectricState, c: FerroelectricConstitutive, f: FerroelectricForcing,
             t: float, dt: float) -> FerroelectricState:
     """One classical RK4 step of the coupled system."""
-    if dt <= 0:
-        raise ModelError("dt must be positive")
-    y = x.vector()
-    k1 = _rhs(y, c, f, t)
-    k2 = _rhs(y + 0.5 * dt * k1, c, f, t + 0.5 * dt)
-    k3 = _rhs(y + 0.5 * dt * k2, c, f, t + 0.5 * dt)
-    k4 = _rhs(y + dt * k3, c, f, t + dt)
-    y_next = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return FerroelectricState.from_vector(y_next)
+    return point.rk4_step(x, c, f, t, dt)

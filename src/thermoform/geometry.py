@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .expr import ScalarField
+from .expr import DomainError, ScalarField
 
 __all__ = [
     "ContactChart",
@@ -120,12 +120,19 @@ def d_residual(form: OneForm, x: dict[str, float]) -> np.ndarray:
 
 
 def worst_residual(form: OneForm, samples: list[dict[str, float]]) -> tuple[float, tuple[str, str]]:
-    """Largest |C_ij| over a non-empty sample set, with the pair (x^i, x^j) where it occurs."""
+    """Largest |C_ij| over a non-empty sample set, with the pair (x^i, x^j) where it occurs.
+
+    A non-finite residual is no evidence either way: it raises DomainError.
+    """
     if not samples:
         raise GeometryError("empty sample set")
     worst, pair = 0.0, (form.coords[0], form.coords[0])
     for x in samples:
         res = np.abs(d_residual(form, x))
+        if not np.isfinite(res).all():
+            i, j = np.argwhere(~np.isfinite(res))[0]
+            raise DomainError(f"non-finite closeness residual {res[i, j]} in the pair "
+                              f"({form.coords[i]}, {form.coords[j]})")
         i, j = np.unravel_index(int(res.argmax()), res.shape)
         if res[i, j] > worst:
             worst, pair = float(res[i, j]), (form.coords[i], form.coords[j])

@@ -7,7 +7,7 @@ delta s = delta U + delta sigma.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -26,10 +26,7 @@ __all__ = [
     "godograph_det",
     "rate_relation_residual",
     "spinodal_scan",
-    "DEGENERATE_DET",
 ]
-
-DEGENERATE_DET = 1e-12
 
 
 class ProcessError(Exception):

@@ -1,13 +1,7 @@
-"""Thermoelastic material point: entropy form, constitutive closure, dynamics.
-
-Base coordinates, in fixed order everywhere (forms, configs, CSV):
-eps, F11..F33 (row-major), H1..H3.  The entropy form is
-
-    eta = theta^-1 d(eps) - (theta rho)^-1 (sigma:F^-1) : dF
-          - rho^-1 (grad theta^-1) . dH
-
-and closes exactly when its coefficients come from a potential U(eps, F, H):
-theta^-1 = dU/d(eps), sigma:F^-1 = -rho theta dU/dF, grad theta^-1 = -rho dU/dH.
+"""Thermoelastic material point: the point model of ``thermoform.point`` over
+the 13 base coordinates eps, F11..F33 (row-major), H1..H3, with no electric
+content.  Its entropy form writes the dH slot as -rho^-1 (grad theta^-1) . dH,
+so a potential U gives grad theta^-1 = -rho dU/dH.
 """
 from __future__ import annotations
 
@@ -16,8 +10,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import point
 from .expr import ScalarField, const, div, mul, neg
 from .geometry import OneForm
+from .point import (BASE_COORDS, EPS_NAME, F_NAMES, H_NAMES, ModelError, TemperatureSingularity,
+                    ThermoelasticState)
 
 __all__ = [
     "EPS_NAME",
@@ -38,47 +35,8 @@ __all__ = [
     "closeness_system_residual",
 ]
 
-EPS_NAME = "eps"
-F_NAMES = tuple(f"F{i}{j}" for i in range(1, 4) for j in range(1, 4))
-H_NAMES = ("H1", "H2", "H3")
-BASE_COORDS = (EPS_NAME,) + F_NAMES + H_NAMES
-
 BETA_NAMES = ("beta1", "beta2", "beta3")
 ETA_PRIME_COORDS = (EPS_NAME,) + F_NAMES + BETA_NAMES + ("t",)
-
-
-class ModelError(Exception):
-    pass
-
-
-class TemperatureSingularity(ModelError):
-    """dU/d(eps) vanished: the inverse temperature is undefined."""
-
-
-@dataclass
-class ThermoelasticState:
-    eps: float
-    F: np.ndarray  # 3x3
-    H: np.ndarray  # 3-vector
-
-    def __post_init__(self):
-        self.F = np.asarray(self.F, dtype=float).reshape(3, 3)
-        self.H = np.asarray(self.H, dtype=float).reshape(3)
-        if np.linalg.det(self.F) <= 0.0:
-            raise ModelError("deformation gradient must have positive determinant")
-
-    def binding(self) -> dict[str, float]:
-        out = {EPS_NAME: self.eps}
-        out.update(zip(F_NAMES, self.F.ravel()))
-        out.update(zip(H_NAMES, self.H))
-        return out
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate(([self.eps], self.F.ravel(), self.H))
-
-    @classmethod
-    def from_vector(cls, y: np.ndarray) -> "ThermoelasticState":
-        return cls(eps=float(y[0]), F=y[1:10].reshape(3, 3), H=y[10:13])
 
 
 @dataclass(frozen=True)
@@ -103,81 +61,34 @@ class ThermoelasticForcing:
 def constitutive_from_potential(c: ThermoelasticConstitutive,
                                 x: ThermoelasticState) -> tuple[float, np.ndarray, np.ndarray]:
     """(theta^-1, sigma:F^-1 tensor, grad theta^-1) from exact gradients of U."""
-    g = c.potential.grad(x.binding())
-    u_eps = float(g[0])
-    if u_eps == 0.0:
-        raise TemperatureSingularity("dU/d(eps) = 0 at the probe state")
-    theta = 1.0 / u_eps
-    stress_term = -c.rho * theta * g[1:10].reshape(3, 3)
-    grad_thetainv = -c.rho * g[10:13]
-    return u_eps, stress_term, grad_thetainv
+    u_eps, stress_term, _, _, beta = point.constitutive_from_potential(c, x)
+    return u_eps, stress_term, -c.rho * beta
 
 
 def potential_coefficients(c: ThermoelasticConstitutive):
     """The constitutive fields as expressions: theta^-1, sigma:F^-1 (9), grad theta^-1 (3)."""
-    u = c.potential
-    thetainv = u.partial(EPS_NAME)
-    stress = tuple(
-        ScalarField(
-            neg(mul(const(c.rho), div(u.partial(name).expression, thetainv.expression))),
-            BASE_COORDS,
-        )
-        for name in F_NAMES
-    )
-    grad_thetainv = tuple(
-        ScalarField(mul(const(-c.rho), u.partial(name).expression), BASE_COORDS)
-        for name in H_NAMES
-    )
-    return thetainv, stress, grad_thetainv
+    thetainv, stress, _, _, beta = point.potential_coefficients(c)
+    return thetainv, stress, tuple(
+        ScalarField(mul(const(-c.rho), b.expression), BASE_COORDS) for b in beta)
 
 
 def entropy_form(thetainv: ScalarField, stress: tuple[ScalarField, ...],
                  grad_thetainv: tuple[ScalarField, ...], rho: float) -> OneForm:
-    """Assemble eta from free coefficient fields, signs fixed by the balance."""
-    if len(stress) != 9 or len(grad_thetainv) != 3:
-        raise ModelError("need 9 stress components and 3 gradient components")
-    coeffs = [thetainv]
-    for s in stress:  # -(theta rho)^-1 sigma:F^-1 = -(1/rho) thetainv * s
-        coeffs.append(ScalarField(
-            neg(mul(div(thetainv.expression, const(rho)), s.expression)), BASE_COORDS))
-    for g in grad_thetainv:  # -rho^-1 grad theta^-1
-        coeffs.append(ScalarField(neg(div(g.expression, const(rho))), BASE_COORDS))
-    return OneForm(BASE_COORDS, tuple(coeffs))
+    """Assemble eta from free coefficient fields; beta = -rho^-1 grad theta^-1."""
+    beta = tuple(ScalarField(neg(div(g.expression, const(rho))), BASE_COORDS) for g in grad_thetainv)
+    return point.entropy_form(thetainv, stress, None, None, beta, rho)
 
 
 def rates(x: ThermoelasticState, c: ThermoelasticConstitutive, f: ThermoelasticForcing,
           t: float) -> np.ndarray:
     """Right-hand side of the 13-dim system at (t, x)."""
-    g = c.potential.grad(x.binding())
-    u_eps = float(g[0])
-    if u_eps == 0.0:
-        raise TemperatureSingularity("dU/d(eps) = 0 during integration")
-    theta = 1.0 / u_eps
-    stress_term = -c.rho * theta * g[1:10].reshape(3, 3)  # sigma:F^-1 dual to dF
-
-    L = np.asarray(f.L(t), dtype=float).reshape(3, 3)
-    F_dot = L @ x.F
-    eps_dot = float((stress_term * F_dot).sum()) / c.rho - f.divq(t) / c.rho
-    H_dot = (c.rho / c.k) * g[10:13]
-    return np.concatenate(([eps_dot], F_dot.ravel(), H_dot))
-
-
-def _rhs(y: np.ndarray, c, f, t: float) -> np.ndarray:
-    return rates(ThermoelasticState.from_vector(y), c, f, t)
+    return point.rhs(x.vector(), c, f, t)
 
 
 def step(x: ThermoelasticState, c: ThermoelasticConstitutive, f: ThermoelasticForcing,
          t: float, dt: float) -> ThermoelasticState:
     """One classical RK4 step; rejects loss of orientation (det F <= 0)."""
-    if dt <= 0:
-        raise ModelError("dt must be positive")
-    y = x.vector()
-    k1 = _rhs(y, c, f, t)
-    k2 = _rhs(y + 0.5 * dt * k1, c, f, t + 0.5 * dt)
-    k3 = _rhs(y + 0.5 * dt * k2, c, f, t + 0.5 * dt)
-    k4 = _rhs(y + dt * k3, c, f, t + dt)
-    y_next = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return ThermoelasticState.from_vector(y_next)  # det check in constructor
+    return point.rk4_step(x, c, f, t, dt)
 
 
 def closeness_system_residual(thetainv: ScalarField, stress_over_theta: tuple[ScalarField, ...],

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from .expr import ScalarField
 from .geometry import ContactChart
-from .legendre import ConstitutiveSurface, LegendreSurface
 
-__all__ = ["VDW_COORDS", "vdw_potential", "vdw_chart", "vdw_surface"]
+__all__ = ["VDW_COORDS", "vdw_potential", "vdw_chart"]
 
 VDW_COORDS = ("S", "V")
 
@@ -27,12 +26,3 @@ def vdw_potential(a: float = 1.0, b: float = 0.1, R: float = 1.0,
 def vdw_chart() -> ContactChart:
     return ContactChart(n=2, s_name="U", q_names=VDW_COORDS, p_names=("T", "negp"))
 
-
-def vdw_surface(a: float = 1.0, b: float = 0.1, R: float = 1.0, c_V: float = 1.5,
-                sigma_text: str = "0") -> ConstitutiveSurface:
-    chart = vdw_chart()
-    return ConstitutiveSurface(
-        chart,
-        vdw_potential(a, b, R, c_V),
-        ScalarField.from_text(sigma_text, VDW_COORDS),
-    )

@@ -294,3 +294,114 @@ class TestVdw:
         main(["vdw", "--out", str(b)])
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestInputRobustness:
+    """Malformed input ends in exit 1 with a message naming where it is, never a traceback."""
+
+    SIM = """
+model: thermoelastic
+potential: "ln(eps)"
+initial: {{eps: 0.5}}
+integration: {integration}
+"""
+
+    def test_check_closed_non_finite_residual(self, tmp_path, capsys):
+        # a NaN residual ranks below every tolerance; it must not read as closed
+        config = write(tmp_path / "c.yaml", """
+coords: [x, y]
+coefficients: {x: "y*(1e308*10 - 1e308*10)", y: "x"}
+box: {x: [0.5, 1.5], y: [0.5, 1.5]}
+count: 4
+""")
+        assert main(["check-closed", "--config", config]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: non-finite closeness residual")
+        assert "(x, y)" in captured.err
+
+    @pytest.mark.parametrize("integration, key", [
+        ("{t1: 1.0, dt: .nan}", "config.integration.dt"),
+        ("{t1: .inf, dt: 0.1}", "config.integration.t1"),
+        ("{t0: -.inf, t1: 1.0, dt: 0.1}", "config.integration.t0"),
+    ])
+    def test_non_finite_integration_bounds(self, tmp_path, capsys, integration, key):
+        config = write(tmp_path / "c.yaml", self.SIM.format(integration=integration))
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {key}: expected a finite number")
+        assert not out.exists()
+
+    def test_partial_last_step_rejected(self, tmp_path, capsys):
+        # 1 / 0.3 steps would silently stop at t = 0.9
+        config = write(tmp_path / "c.yaml", self.SIM.format(integration="{t1: 1, dt: 0.3}"))
+        assert main(["simulate", "--config", config]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config.integration.dt" in captured.err
+        assert "whole number of steps" in captured.err
+
+    @pytest.mark.parametrize("line, detail", [
+        ("0.1,abc,1.0", "could not convert string to float: 'abc'"),
+        ("0.1,0.2", "expected 3 cells, got 2"),
+    ])
+    def test_bad_curve_file(self, tmp_path, capsys, line, detail):
+        curve = write(tmp_path / "curve.csv", f"t,q1,q2\n0.0,0.0,1.0\n{line}\n0.2,0.4,1.0\n")
+        config = write(tmp_path / "c.yaml", f"""
+coords: [q1, q2]
+potential: "q1*q2"
+curve: "{curve}"
+""")
+        assert main(["action", "--config", config]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: curve file {curve}, line 3: {detail}\n"
+
+    @pytest.mark.parametrize("count", ["2.5", "0"])
+    def test_surface_grid_count(self, tmp_path, capsys, count):
+        # 2.5 used to give 2 points, 0 a header-only CSV with exit 0
+        config = write(tmp_path / "c.yaml", f"""
+coords: [q1, q2]
+potential: "q1*q2"
+grid: {{q1: [0.0, 1.0, 3], q2: [0.0, 1.0, {count}]}}
+""")
+        out = tmp_path / "surf.csv"
+        assert main(["surface", "--config", config, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: config.grid.q2: expected an integer >= 1, got {count}\n")
+        assert not out.exists()
+
+
+class TestOnePointModel:
+    def test_ferroelectric_without_electric_content_is_thermoelastic(self, tmp_path, capsys):
+        # the same potential, forcing and start through both models: every
+        # column the two traces share is byte-identical
+        body = """
+potential: "ln(eps) - 0.15*(H1^2+H2^2+H3^2) + 0.05*F11*F22 + 0.02*(F12+F21)^2"
+rho: 1.3
+k: 0.7
+initial:
+  eps: 0.5
+  F: [[1.0, 0.05, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.1]]
+  H: [0.3, -0.1, 0.2]
+forcing:
+  L: [["0.01*t", "0.1", "0"], ["0", "-0.02", "0.1*t^2"], ["0", "0", "0.03"]]
+  divq: "0.02 + 0.01*t^2"
+integration: {t1: 1.0, dt: 0.01}
+"""
+        columns = {}
+        for model in ("thermoelastic", "ferroelectric"):
+            config = write(tmp_path / f"{model}.yaml", f"model: {model}\n" + body)
+            out = tmp_path / f"{model}.csv"
+            assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_OK
+            lines = out.read_text().splitlines()
+            cells = [line.split(",") for line in lines[1:]]
+            columns[model] = {name: [row[i] for row in cells]
+                              for i, name in enumerate(lines[0].split(","))}
+        te, fe = columns["thermoelastic"], columns["ferroelectric"]
+        assert list(te) == ["t", "eps", "F11", "F12", "F13", "F21", "F22", "F23", "F31", "F32",
+                            "F33", "H1", "H2", "H3", "theta", "U"]
+        assert len(te["t"]) == 101
+        for name in te:
+            assert fe[name] == te[name], name
+        assert set(fe["pi1"]) == {"0"}

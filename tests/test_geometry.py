@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermoform.expr import ScalarField
+from thermoform.expr import DomainError, ScalarField
 from thermoform.geometry import (
     ContactChart,
     GeometryError,
@@ -159,6 +159,13 @@ class TestIsClosed:
         assert worst == 3.0
         assert pair in (("x", "y"), ("y", "x"))
         assert is_closed(form, samples) == (False, 3.0)
+
+    def test_non_finite_residual_is_a_domain_error(self):
+        # 1e308*10 overflows to inf and inf - inf is NaN, which no comparison
+        # ranks: the form must not pass as closed on such evidence
+        form = form_xy("y*(1e308*10 - 1e308*10)", "x")
+        with pytest.raises(DomainError, match=r"non-finite .*\(x, y\)"):
+            is_closed(form, [{"x": 1.0, "y": 1.0}])
 
 
 class TestReconstructPotential:
