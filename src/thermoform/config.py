@@ -35,6 +35,8 @@ def load_yaml(path: str) -> dict:
 
 
 def check_keys(d: dict, allowed: set[str], path: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")

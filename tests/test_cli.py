@@ -332,6 +332,11 @@ count: 4
         assert capsys.readouterr().err.startswith(f"error: {key}: expected a finite number")
         assert not out.exists()
 
+    def test_non_mapping_section(self, tmp_path, capsys):
+        config = write(tmp_path / "c.yaml", self.SIM.format(integration="5"))
+        assert main(["simulate", "--config", config]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: config.integration: expected a mapping, got 5\n"
+
     def test_partial_last_step_rejected(self, tmp_path, capsys):
         # 1 / 0.3 steps would silently stop at t = 0.9
         config = write(tmp_path / "c.yaml", self.SIM.format(integration="{t1: 1, dt: 0.3}"))
