@@ -151,8 +151,8 @@ def _init_vector(doc, key: str, size: int, path: str) -> np.ndarray:
         flat = np.asarray(value, dtype=float).ravel()
     except (TypeError, ValueError):
         flat = None
-    if flat is None or flat.size != size:
-        raise cfg.ConfigError(f"{path}.{key}: expected {size} numbers")
+    if flat is None or flat.size != size or not np.isfinite(flat).all():
+        raise cfg.ConfigError(f"{path}.{key}: expected {size} finite numbers")
     return flat
 
 
@@ -186,9 +186,6 @@ def _load_integration(doc) -> tuple[float, float, int]:
     t0 = cfg.as_number(doc.get("t0", 0.0), "config.integration.t0")
     t1 = cfg.as_number(cfg.need(doc, "t1", "config.integration"), "config.integration.t1")
     dt = cfg.as_number(cfg.need(doc, "dt", "config.integration"), "config.integration.dt")
-    for key, value in (("t0", t0), ("t1", t1), ("dt", dt)):
-        if not math.isfinite(value):
-            raise cfg.ConfigError(f"config.integration.{key}: expected a finite number, got {value!r}")
     if dt <= 0 or t1 <= t0:
         raise cfg.ConfigError("config.integration: need dt > 0 and t1 > t0")
     steps = (t1 - t0) / dt
@@ -206,7 +203,7 @@ def cmd_simulate(args) -> int:
     spec = _MODELS.get(model) if isinstance(model, str) else None
     if spec is None:
         raise cfg.ConfigError(f"config.model: unknown model {model!r}")
-    cfg.check_keys(doc, {"model", "potential", "initial", "forcing", "integration", "output",
+    cfg.check_keys(doc, {"model", "potential", "initial", "forcing", "integration",
                          *spec.params, *spec.keys}, "config")
     u = cfg.field_from(cfg.need(doc, "potential", "config"), spec.coords, "config.potential")
     constitutive = spec.constitutive(u, **{
@@ -269,7 +266,7 @@ def _surface_from(doc, path: str = "config") -> ConstitutiveSurface:
 
 def cmd_surface(args) -> int:
     doc = cfg.load_yaml(args.config)
-    cfg.check_keys(doc, {"coords", "potential", "sigma", "grid", "output"}, "config")
+    cfg.check_keys(doc, {"coords", "potential", "sigma", "grid"}, "config")
     surface = _surface_from(doc)
     coords = surface.chart.q_names
     grid_doc = cfg.need(doc, "grid", "config")
@@ -291,7 +288,7 @@ def cmd_surface(args) -> int:
         res = pullback_contact(surface, q)
         rows.append([*values, point[surface.chart.s_name],
                      *(point[p] for p in surface.chart.p_names), *res])
-    _write_csv(args.out or doc.get("output"), header, rows)
+    _write_csv(args.out, header, rows)
     return EXIT_OK
 
 
@@ -389,37 +386,59 @@ def cmd_vdw(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, needs_config: bool = True) -> None:
-    if needs_config:
-        p.add_argument("--config", required=True, help="YAML run configuration")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
-    p.add_argument("--seed", type=int, default=0, help="sample-point generation seed")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, a configuration error; argparse's own 2 means "not closed" here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+_FLAGS = {
+    "out": dict(default=None, help="output path (default: stdout)"),
+    "tol": dict(type=_finite, default=None, help="tolerance override"),
+    "seed": dict(type=int, default=0, help="sample-point generation seed"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="thermoform")
+    parser = _Parser(prog="thermoform")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in [("check-closed", cmd_check_closed), ("simulate", cmd_simulate),
-                     ("surface", cmd_surface), ("admissible", cmd_admissible),
-                     ("metric", cmd_metric), ("action", cmd_action),
-                     ("curvature", cmd_curvature)]:
+    for name, fn, flags in [("check-closed", cmd_check_closed, ("tol", "seed")),
+                            ("simulate", cmd_simulate, ("out",)),
+                            ("surface", cmd_surface, ("out",)),
+                            ("admissible", cmd_admissible, ("tol", "out")),
+                            ("metric", cmd_metric, ()),
+                            ("action", cmd_action, ()),
+                            ("curvature", cmd_curvature, ())]:
         p = sub.add_parser(name)
-        _add_common(p)
+        p.add_argument("--config", required=True, help="YAML run configuration")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("vdw", help="built-in van der Waals constitutive law")
-    _add_common(p, needs_config=False)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=0.1)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--cv", type=float, default=1.5)
-    p.add_argument("--smin", type=float, default=-0.5)
-    p.add_argument("--smax", type=float, default=0.5)
+    p.add_argument("--out", **_FLAGS["out"])
+    p.add_argument("--a", type=_finite, default=1.0)
+    p.add_argument("--b", type=_finite, default=0.1)
+    p.add_argument("--r", type=_finite, default=1.0)
+    p.add_argument("--cv", type=_finite, default=1.5)
+    p.add_argument("--smin", type=_finite, default=-0.5)
+    p.add_argument("--smax", type=_finite, default=0.5)
     p.add_argument("--sn", type=int, default=5)
-    p.add_argument("--vmin", type=float, default=0.15)
-    p.add_argument("--vmax", type=float, default=3.0)
+    p.add_argument("--vmin", type=_finite, default=0.15)
+    p.add_argument("--vmax", type=_finite, default=3.0)
     p.add_argument("--vn", type=int, default=60)
     p.set_defaults(fn=cmd_vdw)
     return parser

@@ -5,6 +5,7 @@ offending entry so CLI failures are actionable without reading the code.
 """
 from __future__ import annotations
 
+import sys
 from typing import Any
 
 import numpy as np
@@ -49,8 +50,10 @@ def need(d: dict, key: str, path: str) -> Any:
 
 
 def as_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    # the bound test is False for NaN and +-inf, and exact for ints too large for a float
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -81,27 +84,26 @@ def _t_field(text: Any, path: str) -> ScalarField:
     return field_from(text, ("t",), path)
 
 
-def time_fn_scalar(value: Any, path: str, default: str = "0"):
-    f = _t_field(default if value is None else value, path)
+def time_fn_scalar(value: Any, path: str):
+    f = _t_field("0" if value is None else value, path)
     return lambda t: f.value({"t": t})
 
 
-def time_fn_vector(value: Any, path: str, size: int = 3):
+def time_fn_vector(value: Any, path: str):
     if value is None:
-        value = ["0"] * size
-    if not isinstance(value, list) or len(value) != size:
-        raise ConfigError(f"{path}: expected a list of {size} expression strings")
+        value = ["0"] * 3
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"{path}: expected a list of 3 expression strings")
     fields = [_t_field(v, f"{path}[{i}]") for i, v in enumerate(value)]
     return lambda t: np.array([f.value({"t": t}) for f in fields])
 
 
-def time_fn_matrix(value: Any, path: str, shape: tuple[int, int] = (3, 3)):
-    rows, cols = shape
+def time_fn_matrix(value: Any, path: str):
     if value is None:
-        value = [["0"] * cols for _ in range(rows)]
-    if (not isinstance(value, list) or len(value) != rows
-            or any(not isinstance(r, list) or len(r) != cols for r in value)):
-        raise ConfigError(f"{path}: expected a {rows}x{cols} nested list of expression strings")
+        value = [["0"] * 3 for _ in range(3)]
+    if (not isinstance(value, list) or len(value) != 3
+            or any(not isinstance(r, list) or len(r) != 3 for r in value)):
+        raise ConfigError(f"{path}: expected a 3x3 nested list of expression strings")
     fields = [[_t_field(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)]
               for i, row in enumerate(value)]
     return lambda t: np.array([[f.value({"t": t}) for f in row] for row in fields])

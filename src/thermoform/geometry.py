@@ -42,7 +42,6 @@ class ContactChart:
     s_name: str = "s"
     q_names: tuple[str, ...] = ()
     p_names: tuple[str, ...] = ()
-    time_extended: bool = False  # marks q^n as the time coordinate
 
     def __post_init__(self):
         if self.n < 1:
@@ -108,35 +107,30 @@ def potential_form(potential: ScalarField) -> OneForm:
 
 def d_residual(form: OneForm, x: dict[str, float]) -> np.ndarray:
     """C_ij = da_i/dx^j - da_j/dx^i; exactly antisymmetric, zero iff closed at x."""
-    m = len(form.coords)
     jac = np.array([c.grad(x) for c in form.coefficients])
-    out = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            c = jac[i, j] - jac[j, i]
-            out[i, j] = c
-            out[j, i] = -c
-    return out
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which worst_residual reports
+        return jac - jac.T
 
 
 def worst_residual(form: OneForm, samples: list[dict[str, float]]) -> tuple[float, tuple[str, str]]:
     """Largest |C_ij| over a non-empty sample set, with the pair (x^i, x^j) where it occurs.
 
-    A non-finite residual is no evidence either way: it raises DomainError.
+    Ties go to the first sample, then the first pair in row-major order.  A
+    non-finite residual is no evidence either way: it raises DomainError.
     """
     if not samples:
         raise GeometryError("empty sample set")
-    worst, pair = 0.0, (form.coords[0], form.coords[0])
+    residuals = []
     for x in samples:
         res = np.abs(d_residual(form, x))
         if not np.isfinite(res).all():
             i, j = np.argwhere(~np.isfinite(res))[0]
             raise DomainError(f"non-finite closeness residual {res[i, j]} in the pair "
                               f"({form.coords[i]}, {form.coords[j]})")
-        i, j = np.unravel_index(int(res.argmax()), res.shape)
-        if res[i, j] > worst:
-            worst, pair = float(res[i, j]), (form.coords[i], form.coords[j])
-    return worst, pair
+        residuals.append(res)
+    stacked = np.array(residuals)
+    k, i, j = np.unravel_index(int(stacked.argmax()), stacked.shape)
+    return float(stacked[k, i, j]), (form.coords[i], form.coords[j])
 
 
 def is_closed(form: OneForm, samples: list[dict[str, float]], tol: float = 1e-8) -> tuple[bool, float]:
@@ -188,30 +182,14 @@ def reconstruct_potential(form: OneForm, base: dict[str, float], target: dict[st
 def contact_nondegeneracy(chart: ContactChart, x: dict[str, float]) -> float:
     """det of d(theta) on the computed basis of D = ker theta; nonzero certifies contact."""
     n = chart.n
-    dim = 2 * n + 1
-    coords = chart.coords
-    idx = {name: k for k, name in enumerate(coords)}
-
-    basis = []
-    for pn in chart.p_names:  # vertical-in-p directions
-        v = np.zeros(dim)
-        v[idx[pn]] = 1.0
-        basis.append(v)
-    for qn, pn in zip(chart.q_names, chart.p_names):  # horizontal lifts d_q + p d_s
-        v = np.zeros(dim)
-        v[idx[qn]] = 1.0
-        v[idx[chart.s_name]] = x[pn]
-        basis.append(v)
-
-    def dtheta(u: np.ndarray, v: np.ndarray) -> float:
-        # d(theta) = -sum_i dp_i ^ dq^i
-        total = 0.0
-        for qn, pn in zip(chart.q_names, chart.p_names):
-            total -= u[idx[pn]] * v[idx[qn]] - v[idx[pn]] * u[idx[qn]]
-        return total
-
-    mat = np.array([[dtheta(u, v) for v in basis] for u in basis])
-    return float(np.linalg.det(mat))
+    # rows: the vertical directions d_{p_i}, then the horizontal lifts d_{q^i} + p_i d_s
+    basis = np.zeros((2 * n, 2 * n + 1))
+    basis[:n, n + 1:] = np.eye(n)
+    basis[n:, 1:n + 1] = np.eye(n)
+    basis[n:, 0] = [x[pn] for pn in chart.p_names]
+    q, p = basis[:, 1:n + 1], basis[:, n + 1:]  # chart.coords is (s; q; p)
+    # d(theta) = -sum_i dp_i ^ dq^i, so d(theta)(u, v) = (Q P^T - P Q^T)_uv
+    return float(np.linalg.det(q @ p.T - p @ q.T))
 
 
 def _primes(count: int) -> list[int]:

@@ -68,11 +68,8 @@ def legendre_embed(surface: LegendreSurface, q: dict[str, float]) -> dict[str, f
     """Phase point (s = U(q); q; p = grad U(q))."""
     chart = surface.chart
     point = {chart.s_name: surface.potential.value(q)}
-    for name in chart.q_names:
-        point[name] = q[name]
-    p = surface.potential.grad(q)
-    for name, value in zip(chart.p_names, p):
-        point[name] = float(value)
+    point.update((name, q[name]) for name in chart.q_names)
+    point.update(zip(chart.p_names, map(float, surface.potential.grad(q))))
     return point
 
 
@@ -126,16 +123,14 @@ def connection_curvature(connection: GibbsConnection, x: dict[str, float]) -> np
     Omega_ij = (p_{j,s} p_i - p_{i,s} p_j) + (p_{j,q^i} - p_{i,q^j});
     vanishes when eta = dU for s-independent U.
     """
-    m = len(connection.q_names)
     coords = connection.coords
     p = np.array([f.value(x) for f in connection.p_fields])
     jac = np.array([f.grad(x, coords) for f in connection.p_fields])  # d p_i / d(s, q)
     p_s = jac[:, 0]
     p_q = jac[:, 1:]
-    out = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            val = (p_s[j] * p[i] - p_s[i] * p[j]) + (p_q[j, i] - p_q[i, j])
-            out[i, j] = val
-            out[j, i] = -val
+    omega = np.outer(p, p_s) - np.outer(p_s, p) + (p_q.T - p_q)
+    # the lower triangle is the negated upper one, signed zeros included
+    out = np.triu(omega, 1)
+    lower = np.tril_indices(len(p), -1)
+    out[lower] = -omega.T[lower]
     return out

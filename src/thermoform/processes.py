@@ -53,12 +53,6 @@ class ProcessCurve:
         if q.shape != (len(t), len(self.coords)):
             raise ProcessError("points must be (n_samples, n_coords)")
 
-    @classmethod
-    def from_bindings(cls, times, bindings: list[dict[str, float]],
-                      coords: tuple[str, ...]) -> "ProcessCurve":
-        pts = np.array([[b[name] for name in coords] for b in bindings])
-        return cls(coords, np.asarray(times, dtype=float), pts)
-
     def binding(self, i: int) -> dict[str, float]:
         return dict(zip(self.coords, map(float, self.points[i])))
 

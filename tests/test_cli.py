@@ -1,10 +1,14 @@
+import argparse
+import ast
+import inspect
 import json
 import math
+import textwrap
 
 import numpy as np
 import pytest
 
-from thermoform.cli import EXIT_DOMAIN, EXIT_ERROR, EXIT_NOT_CLOSED, EXIT_OK, main
+from thermoform.cli import EXIT_DOMAIN, EXIT_ERROR, EXIT_NOT_CLOSED, EXIT_OK, build_parser, main
 
 
 def write(path, text):
@@ -375,6 +379,131 @@ grid: {{q1: [0.0, 1.0, 3], q2: [0.0, 1.0, {count}]}}
         assert capsys.readouterr().err == (
             f"error: config.grid.q2: expected an integer >= 1, got {count}\n")
         assert not out.exists()
+
+    def test_surface_grid_bound_must_be_finite(self, tmp_path, capsys):
+        # a NaN start wrote rows of nan with exit 0
+        config = write(tmp_path / "c.yaml", """
+coords: [q1, q2]
+potential: "q1*q2"
+grid: {q1: [.nan, 1.0, 2], q2: [0.0, 1.0, 2]}
+""")
+        out = tmp_path / "surf.csv"
+        assert main(["surface", "--config", config, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: config.grid.q1: expected a finite number, got nan\n"
+        assert not out.exists()
+
+    def test_check_closed_tol_must_be_finite(self, tmp_path, capsys):
+        # a NaN tol gave "closed": false over a zero residual and non-JSON NaN
+        config = write(tmp_path / "c.yaml", """
+coords: [x, y]
+potential: "x*y"
+box: {x: [0.0, 1.0], y: [0.0, 1.0]}
+tol: .nan
+""")
+        assert main(["check-closed", "--config", config]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config.tol: expected a finite number, got nan\n"
+
+    def test_check_closed_tol_flag_must_be_finite(self, tmp_path, capsys):
+        config = write(tmp_path / "c.yaml", """
+coords: [x, y]
+potential: "x*y"
+box: {x: [0.0, 1.0], y: [0.0, 1.0]}
+""")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check-closed", "--config", config, "--tol", "nan"])
+        assert exit_info.value.code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --tol: expected a finite number, got 'nan'" in captured.err
+
+    @pytest.mark.parametrize("initial, extra, path", [
+        ("{eps: 0.5}", "rho: .nan\n", "config.rho"),
+        ("{eps: 0.5, H: [1.0, .inf, 0.0]}", "", "config.initial.H"),
+    ], ids=["rho", "initial.H"])
+    def test_simulate_parameters_must_be_finite(self, tmp_path, capsys, initial, extra, path):
+        # rho: .nan wrote an all-NaN trace with exit 0
+        config = write(tmp_path / "c.yaml", f"""
+model: thermoelastic
+potential: "ln(eps)"
+initial: {initial}
+integration: {{t1: 0.1, dt: 0.01}}
+{extra}""")
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {path}: expected ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub, body", [
+        ("simulate", SIM.format(integration="{t1: 0.1, dt: 0.01}")),
+        ("surface", "coords: [q1]\npotential: \"q1^2\"\ngrid: {q1: [0.0, 1.0, 2]}\n"),
+    ], ids=["simulate", "surface"])
+    def test_output_key_is_unknown(self, tmp_path, capsys, sub, body):
+        # --out is the one output path; `output: true` used to write to fd 1 and close stdout
+        config = write(tmp_path / "c.yaml", body + "output: true\n")
+        assert main([sub, "--config", config]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config: unknown keys ['output']\n"
+
+
+def subcommand_parsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestFlags:
+    def test_each_subcommand_accepts_only_its_flags(self):
+        flags = {name: {opt for a in p._actions for opt in a.option_strings if a.dest != "help"}
+                 for name, p in subcommand_parsers().items()}
+        vdw_params = {"--a", "--b", "--r", "--cv", "--smin", "--smax", "--sn", "--vmin", "--vmax",
+                      "--vn"}
+        assert flags == {
+            "check-closed": {"--config", "--tol", "--seed"},
+            "admissible": {"--config", "--tol", "--out"},
+            "simulate": {"--config", "--out"},
+            "surface": {"--config", "--out"},
+            "metric": {"--config"},
+            "action": {"--config"},
+            "curvature": {"--config"},
+            "vdw": {"--out"} | vdw_params,
+        }
+
+    def test_every_flag_is_read(self):
+        # a flag whose subcommand never reads args.<dest> is accepted and silently ignored
+        for name, p in subcommand_parsers().items():
+            fn = p.get_default("fn")
+            tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+            read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id == "args"}
+            dests = {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
+            assert read == dests, name
+
+    @pytest.mark.parametrize("argv, message", [
+        (["metric", "--config", "m.yaml", "--out", "m.json"], "unrecognized arguments: --out m.json"),
+        (["simulate", "--config", "s.yaml", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["metric"], "the following arguments are required: --config"),
+        (["vdw", "--a", "inf"], "argument --a: expected a finite number, got 'inf'"),
+        (["bogus"], "invalid choice: 'bogus'"),
+    ], ids=["unknown-flag", "flag-of-another-subcommand", "missing-config", "non-finite-flag",
+            "unknown-subcommand"])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        # 2 is "closeness check failed", so argparse's usage exit 2 is not used
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check-closed", "--help"])
+        assert exit_info.value.code == EXIT_OK
+        assert "--seed" in capsys.readouterr().out
 
 
 class TestOnePointModel:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +168,103 @@ class TestIsClosed:
         form = form_xy("y*(1e308*10 - 1e308*10)", "x")
         with pytest.raises(DomainError, match=r"non-finite .*\(x, y\)"):
             is_closed(form, [{"x": 1.0, "y": 1.0}])
+
+    def test_overflowed_jacobian_diagonal_is_a_domain_error(self):
+        # da_x/dx = 1e308*10 = inf; C_xx = inf - inf is NaN, and is reported
+        # without a numpy RuntimeWarning (the warning filter turns one into an error)
+        form = form_xy("x*1e308*10", "0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"non-finite .*\(x, x\)"):
+                is_closed(form, [{"x": 1.0, "y": 1.0}])
+
+
+def loop_d_residual(form, x):
+    """Reference: C_ij built one coordinate pair at a time."""
+    m = len(form.coords)
+    jac = np.array([c.grad(x) for c in form.coefficients])
+    out = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            c = jac[i, j] - jac[j, i]
+            out[i, j] = c
+            out[j, i] = -c
+    return out
+
+
+def loop_worst_residual(form, samples):
+    """Reference: a running strict maximum over samples, first pair on ties."""
+    worst, pair = 0.0, (form.coords[0], form.coords[0])
+    for x in samples:
+        res = np.abs(loop_d_residual(form, x))
+        i, j = np.unravel_index(int(res.argmax()), res.shape)
+        if res[i, j] > worst:
+            worst, pair = float(res[i, j]), (form.coords[i], form.coords[j])
+    return worst, pair
+
+
+def loop_contact_nondegeneracy(chart, x):
+    """Reference: d(theta) evaluated pairwise on a list of basis vectors."""
+    idx = {name: k for k, name in enumerate(chart.coords)}
+    basis = []
+    for pn in chart.p_names:
+        v = np.zeros(2 * chart.n + 1)
+        v[idx[pn]] = 1.0
+        basis.append(v)
+    for qn, pn in zip(chart.q_names, chart.p_names):
+        v = np.zeros(2 * chart.n + 1)
+        v[idx[qn]] = 1.0
+        v[idx[chart.s_name]] = x[pn]
+        basis.append(v)
+
+    def dtheta(u, v):
+        total = 0.0
+        for qn, pn in zip(chart.q_names, chart.p_names):
+            total -= u[idx[pn]] * v[idx[qn]] - v[idx[pn]] * u[idx[qn]]
+        return total
+
+    return float(np.linalg.det(np.array([[dtheta(u, v) for v in basis] for u in basis])))
+
+
+class TestArrayBuildersMatchLoops:
+    COORDS = ("w", "x", "y", "z")
+
+    def random_form(self, rng):
+        # some coefficients are constant, so whole Jacobian rows are exact zeros
+        texts = [random_polynomial_text(list(self.COORDS), rng, terms=4)
+                 if rng.uniform() < 0.75 else "1.5" for _ in self.COORDS]
+        return OneForm(self.COORDS, tuple(ScalarField.from_text(t, self.COORDS) for t in texts))
+
+    def test_d_residual(self, rng):
+        for _ in range(20):
+            form = self.random_form(rng)
+            for x in low_discrepancy_samples({n: (-2.0, 2.0) for n in self.COORDS}, 4,
+                                             seed=int(rng.integers(100))):
+                assert np.array_equal(d_residual(form, x), loop_d_residual(form, x))
+
+    def test_worst_residual(self, rng):
+        box = {n: (-2.0, 2.0) for n in self.COORDS}
+        for _ in range(20):
+            form = self.random_form(rng)
+            samples = low_discrepancy_samples(box, 5, seed=int(rng.integers(100)))
+            assert worst_residual(form, samples) == loop_worst_residual(form, samples)
+            # a repeated sample ties with itself: the first one is kept either way
+            doubled = samples[::-1] + samples
+            assert worst_residual(form, doubled) == loop_worst_residual(form, doubled)
+
+    def test_worst_residual_all_zero(self):
+        form = form_xy("1", "2")
+        samples = [{"x": 0.0, "y": 1.0}, {"x": 2.0, "y": 3.0}]
+        assert worst_residual(form, samples) == (0.0, ("x", "x"))
+        assert loop_worst_residual(form, samples) == (0.0, ("x", "x"))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_contact_nondegeneracy_bitwise(self, rng, n):
+        chart = ContactChart(n=n)
+        for _ in range(10):
+            x = {name: float(rng.uniform(-5, 5)) for name in chart.coords}
+            got = contact_nondegeneracy(chart, x)
+            assert got.hex() == loop_contact_nondegeneracy(chart, x).hex()
 
 
 class TestReconstructPotential:

@@ -126,6 +126,22 @@ def fd_curvature(conn, x, h=1e-5):
     return out - out.T
 
 
+def loop_curvature(conn, x):
+    """Reference: Omega_ij built one q-pair at a time, lower triangle negated."""
+    m = len(conn.q_names)
+    p = np.array([f.value(x) for f in conn.p_fields])
+    jac = np.array([f.grad(x, conn.coords) for f in conn.p_fields])
+    p_s = jac[:, 0]
+    p_q = jac[:, 1:]
+    out = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            val = (p_s[j] * p[i] - p_s[i] * p[j]) + (p_q[j, i] - p_q[i, j])
+            out[i, j] = val
+            out[j, i] = -val
+    return out
+
+
 class TestConnectionCurvature:
     def test_flat_when_exact(self, rng):
         # p_i = dU/dq^i with s-independent U gives a flat connection
@@ -167,6 +183,17 @@ class TestConnectionCurvature:
         x = {"s": 0.7, "q1": -0.2, "q2": 1.1}
         omega = connection_curvature(conn, x)
         assert np.array_equal(omega, -omega.T)
+
+    def test_matches_pairwise_loop_bytewise(self, rng):
+        # byte equality keeps the signed zeros that `thermoform curvature` prints
+        q_names = ("q1", "q2", "q3", "q4")
+        space = ("s",) + q_names
+        for _ in range(20):
+            texts = [random_polynomial_text(list(space), rng, terms=3)
+                     if rng.uniform() < 0.6 else "0" for _ in q_names]
+            conn = connection_from_texts(texts, q_names)
+            x = {n: float(rng.uniform(-1, 1)) for n in space}
+            assert connection_curvature(conn, x).tobytes() == loop_curvature(conn, x).tobytes()
 
     def test_shape_validation(self):
         with pytest.raises(GeometryError):
