@@ -83,39 +83,34 @@ def _read_curve(path: str, coords: tuple[str, ...]) -> ProcessCurve:
     return ProcessCurve(coords, np.array(times), pts)
 
 
-def _load_box(doc, coords: tuple[str, ...], path: str) -> dict[str, tuple[float, float]]:
-    if not isinstance(doc, dict):
-        raise cfg.ConfigError(f"{path}: expected a mapping of name -> [lo, hi]")
-    cfg.check_keys(doc, set(coords), path)
-    box = {}
-    for name in coords:
-        entry = cfg.need(doc, name, path)
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise cfg.ConfigError(f"{path}.{name}: expected [lo, hi]")
-        lo, hi = (cfg.as_number(v, f"{path}.{name}") for v in entry)
-        if not lo < hi:
-            raise cfg.ConfigError(f"{path}.{name}: need lo < hi")
-        box[name] = (lo, hi)
-    return box
+def _interval(entry, path: str) -> tuple[float, float]:
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise cfg.ConfigError(f"{path}: expected [lo, hi]")
+    lo, hi = (cfg.as_number(v, path) for v in entry)
+    if not lo < hi:
+        raise cfg.ConfigError(f"{path}: need lo < hi")
+    return lo, hi
 
 
-def _load_form(doc: dict, coords: tuple[str, ...], path: str = "") -> OneForm:
-    has_pot = "potential" in doc
-    has_coeff = "coefficients" in doc
-    if has_pot == has_coeff:
-        raise cfg.ConfigError(f"{path or 'config'}: give exactly one of 'potential' or 'coefficients'")
-    if has_pot:
-        return potential_form(cfg.field_from(doc["potential"], coords, f"{path}potential"))
-    entries = doc["coefficients"]
-    if not isinstance(entries, dict):
-        raise cfg.ConfigError(f"{path}coefficients: expected a mapping name -> expression")
-    cfg.check_keys(entries, set(coords), f"{path}coefficients")
-    coeffs = tuple(
-        cfg.field_from(cfg.need(entries, name, f"{path}coefficients"), coords,
-                       f"{path}coefficients.{name}")
-        for name in coords
-    )
-    return OneForm(coords, coeffs)
+def _axis(entry, path: str) -> np.ndarray:
+    if not isinstance(entry, list) or len(entry) != 3:
+        raise cfg.ConfigError(f"{path}: expected [start, stop, count]")
+    return np.linspace(cfg.as_number(entry[0], path), cfg.as_number(entry[1], path),
+                       cfg.as_count(entry[2], path))
+
+
+def _coefficients(doc: dict, names: tuple[str, ...], coords: tuple[str, ...]) -> tuple:
+    """``config.coefficients``: one expression in ``coords`` per name of ``names``."""
+    return tuple(cfg.per_name(cfg.need(doc, "coefficients", "config"), names, "config.coefficients",
+                              lambda text, path: cfg.field_from(text, coords, path)).values())
+
+
+def _load_form(doc: dict, coords: tuple[str, ...]) -> OneForm:
+    if ("potential" in doc) == ("coefficients" in doc):
+        raise cfg.ConfigError("config: give exactly one of 'potential' or 'coefficients'")
+    if "potential" in doc:
+        return potential_form(cfg.field_from(doc["potential"], coords, "config.potential"))
+    return OneForm(coords, _coefficients(doc, coords, coords))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +122,7 @@ def cmd_check_closed(args) -> int:
     cfg.check_keys(doc, {"coords", "potential", "coefficients", "box", "count", "tol"}, "config")
     coords = cfg.as_name_list(cfg.need(doc, "coords", "config"), "config.coords")
     form = _load_form(doc, coords)
-    box = _load_box(cfg.need(doc, "box", "config"), coords, "config.box")
+    box = cfg.per_name(cfg.need(doc, "box", "config"), coords, "config.box", _interval)
     count = cfg.as_count(doc.get("count", 64), "config.count")
     tol = args.tol if args.tol is not None else cfg.as_number(doc.get("tol", 1e-8), "config.tol")
 
@@ -269,16 +264,7 @@ def cmd_surface(args) -> int:
     cfg.check_keys(doc, {"coords", "potential", "sigma", "grid"}, "config")
     surface = _surface_from(doc)
     coords = surface.chart.q_names
-    grid_doc = cfg.need(doc, "grid", "config")
-    cfg.check_keys(grid_doc, set(coords), "config.grid")
-    axes = []
-    for name in coords:
-        entry = cfg.need(grid_doc, name, "config.grid")
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise cfg.ConfigError(f"config.grid.{name}: expected [start, stop, count]")
-        path = f"config.grid.{name}"
-        start, stop = cfg.as_number(entry[0], path), cfg.as_number(entry[1], path)
-        axes.append(np.linspace(start, stop, cfg.as_count(entry[2], path)))
+    axes = cfg.per_name(cfg.need(doc, "grid", "config"), coords, "config.grid", _axis).values()
 
     header = [*coords, "s", *(f"p_{c}" for c in coords), *(f"res_{c}" for c in coords)]
     rows = []
@@ -319,20 +305,13 @@ def cmd_metric(args) -> int:
     cfg.check_keys(doc, {"coords", "potential", "point"}, "config")
     coords = cfg.as_name_list(cfg.need(doc, "coords", "config"), "config.coords")
     u = cfg.field_from(cfg.need(doc, "potential", "config"), coords, "config.potential")
-    point = _load_point(cfg.need(doc, "point", "config"), coords, "config.point")
+    point = cfg.per_name(cfg.need(doc, "point", "config"), coords, "config.point", cfg.as_number)
     metric = thermo_metric(u, point)
     _print_json({
         "metric": [[float(v) for v in row] for row in metric],
         "det": float(np.linalg.det(metric)),
     })
     return EXIT_OK
-
-
-def _load_point(doc, coords: tuple[str, ...], path: str) -> dict[str, float]:
-    if not isinstance(doc, dict):
-        raise cfg.ConfigError(f"{path}: expected a mapping name -> value")
-    cfg.check_keys(doc, set(coords), path)
-    return {name: cfg.as_number(cfg.need(doc, name, path), f"{path}.{name}") for name in coords}
 
 
 def cmd_action(args) -> int:
@@ -351,15 +330,8 @@ def cmd_curvature(args) -> int:
     s_name = doc.get("s", "s")
     q_names = cfg.as_name_list(cfg.need(doc, "coords", "config"), "config.coords")
     space = (s_name,) + q_names
-    entries = cfg.need(doc, "coefficients", "config")
-    cfg.check_keys(entries, set(q_names), "config.coefficients")
-    fields = tuple(
-        cfg.field_from(cfg.need(entries, name, "config.coefficients"), space,
-                       f"config.coefficients.{name}")
-        for name in q_names
-    )
-    connection = GibbsConnection(s_name, q_names, fields)
-    point = _load_point(cfg.need(doc, "point", "config"), space, "config.point")
+    connection = GibbsConnection(s_name, q_names, _coefficients(doc, q_names, space))
+    point = cfg.per_name(cfg.need(doc, "point", "config"), space, "config.point", cfg.as_number)
     omega = connection_curvature(connection, point)
     _print_json({"curvature": [[float(v) for v in row] for row in omega]})
     return EXIT_OK
@@ -375,8 +347,9 @@ def cmd_vdw(args) -> int:
             q = {"S": float(s_val), "V": float(v_val)}
             g = u.grad(q)
             rows.append([s_val, v_val, u.value(q), float(g[0]), -float(g[1])])
-    _write_csv(args.out, ["S", "V", "U", "T", "p"], rows)
+    # the scan rejects an empty V range, so it runs before any output is written
     roots = spinodal_scan(u, "V", args.vmin, args.vmax, {"S": 0.0}, xtol=1e-4)
+    _write_csv(args.out, ["S", "V", "U", "T", "p"], rows)
     _print_json({
         "params": {"a": args.a, "b": args.b, "R": args.r, "c_V": args.cv},
         "spinodal_V_at_S0": roots,
@@ -402,6 +375,12 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 _FLAGS = {
@@ -436,10 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cv", type=_finite, default=1.5)
     p.add_argument("--smin", type=_finite, default=-0.5)
     p.add_argument("--smax", type=_finite, default=0.5)
-    p.add_argument("--sn", type=int, default=5)
+    p.add_argument("--sn", type=_count, default=5)
     p.add_argument("--vmin", type=_finite, default=0.15)
     p.add_argument("--vmax", type=_finite, default=3.0)
-    p.add_argument("--vn", type=int, default=60)
+    p.add_argument("--vn", type=_count, default=60)
     p.set_defaults(fn=cmd_vdw)
     return parser
 
@@ -448,10 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except cfg.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ModelError, DomainError, ProcessError) as exc:
+    except (cfg.ConfigError, ModelError, DomainError, ProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

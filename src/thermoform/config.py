@@ -6,15 +6,15 @@ offending entry so CLI failures are actionable without reading the code.
 from __future__ import annotations
 
 import sys
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 import yaml
 
 from .expr import ScalarField
 
-__all__ = ["ConfigError", "load_yaml", "check_keys", "need", "as_number", "as_count",
-           "as_name_list", "field_from", "time_fn_scalar", "time_fn_vector",
+__all__ = ["ConfigError", "load_yaml", "check_keys", "need", "per_name", "as_number",
+           "as_count", "as_name_list", "field_from", "time_fn_scalar", "time_fn_vector",
            "time_fn_matrix"]
 
 
@@ -47,6 +47,12 @@ def need(d: dict, key: str, path: str) -> Any:
     if key not in d:
         raise ConfigError(f"{path}.{key}: missing required key")
     return d[key]
+
+
+def per_name(d: Any, names: tuple[str, ...], path: str, read: Callable[[Any, str], Any]) -> dict:
+    """``{name: read(d[name], "<path>.<name>")}`` for a mapping whose keys are exactly ``names``."""
+    check_keys(d, set(names), path)
+    return {name: read(need(d, name, path), f"{path}.{name}") for name in names}
 
 
 def as_number(value: Any, path: str) -> float:

@@ -150,6 +150,8 @@ def _tokenize(text: str):
                 value = float(lexeme)
             except ValueError:
                 raise ParseError(f"malformed number '{lexeme}'", i) from None
+            if math.isinf(value):
+                raise ParseError(f"number '{lexeme}' overflows a float", i)
             tokens.append((_TOK_NUM, value, i))
             i = j
         elif c.isalpha() or c == "_":
@@ -277,10 +279,10 @@ _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 def _prec(e: Expression) -> int:
+    if isinstance(e, Neg) or (isinstance(e, Num) and e.value < 0):
+        return _PREC_UNARY  # a negative literal prints with its sign: (-2)^2, not -2^2
     if isinstance(e, (Num, Var, Call)):
         return _PREC_ATOM
-    if isinstance(e, Neg):
-        return _PREC_UNARY
     return {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "^": _PREC_POW}[e.op]
 
 
@@ -688,6 +690,7 @@ def _dual_pow(base: _Dual, p: float | None, expo: _Dual | None = None) -> _Dual:
     return base.chain(v, fp, fpp)
 
 
+@np.errstate(over="raise", invalid="raise")  # an array overflow is a FloatingPointError, not a warning
 def _dual(e: Expression, binding: dict[str, float], wrt: tuple[str, ...]) -> _Dual:
     """Value, gradient and Hessian of ``e`` by a dual-number sweep over its tape."""
     tape = _lowered(e)
@@ -733,13 +736,20 @@ def _dual(e: Expression, binding: dict[str, float], wrt: tuple[str, ...]) -> _Du
                 push(x.chain(abs(x.v), sign, 0.0))
     except ArithmeticError:
         raise DomainError("floating-point overflow", tape.nodes[len(duals) - tape.base], x.v) from None
-    return duals[tape.out]
+    out = duals[tape.out]
+    # a float product or sum overflows to inf silently; from finite inputs only an overflow gives inf/NaN
+    if not (math.isfinite(out.v) and np.isfinite(out.h).all()):
+        raise DomainError("floating-point overflow", e, out.v)
+    return out
 
 
 def evaluate(e: Expression, binding: dict[str, float]) -> float:
     """Evaluate at a binding; domain violations raise instead of returning NaN/inf."""
     tape = _lowered(e)
-    return _forward(tape, tape.value_code, binding)[tape.out]
+    value = _forward(tape, tape.value_code, binding)[tape.out]
+    if not math.isfinite(value):
+        raise DomainError("non-finite result", e, value)
+    return value
 
 
 def grad(e: Expression, binding: dict[str, float], wrt: list[str] | tuple[str, ...]) -> np.ndarray:

@@ -189,6 +189,10 @@ def spinodal_scan(potential: ScalarField, scan_name: str, lo: float, hi: float,
                   fixed: dict[str, float], samples: int = 200,
                   xtol: float = 1e-4) -> list[float]:
     """Sign changes of the godograph determinant along one coordinate, by bisection."""
+    if not (lo < hi and samples >= 2):
+        raise ProcessError(f"spinodal scan of {scan_name}: need lo < hi and samples >= 2, "
+                           f"got lo={lo!r}, hi={hi!r}, samples={samples!r}")
+
     def det_at(v: float) -> float:
         b = dict(fixed)
         b[scan_name] = v

@@ -1,8 +1,11 @@
 import argparse
 import ast
+import importlib
 import inspect
 import json
 import math
+import pathlib
+import sys
 import textwrap
 
 import numpy as np
@@ -292,6 +295,28 @@ class TestVdw:
         expected_p = (2 / 3) * (v - 0.1) ** (-5 / 3) * math.exp(s / 1.5) - 1.0 / v ** 2
         assert rows[100, 4] == pytest.approx(expected_p, rel=1e-12)
 
+    @pytest.mark.parametrize("flag, value", [("--sn", "0"), ("--sn", "-1"), ("--vn", "0"),
+                                             ("--vn", "2.5")])
+    def test_grid_count_must_be_a_positive_integer(self, capsys, flag, value):
+        # -1 was a numpy ValueError traceback, 0 a header-only table with exit 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["vdw", flag, value])
+        assert exit_info.value.code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: expected an integer >= 1, got '{value}'" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_reversed_volume_range(self, tmp_path, capsys):
+        # the bisection never ran, so the spinodal was reported at 0.2144 instead of 0.2215
+        out = tmp_path / "vdw.csv"
+        assert main(["vdw", "--vmin", "3", "--vmax", "0.15", "--out", str(out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: spinodal scan of V: need lo < hi and samples >= 2, "
+                                "got lo=3.0, hi=0.15, samples=200\n")
+        assert not out.exists()
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["vdw", "--out", str(a)])
@@ -448,6 +473,34 @@ integration: {{t1: 0.1, dt: 0.01}}
         assert captured.err == "error: config: unknown keys ['output']\n"
 
 
+    @pytest.mark.parametrize("sub, body, message", [
+        ("check-closed", 'coords: [x, y]\npotential: "x^^2"\nbox: {x: [0, 1], y: [0, 1]}\n',
+         "config.potential: unexpected token at offset 2 (expected literal | name | '(' | '-')"),
+        ("check-closed", 'coords: [x, y]\ncoefficients: {x: "y", y: "x+"}\n'
+                         'box: {x: [0, 1], y: [0, 1]}\n',
+         "config.coefficients.y: unexpected token at offset 2 (expected literal | name | '(' | '-')"),
+        ("action", 'coords: [x, y]\ncoefficients: {x: "y"}\ncurve: c.csv\n',
+         "config.coefficients.y: missing required key"),
+        ("action", 'coords: [x, y]\ncoefficients: 5\ncurve: c.csv\n',
+         "config.coefficients: expected a mapping, got 5"),
+        ("check-closed", 'coords: [x, y]\npotential: "x*y"\nbox: 5\n',
+         "config.box: expected a mapping, got 5"),
+        ("metric", 'coords: [q1, q2]\npotential: "q1*q2"\npoint: 5\n',
+         "config.point: expected a mapping, got 5"),
+        ("curvature", 'coords: [q1]\ncoefficients: {q1: "s"}\npoint: [2.0, 1.0]\n',
+         "config.point: expected a mapping, got [2.0, 1.0]"),
+    ], ids=["potential", "coefficient", "missing-coefficient", "coefficients-not-a-mapping",
+            "box-not-a-mapping", "point-not-a-mapping", "curvature-point-not-a-mapping"])
+    def test_coordinate_keyed_errors_name_the_schema_path(self, tmp_path, capsys, sub, body,
+                                                          message):
+        # check-closed and action said "potential: ..." and "coefficients.y: ..."
+        config = write(tmp_path / "c.yaml", body)
+        assert main([sub, "--config", config]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def subcommand_parsers():
     parser = build_parser()
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -539,3 +592,24 @@ integration: {t1: 1.0, dt: 0.01}
         for name in te:
             assert fe[name] == te[name], name
         assert set(fe["pi1"]) == {"0"}
+
+
+class TestBenchmarkScenarios:
+    def test_outputs_match_the_benchmark_golden_copy(self, tmp_path, capsys):
+        # the benchmark's eight CLI scenarios, checked as its workload checks them
+        perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+        sys.path.insert(0, str(perfbench))
+        try:
+            workloads = importlib.import_module("workloads")
+        finally:
+            sys.path.remove(str(perfbench))
+        directory = str(tmp_path)
+        workloads.write_cli_inputs(directory)
+        golden = workloads.load_golden()["cli"]
+        assert set(golden) == set(workloads.CLI_SCENARIOS)
+        for sub in workloads.CLI_SCENARIOS:
+            assert main(workloads.cli_argv(directory, sub)) == EXIT_OK, sub
+            captured = capsys.readouterr()
+            assert captured.err == "", sub
+            text = workloads.read_output(directory, sub, captured.out)
+            assert workloads.cli_output_matches(text, golden[sub]), sub

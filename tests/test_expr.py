@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,12 @@ class TestParse:
     def test_whitespace_insensitive(self):
         assert parse(" 2 * x + 3 ") == parse("2*x+3")
 
+    def test_overflowing_literal_is_a_parse_error(self):
+        # it used to become Num(inf), which serialize could not print
+        with pytest.raises(ParseError, match="number '1e999' overflows a float") as err:
+            parse("x + 1e999")
+        assert err.value.offset == 4
+
 
 class TestEval:
     def test_division_by_zero_is_domain_error(self):
@@ -91,6 +98,15 @@ class TestEval:
             evaluate(e, {"x": x})
         with pytest.raises(DomainError, match=f"overflow in '{re.escape(text)}'"):
             grad(e, {"x": x}, ["x"])
+
+    def test_non_finite_value_is_domain_error(self):
+        # a float product overflows to inf without raising; the value used to be returned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"non-finite result in 'x\*1e\+308\*10' \(value inf\)"):
+                evaluate(parse("x*1e308*10"), {"x": 1.0})
+            with pytest.raises(DomainError, match=r"non-finite result .*\(value nan\)"):
+                evaluate(parse("x*1e308*10 - x*1e308*10"), {"x": 1.0})
 
     def test_sqrt_at_zero_has_a_value_but_no_derivative(self):
         e = parse("sqrt(x)")
@@ -126,6 +142,15 @@ class TestGrad:
 
 
 class TestHessian:
+    @pytest.mark.parametrize("text, x", [("1/x", 1e-200), ("x*x*1e300*1e10", 1.0)],
+                             ids=["second-derivative", "value"])
+    def test_overflow_is_domain_error(self, text, x):
+        # the array arithmetic warned and returned inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="floating-point overflow"):
+                hessian(parse(text), {"x": x}, ["x"])
+
     def test_diagonal(self):
         h = hessian(parse("x^2+y^2"), {"x": 0.3, "y": -2.0}, ["x", "y"])
         assert h == pytest.approx(np.diag([2.0, 2.0]))
@@ -205,6 +230,13 @@ def test_parse_serialize_roundtrip(e):
 def test_roundtrip_on_corpus(text):
     e = parse(text)
     assert parse(serialize(e)) == e
+
+
+def test_negative_literal_power_base_round_trips_by_value():
+    # a folded negative constant as a power base printed as -2^2, which parses as -4
+    e = Bin("^", Num(-2.0), Num(2.0))
+    assert serialize(e) == "(-2)^2"
+    assert evaluate(parse(serialize(e)), {}) == evaluate(e, {}) == 4.0
 
 
 # --- the float and reverse sweeps against dual numbers over the same tape ----

@@ -179,6 +179,12 @@ class TestSpinodal:
         assert len(roots) == 1
         assert abs(roots[0]) <= 1e-5
 
+    @pytest.mark.parametrize("lo, hi, samples", [(3.0, 0.15, 200), (0.15, 0.15, 200), (0.15, 3.0, 1)])
+    def test_empty_scan_is_a_process_error(self, lo, hi, samples):
+        # a reversed range reported a wrong root; one sample gave a vacuous []
+        with pytest.raises(ProcessError, match="need lo < hi and samples >= 2"):
+            spinodal_scan(vdw_potential(), "V", lo, hi, {"S": 0.0}, samples=samples)
+
     def test_vdw_spinodal_location(self):
         # analytic root of (2/3) f/(V-b)^2 = 2a/V^3 at S=0 frozen from a
         # high-precision bracketing solve of the closed-form bracket
