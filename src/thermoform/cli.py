@@ -18,12 +18,11 @@ import numpy as np
 
 from . import config as cfg
 from .expr import DomainError
-from .ferroelectric import FE_COORDS, FerroelectricConstitutive, FerroelectricForcing, FerroelectricState
 from .geometry import ContactChart, OneForm, low_discrepancy_samples, potential_form, worst_residual
 from .legendre import ConstitutiveSurface, GibbsConnection, connection_curvature, pullback_contact, surface_embed
 from .processes import ProcessCurve, ProcessError, admissibility, entropy_action, spinodal_scan, thermo_metric
-from .point import STATE_NAMES, ModelError, constitutive_from_potential, rk4_step
-from .thermoelastic import BASE_COORDS, ThermoelasticConstitutive, ThermoelasticForcing, ThermoelasticState
+from .point import (BASE_COORDS, FE_COORDS, STATE_NAMES, Constitutive, FerroelectricState, Forcing,
+                    ModelError, ThermoelasticState, constitutive_from_potential, rk4_step)
 from .vdw import vdw_potential
 
 EXIT_OK = 0
@@ -153,25 +152,23 @@ def _init_vector(doc, key: str, size: int, path: str) -> np.ndarray:
 
 class _Model(NamedTuple):
     coords: tuple[str, ...]      # the potential's coordinates
-    constitutive: type
     params: tuple[str, ...]      # constitutive parameters after the potential, each defaulting to 1
     state: type
     initial: tuple[tuple[str, int], ...]  # initial blocks after eps and F, with their sizes
-    forcing: type
-    channels: tuple[tuple[str, str, str], ...]  # (config key, forcing field, config.time_fn_<kind>)
+    channels: tuple[tuple[str, str, tuple[int, ...]], ...]  # (config key, Forcing field, shape)
     keys: tuple[str, ...] = ()   # further top-level keys
 
 
 _MODELS = {
     "thermoelastic": _Model(
-        BASE_COORDS, ThermoelasticConstitutive, ("rho", "k"), ThermoelasticState, (("H", 3),),
-        ThermoelasticForcing, (("L", "L", "matrix"), ("divq", "divq", "scalar")), ("surface",)),
+        BASE_COORDS, ("rho", "k"), ThermoelasticState, (("H", 3),),
+        (("L", "L", (3, 3)), ("divq", "divq", ())), ("surface",)),
     "ferroelectric": _Model(
-        FE_COORDS, FerroelectricConstitutive, ("rho", "k", "inertia"), FerroelectricState,
-        (("H", 3), ("pi", 3), ("grad_pi", 9), ("u", 3), ("grad_u", 9)), FerroelectricForcing,
-        (("E", "E_ext", "vector"), ("L", "L", "matrix"), ("divq", "divq", "scalar"),
-         ("poynting", "poynting_term", "scalar"), ("div_e_tensor", "div_e_tensor", "vector"),
-         ("div_J_grad_u", "div_J_grad_u", "matrix"), ("source_grad_u", "source_grad_u", "matrix"))),
+        FE_COORDS, ("rho", "k", "inertia"), FerroelectricState,
+        (("H", 3), ("pi", 3), ("grad_pi", 9), ("u", 3), ("grad_u", 9)),
+        (("E", "E_ext", (3,)), ("L", "L", (3, 3)), ("divq", "divq", ()),
+         ("poynting", "poynting_term", ()), ("div_e_tensor", "div_e_tensor", (3,)),
+         ("div_J_grad_u", "div_J_grad_u", (3, 3)), ("source_grad_u", "source_grad_u", (3, 3)))),
 }
 
 
@@ -201,7 +198,7 @@ def cmd_simulate(args) -> int:
     cfg.check_keys(doc, {"model", "potential", "initial", "forcing", "integration",
                          *spec.params, *spec.keys}, "config")
     u = cfg.field_from(cfg.need(doc, "potential", "config"), spec.coords, "config.potential")
-    constitutive = spec.constitutive(u, **{
+    constitutive = Constitutive(u, **{
         name: cfg.as_number(doc.get(name, 1.0), f"config.{name}") for name in spec.params})
     init = cfg.need(doc, "initial", "config")
     cfg.check_keys(init, {"eps", "F", *(name for name, _ in spec.initial)}, "config.initial")
@@ -211,17 +208,14 @@ def cmd_simulate(args) -> int:
         *(_init_vector(init, name, size, "config.initial") for name, size in spec.initial))))
     fdoc = doc.get("forcing") or {}
     cfg.check_keys(fdoc, {key for key, _, _ in spec.channels}, "config.forcing")
-    forcing = spec.forcing(**{
-        name: getattr(cfg, f"time_fn_{kind}")(fdoc.get(key), f"config.forcing.{key}")
-        for key, name, kind in spec.channels})
+    forcing = Forcing(**{name: cfg.time_fn(fdoc.get(key), f"config.forcing.{key}", shape)
+                         for key, name, shape in spec.channels})
     t0, dt, n_steps = _load_integration(cfg.need(doc, "integration", "config"))
 
     sigma = None
     if "surface" in doc:
-        sdoc = doc["surface"]
-        cfg.check_keys(sdoc, {"sigma"}, "config.surface")
-        sigma = cfg.field_from(cfg.need(sdoc, "sigma", "config.surface"), spec.coords,
-                               "config.surface.sigma")
+        sigma = cfg.per_name(doc["surface"], ("sigma",), "config.surface",
+                             lambda text, path: cfg.field_from(text, spec.coords, path))["sigma"]
 
     header = ["t", *STATE_NAMES[:state.vector().size], "theta", "U"]
     if sigma is not None:

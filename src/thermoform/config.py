@@ -6,6 +6,7 @@ offending entry so CLI failures are actionable without reading the code.
 from __future__ import annotations
 
 import sys
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -14,8 +15,8 @@ import yaml
 from .expr import ScalarField
 
 __all__ = ["ConfigError", "load_yaml", "check_keys", "need", "per_name", "as_number",
-           "as_count", "as_name_list", "field_from", "time_fn_scalar", "time_fn_vector",
-           "time_fn_matrix"]
+           "as_count", "as_name_list", "field_from", "time_fn", "time_fn_scalar",
+           "time_fn_vector", "time_fn_matrix"]
 
 
 class ConfigError(Exception):
@@ -86,30 +87,22 @@ def field_from(text: Any, coords: tuple[str, ...], path: str) -> ScalarField:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _t_field(text: Any, path: str) -> ScalarField:
-    return field_from(text, ("t",), path)
+def time_fn(value: Any, path: str, shape: tuple[int, ...]):
+    """A function of t from an expression string (``shape`` ()) or a nested list of
+    them of ``shape``; None is zero.  Entry paths read ``<path>[i][j]``."""
+    leaves = [(np.full(shape, "0").tolist() if value is None else value, path)]
+    for n in shape:  # the whole shape is checked before any entry is parsed
+        if any(not isinstance(row, list) or len(row) != n for row, _ in leaves):
+            kind = f"list of {n}" if len(shape) == 1 else f"{'x'.join(map(str, shape))} nested list of"
+            raise ConfigError(f"{path}: expected a {kind} expression strings")
+        leaves = [(v, f"{p}[{i}]") for row, p in leaves for i, v in enumerate(row)]
+    fields = [field_from(v, ("t",), p) for v, p in leaves]
+    if not shape:
+        (f,) = fields
+        return lambda t: f.value({"t": t})
+    return lambda t: np.array([f.value({"t": t}) for f in fields]).reshape(shape)
 
 
-def time_fn_scalar(value: Any, path: str):
-    f = _t_field("0" if value is None else value, path)
-    return lambda t: f.value({"t": t})
-
-
-def time_fn_vector(value: Any, path: str):
-    if value is None:
-        value = ["0"] * 3
-    if not isinstance(value, list) or len(value) != 3:
-        raise ConfigError(f"{path}: expected a list of 3 expression strings")
-    fields = [_t_field(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    return lambda t: np.array([f.value({"t": t}) for f in fields])
-
-
-def time_fn_matrix(value: Any, path: str):
-    if value is None:
-        value = [["0"] * 3 for _ in range(3)]
-    if (not isinstance(value, list) or len(value) != 3
-            or any(not isinstance(r, list) or len(r) != 3 for r in value)):
-        raise ConfigError(f"{path}: expected a 3x3 nested list of expression strings")
-    fields = [[_t_field(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)]
-              for i, row in enumerate(value)]
-    return lambda t: np.array([[f.value({"t": t}) for f in row] for row in fields])
+time_fn_scalar = partial(time_fn, shape=())
+time_fn_vector = partial(time_fn, shape=(3,))
+time_fn_matrix = partial(time_fn, shape=(3, 3))

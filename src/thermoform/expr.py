@@ -293,25 +293,30 @@ def _fmt_num(v: float) -> str:
 
 
 def serialize(e: Expression) -> str:
-    """Render the tree back to infix text."""
+    """Render the tree back to infix text; iterative, so depth is unbounded."""
+    text: dict[int, str] = {}  # id(node) -> its text
+
     def wrap(child: Expression, minimum: int) -> str:
-        s = serialize(child)
+        s = text[id(child)]
         return f"({s})" if _prec(child) < minimum else s
 
-    if isinstance(e, Num):
-        return _fmt_num(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return "-" + wrap(e.arg, _PREC_UNARY)
-    if isinstance(e, Call):
-        return e.fn + "(" + ", ".join(serialize(a) for a in e.args) + ")"
-    if e.op in "+-":
-        return wrap(e.left, _PREC_ADD) + e.op + wrap(e.right, _PREC_MUL)
-    if e.op in "*/":
-        return wrap(e.left, _PREC_MUL) + e.op + wrap(e.right, _PREC_UNARY)
-    # '^' right-associative, left operand must be atomic
-    return wrap(e.left, _PREC_ATOM) + "^" + wrap(e.right, _PREC_UNARY)
+    for node in _post_order(e):
+        if isinstance(node, Num):
+            s = _fmt_num(node.value)
+        elif isinstance(node, Var):
+            s = node.name
+        elif isinstance(node, Neg):
+            s = "-" + wrap(node.arg, _PREC_UNARY)
+        elif isinstance(node, Call):
+            s = node.fn + "(" + ", ".join(text[id(a)] for a in node.args) + ")"
+        elif node.op in "+-":
+            s = wrap(node.left, _PREC_ADD) + node.op + wrap(node.right, _PREC_MUL)
+        elif node.op in "*/":
+            s = wrap(node.left, _PREC_MUL) + node.op + wrap(node.right, _PREC_UNARY)
+        else:  # '^' right-associative, left operand must be atomic
+            s = wrap(node.left, _PREC_ATOM) + "^" + wrap(node.right, _PREC_UNARY)
+        text[id(node)] = s
+    return text[id(e)]
 
 
 def free_names(e: Expression) -> set[str]:
@@ -339,6 +344,22 @@ def _children(e: Expression) -> tuple[Expression, ...]:
     if isinstance(e, Call):
         return e.args
     return ()
+
+
+def _post_order(root: Expression):
+    """Each distinct node once, operands first and left before right; iterative."""
+    done: set[int] = set()
+    stack = [(root, False)]
+    while stack:
+        e, operands_done = stack.pop()
+        if id(e) in done:
+            continue
+        if operands_done:
+            done.add(id(e))
+            yield e
+        else:
+            stack.append((e, True))
+            stack.extend((k, False) for k in reversed(_children(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -440,19 +461,8 @@ def _lower(root: Expression) -> _Tape:
             return intern((_POWI, base, int(consts[expo[1]])), node)
         return intern((_POW, base, expo), node)
 
-    stack = [root]
-    while stack:
-        e = stack[-1]
-        if id(e) in ref_of:
-            stack.pop()
-            continue
-        kids = _children(e)
-        todo = [k for k in kids if id(k) not in ref_of]
-        if todo:
-            stack.extend(reversed(todo))
-            continue
-        stack.pop()
-        args = [ref_of[id(k)] for k in kids]
+    for e in _post_order(root):
+        args = [ref_of[id(k)] for k in _children(e)]
         if isinstance(e, Num):
             v = float(e.value)
             ref = intern(("c", v.hex(), v), None)  # keyed on the bits: 0.0 and -0.0 stay apart
@@ -618,8 +628,8 @@ def _reverse(tape: _Tape, rev: list[tuple], vals: list[float]) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Second-order dual numbers, swept over the same tape for Hessians.  All the
-# update rules keep h symmetric bitwise.
+# Second-order dual numbers, swept over the same tape for Hessians.  Their h is
+# symmetric up to rounding; ``hessian`` mirrors its upper triangle.
 # ---------------------------------------------------------------------------
 
 class _Dual:
@@ -761,8 +771,12 @@ def grad(e: Expression, binding: dict[str, float], wrt: list[str] | tuple[str, .
 
 
 def hessian(e: Expression, binding: dict[str, float], wrt: list[str] | tuple[str, ...]) -> np.ndarray:
-    """Exact second derivatives; symmetric bitwise by construction."""
-    return _dual(e, binding, tuple(wrt)).h
+    """Exact second derivatives, symmetric bitwise: the lower triangle copies the upper
+    one, as the dual product sums an entry's two cross terms in its mirror's reverse order."""
+    h = _dual(e, binding, tuple(wrt)).h
+    for i in range(1, len(h)):
+        h[i, :i] = h[:i, i]
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ so the pulled-back contact form equals d(sigma).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .expr import Bin, ScalarField
+from .expr import Bin, DomainError, ScalarField
 from .geometry import ContactChart, GeometryError, reeb_flow
 
 __all__ = [
@@ -64,12 +65,21 @@ class ConstitutiveSurface:
         )
 
 
+def _finite_grad(field: ScalarField, q: dict[str, float], names: tuple[str, ...]) -> np.ndarray:
+    """grad of ``field`` at q; an inf or NaN entry is a DomainError naming it by ``names``."""
+    g = field.grad(q)
+    for name, v in zip(names, g):
+        if not math.isfinite(v):
+            raise DomainError(f"non-finite {name}", field.expression, float(v))
+    return g
+
+
 def legendre_embed(surface: LegendreSurface, q: dict[str, float]) -> dict[str, float]:
     """Phase point (s = U(q); q; p = grad U(q))."""
     chart = surface.chart
     point = {chart.s_name: surface.potential.value(q)}
     point.update((name, q[name]) for name in chart.q_names)
-    point.update(zip(chart.p_names, map(float, surface.potential.grad(q))))
+    point.update(zip(chart.p_names, map(float, _finite_grad(surface.potential, q, chart.p_names))))
     return point
 
 
@@ -85,8 +95,9 @@ def pullback_contact(surface: ConstitutiveSurface, q: dict[str, float]) -> np.nd
     Equals grad sigma(q); computed as d(U + sigma) - p rather than read off,
     so the identity is actually exercised.
     """
-    s_grad = surface.entropy.grad(q)
-    p = surface.potential.grad(q)
+    chart = surface.chart
+    p = _finite_grad(surface.potential, q, chart.p_names)
+    s_grad = _finite_grad(surface.entropy, q, tuple(f"d(U + sigma)/d{n}" for n in chart.q_names))
     return s_grad - p
 
 

@@ -1,5 +1,5 @@
 """The material point in the extended thermodynamic space: one state layout,
-constitutive closure, entropy form and RK4 dynamics for both point models.
+constitutive law, forcing, entropy form and RK4 dynamics for both point models.
 
 State vector, block by block (also the CSV column order of ``simulate``):
 eps, F11..F33 (row-major), H1..H3, then for the deformable ferroelectric
@@ -23,6 +23,7 @@ each enters the dynamics as a forcing channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -101,8 +102,39 @@ class FerroelectricState(ThermoelasticState):
         return cls(float(y[0]), y[_F], y[_H], y[_PI], y[_GPI], y[_U], y[_GU])
 
 
-def _constitutive(c, b: dict[str, float]):
-    g = c.potential.grad(b, _POTENTIAL_NAMES[:len(c.potential.coords)])
+@dataclass(frozen=True)
+class Constitutive:
+    """The point's constitutive law.  Its potential's coordinates, BASE_COORDS
+    or FE_COORDS, fix the model; k is the Fourier coefficient, grad theta^-1 = k q,
+    and ``inertia`` scales u-dot (unused by the thermoelastic point)."""
+    potential: ScalarField
+    rho: float
+    k: float
+    inertia: float = 1.0
+
+    def __post_init__(self):
+        if self.potential.coords not in (BASE_COORDS, FE_COORDS):
+            raise ModelError("potential must be a field over the 13 or the 25 base coordinates")
+        if self.rho <= 0 or self.k <= 0 or self.inertia == 0:
+            raise ModelError("rho, k must be positive and inertia nonzero")
+
+
+@dataclass(frozen=True, kw_only=True)
+class Forcing:
+    """The point's channels, each a function of t; the thermoelastic point reads L and divq."""
+    E_ext: Callable[[float], np.ndarray] = lambda t: np.zeros(3)
+    L: Callable[[float], np.ndarray] = lambda t: np.zeros((3, 3))  # velocity gradient
+    divq: Callable[[float], float] = lambda t: 0.0
+    poynting_term: Callable[[float], float] = lambda t: 0.0
+    div_e_tensor: Callable[[float], np.ndarray] = lambda t: np.zeros(3)  # div of LEt
+    div_J_grad_u: Callable[[float], np.ndarray] = lambda t: np.zeros((3, 3))
+    source_grad_u: Callable[[float], np.ndarray] = lambda t: np.zeros((3, 3))
+
+
+def _constitutive(c: Constitutive, b: dict[str, float]):
+    if len(b) != len(c.potential.coords):
+        raise ModelError("the state and the constitutive law are of different point models")
+    g = c.potential.grad(b, _POTENTIAL_NAMES[:len(b)])
     u_eps = float(g[0])
     if u_eps == 0.0:
         raise TemperatureSingularity("dU/d(eps) = 0 at the probe state")
@@ -113,13 +145,13 @@ def _constitutive(c, b: dict[str, float]):
     return u_eps, stress_term, theta * g[_PI], -c.rho * theta * g[_GPI].reshape(3, 3), g[_H]
 
 
-def constitutive_from_potential(c, x: ThermoelasticState):
+def constitutive_from_potential(c: Constitutive, x: ThermoelasticState):
     """(theta^-1, sigma:F^-1 tensor, LE, LEt tensor, beta) by exact gradients of U;
     LE and LEt are None when the potential has no electric coordinates."""
     return _constitutive(c, x.binding())
 
 
-def potential_coefficients(c):
+def potential_coefficients(c: Constitutive):
     """Constitutive fields as expressions: theta^-1, stress(9), LE(3), LEt(9), beta(3);
     LE and LEt are None when the potential has no electric coordinates."""
     u = c.potential
@@ -173,7 +205,7 @@ def entropy_form(thetainv: ScalarField, stress: tuple[ScalarField, ...],
     return OneForm(coords, tuple(ScalarField(e, coords) for e in coeffs))
 
 
-def rhs(y: np.ndarray, c, f, t: float) -> np.ndarray:
+def rhs(y: np.ndarray, c: Constitutive, f: Forcing, t: float) -> np.ndarray:
     """Right-hand side of the point's first-order system at (t, y), y a state vector."""
     u_eps, stress_term, e_loc, e_tensor, beta = _constitutive(c, dict(zip(_POTENTIAL_NAMES, y.tolist())))
     L = np.asarray(f.L(t), dtype=float).reshape(3, 3)
@@ -193,7 +225,8 @@ def rhs(y: np.ndarray, c, f, t: float) -> np.ndarray:
     return np.concatenate(([eps_dot], F_dot.ravel(), H_dot, u, grad_u, u_dot, grad_u_dot.ravel()))
 
 
-def rk4_step(x: ThermoelasticState, c, f, t: float, dt: float) -> ThermoelasticState:
+def rk4_step(x: ThermoelasticState, c: Constitutive, f: Forcing, t: float,
+             dt: float) -> ThermoelasticState:
     """One classical RK4 step on the state vector.  Only the returned state is
     checked for loss of orientation (det F <= 0); the stages are not."""
     if dt <= 0:

@@ -171,16 +171,16 @@ def rate_relation_residual(potential: ScalarField, curve: ProcessCurve) -> np.nd
         return b
 
     p = np.array([potential.grad(bind(i), q_names) for i in range(n)])
+    m = len(q_names)
     out = np.empty(n - 2)
     for i in range(1, n - 1):
         dt = t[i + 1] - t[i - 1]
         p_dot = (p[i + 1] - p[i - 1]) / dt
         q_dot = (pts[i + 1] - pts[i - 1]) / dt
-        hess = potential.hessian(bind(i), q_names)
-        rhs = hess @ q_dot
+        hess = potential.hessian(bind(i), q_names + ("t",) if has_t else q_names)
+        rhs = hess[:m, :m] @ q_dot
         if has_t:
-            rhs = rhs + np.array(
-                [potential.hessian(bind(i), (name, "t"))[0, 1] for name in q_names])
+            rhs = rhs + hess[:m, m]
         out[i - 1] = float(np.abs(p_dot - rhs).max())
     return out
 

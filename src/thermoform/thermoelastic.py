@@ -1,20 +1,20 @@
 """Thermoelastic material point: the point model of ``thermoform.point`` over
 the 13 base coordinates eps, F11..F33 (row-major), H1..H3, with no electric
-content.  Its entropy form writes the dH slot as -rho^-1 (grad theta^-1) . dH,
-so a potential U gives grad theta^-1 = -rho dU/dH.
+content.  Its constitutive law and forcing are ``point.Constitutive`` and
+``point.Forcing`` under their thermoelastic names.  What is its own: the
+entropy form writes the dH slot as -rho^-1 (grad theta^-1) . dH, so a
+potential U gives grad theta^-1 = -rho dU/dH, and the closeness conditions
+of the time-extended form (``closeness_system_residual``).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import point
 from .expr import ScalarField, const, div, mul, neg
 from .geometry import OneForm
-from .point import (BASE_COORDS, EPS_NAME, F_NAMES, H_NAMES, ModelError, TemperatureSingularity,
-                    ThermoelasticState)
+from .point import (BASE_COORDS, EPS_NAME, F_NAMES, H_NAMES, Constitutive, Forcing, ModelError,
+                    TemperatureSingularity, ThermoelasticState)
 
 __all__ = [
     "EPS_NAME",
@@ -38,36 +38,26 @@ __all__ = [
 BETA_NAMES = ("beta1", "beta2", "beta3")
 ETA_PRIME_COORDS = (EPS_NAME,) + F_NAMES + BETA_NAMES + ("t",)
 
-
-@dataclass(frozen=True)
-class ThermoelasticConstitutive:
-    potential: ScalarField  # over BASE_COORDS
-    rho: float
-    k: float  # Fourier coefficient, grad theta^-1 = k q
-
-    def __post_init__(self):
-        if self.potential.coords != BASE_COORDS:
-            raise ModelError("potential must be a field over the 13 base coordinates")
-        if self.rho <= 0 or self.k <= 0:
-            raise ModelError("rho and k must be positive")
+ThermoelasticConstitutive = Constitutive
+ThermoelasticForcing = Forcing
 
 
-@dataclass(frozen=True)
-class ThermoelasticForcing:
-    L: Callable[[float], np.ndarray]  # velocity gradient
-    divq: Callable[[float], float]
+def _thermoelastic(c: Constitutive) -> Constitutive:
+    if c.potential.coords != BASE_COORDS:
+        raise ModelError("potential must be a field over the 13 base coordinates")
+    return c
 
 
-def constitutive_from_potential(c: ThermoelasticConstitutive,
+def constitutive_from_potential(c: Constitutive,
                                 x: ThermoelasticState) -> tuple[float, np.ndarray, np.ndarray]:
     """(theta^-1, sigma:F^-1 tensor, grad theta^-1) from exact gradients of U."""
-    u_eps, stress_term, _, _, beta = point.constitutive_from_potential(c, x)
+    u_eps, stress_term, _, _, beta = point.constitutive_from_potential(_thermoelastic(c), x)
     return u_eps, stress_term, -c.rho * beta
 
 
-def potential_coefficients(c: ThermoelasticConstitutive):
+def potential_coefficients(c: Constitutive):
     """The constitutive fields as expressions: theta^-1, sigma:F^-1 (9), grad theta^-1 (3)."""
-    thetainv, stress, _, _, beta = point.potential_coefficients(c)
+    thetainv, stress, _, _, beta = point.potential_coefficients(_thermoelastic(c))
     return thetainv, stress, tuple(
         ScalarField(mul(const(-c.rho), b.expression), BASE_COORDS) for b in beta)
 
@@ -79,14 +69,13 @@ def entropy_form(thetainv: ScalarField, stress: tuple[ScalarField, ...],
     return point.entropy_form(thetainv, stress, None, None, beta, rho)
 
 
-def rates(x: ThermoelasticState, c: ThermoelasticConstitutive, f: ThermoelasticForcing,
-          t: float) -> np.ndarray:
+def rates(x: ThermoelasticState, c: Constitutive, f: Forcing, t: float) -> np.ndarray:
     """Right-hand side of the 13-dim system at (t, x)."""
     return point.rhs(x.vector(), c, f, t)
 
 
-def step(x: ThermoelasticState, c: ThermoelasticConstitutive, f: ThermoelasticForcing,
-         t: float, dt: float) -> ThermoelasticState:
+def step(x: ThermoelasticState, c: Constitutive, f: Forcing, t: float,
+         dt: float) -> ThermoelasticState:
     """One classical RK4 step; rejects loss of orientation (det F <= 0)."""
     return point.rk4_step(x, c, f, t, dt)
 
@@ -100,9 +89,8 @@ def closeness_system_residual(thetainv: ScalarField, stress_over_theta: tuple[Sc
     d(q.beta)/d(beta); (F,t) curl; (eps,t) curl.  Each entry is the max-abs
     residual of its block.
     """
-    coords = ETA_PRIME_COORDS
     for fld in (thetainv, q_dot_beta, *stress_over_theta):
-        if fld.coords != coords:
+        if fld.coords != ETA_PRIME_COORDS:
             raise ModelError("eta' coefficients must live over (eps, F, beta, t)")
     if len(stress_over_theta) != 9:
         raise ModelError("need 9 components of sigma:F^-1/theta")
@@ -110,16 +98,7 @@ def closeness_system_residual(thetainv: ScalarField, stress_over_theta: tuple[Sc
     g_thetainv = thetainv.grad(x)
     g_stress = np.array([s.grad(x) for s in stress_over_theta])
     g_qb = q_dot_beta.grad(x)
-
-    i_eps = 0
-    i_f = slice(1, 10)
-    i_beta = slice(10, 13)
-    i_t = 13
-
-    r1 = np.abs(g_thetainv[i_f] + g_stress[:, i_eps]).max()
-    r2 = np.abs(g_thetainv[i_beta]).max()
-    r3 = np.abs(g_stress[:, i_beta]).max()
-    r4 = np.abs(g_qb[i_beta]).max()
-    r5 = np.abs(g_stress[:, i_t] + g_qb[i_f]).max()
-    r6 = abs(g_thetainv[i_t] - g_qb[i_eps])
-    return np.array([r1, r2, r3, r4, r5, r6])
+    f, beta = slice(1, 10), slice(10, 13)  # eps is slot 0, t slot 13
+    blocks = (g_thetainv[f] + g_stress[:, 0], g_thetainv[beta], g_stress[:, beta], g_qb[beta],
+              g_stress[:, 13] + g_qb[f], g_thetainv[13] - g_qb[0])
+    return np.array([np.abs(b).max() for b in blocks])

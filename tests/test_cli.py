@@ -7,6 +7,7 @@ import math
 import pathlib
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,19 @@ integration: {t1: 1.0, dt: 0.001}
         config = write(tmp_path / "c.yaml", "model: bogus\n")
         assert main(["simulate", "--config", config]) == EXIT_ERROR
 
+    def test_surface_sigma_columns(self, tmp_path, capsys):
+        config = write(tmp_path / "c.yaml", self.THERMO.replace("integration: {t1: 1.0",
+                                                                 "integration: {t1: 0.1")
+                       + 'surface: {sigma: "0.1*eps^2 + H1"}\n')
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out)
+        assert header[-4:] == ["theta", "U", "sigma_prod", "s"]
+        col = {name: rows[:, header.index(name)] for name in header}
+        assert np.array_equal(col["sigma_prod"], 0.1 * col["eps"] ** 2 + col["H1"])
+        # s = U + sigma, summed before formatting; 17 digits read back exactly
+        assert np.array_equal(col["s"], col["U"] + col["sigma_prod"])
+
 
 class TestSurface:
     def test_production_residual_column(self, tmp_path, capsys):
@@ -197,6 +211,22 @@ grid: {q1: [-1.0, 1.0, 3], q2: [-1.0, 1.0, 3]}
         header, rows = read_csv(out)
         res = rows[:, [header.index("res_q1"), header.index("res_q2")]]
         assert np.abs(res).max() <= 1e-9
+
+
+    def test_non_finite_gradient_exits_1(self, tmp_path, capsys, recwarn):
+        # printed p_q1 = inf and res_q1 = nan with a numpy RuntimeWarning and exit 0
+        config = write(tmp_path / "c.yaml", """
+coords: [q1]
+potential: "1e300*q1^0.5"
+grid: {q1: [1.0e-300, 1.0e-299, 2]}
+""")
+        out = tmp_path / "surf.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["surface", "--config", config, "--out", str(out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == "error: non-finite p_q1 in '1e+300*q1^0.5' (value inf)\n"
+        assert not out.exists()
 
 
 class TestAdmissible:
@@ -472,6 +502,28 @@ integration: {{t1: 0.1, dt: 0.01}}
         assert captured.out == ""
         assert captured.err == "error: config: unknown keys ['output']\n"
 
+
+    @pytest.mark.parametrize("forcing, message", [
+        ("{divq: 0.5}", "config.forcing.divq: expected an expression string"),
+        ('{E: ["t", "0"]}', "config.forcing.E: expected a list of 3 expression strings"),
+        ('{div_e_tensor: ["t", 1, "0"]}', "config.forcing.div_e_tensor[1]: expected an expression string"),
+        ('{L: [["0", "0", "0"], ["0", "0"], ["0", "0", "0"]]}',
+         "config.forcing.L: expected a 3x3 nested list of expression strings"),
+        ('{source_grad_u: [["0", "0", "0"], ["0", "0", "0"], ["0", "eps", "0"]]}',
+         "config.forcing.source_grad_u[2][1]: unresolved coordinate names: ['eps']"),
+    ], ids=["scalar", "vector-length", "vector-entry", "matrix-ragged", "matrix-entry"])
+    def test_forcing_errors_name_the_entry(self, tmp_path, capsys, forcing, message):
+        config = write(tmp_path / "c.yaml", f"""
+model: ferroelectric
+potential: "ln(eps)"
+initial: {{eps: 0.5}}
+forcing: {forcing}
+integration: {{t1: 0.1, dt: 0.01}}
+""")
+        assert main(["simulate", "--config", config]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("sub, body, message", [
         ("check-closed", 'coords: [x, y]\npotential: "x^^2"\nbox: {x: [0, 1], y: [0, 1]}\n',

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from thermoform import config as cfg
@@ -31,3 +32,47 @@ class TestPerName:
         with pytest.raises(cfg.ConfigError) as err:
             cfg.per_name({"x": 1.0, "y": "a"}, self.NAMES, "config.point", cfg.as_number)
         assert str(err.value) == "config.point.y: expected a finite number, got 'a'"
+
+
+class TestTimeFn:
+    @pytest.mark.parametrize("shape, value, expected", [
+        ((), "2*t", 0.6),
+        ((3,), ["t", "0", "-t"], [0.3, 0.0, -0.3]),
+        ((3, 3), [["t", "0", "0"], ["0", "1", "0"], ["0", "0", "t^2"]],
+         [[0.3, 0, 0], [0, 1, 0], [0, 0, 0.09]]),
+        ((3, 3), None, [[0.0] * 3] * 3),
+    ], ids=["scalar", "vector", "matrix", "default-zero"])
+    def test_values_have_the_shape(self, shape, value, expected):
+        out = cfg.time_fn(value, "config.forcing.x", shape)(0.3)
+        assert np.shape(out) == shape
+        assert np.allclose(out, expected, rtol=0.0, atol=1e-15)
+
+    def test_scalar_is_a_float(self):
+        assert type(cfg.time_fn(None, "config.forcing.divq", ())(1.0)) is float
+
+    @pytest.mark.parametrize("read, value, message", [
+        (cfg.time_fn_scalar, 3, "config.forcing.divq: expected an expression string"),
+        (cfg.time_fn_vector, ["t", "0"], "config.forcing.divq: expected a list of 3 expression strings"),
+        (cfg.time_fn_vector, ["t", 1, "0"], "config.forcing.divq[1]: expected an expression string"),
+        (cfg.time_fn_matrix, [["0"] * 3, ["0"] * 2, ["0"] * 3],
+         "config.forcing.divq: expected a 3x3 nested list of expression strings"),
+        (cfg.time_fn_matrix, [["0"] * 3, ["0"] * 3, ["0", "0", None]],
+         "config.forcing.divq[2][2]: expected an expression string"),
+        (cfg.time_fn_matrix, [["0"] * 3, ["0", "x", "0"], ["0"] * 3],
+         "config.forcing.divq[1][1]: unresolved coordinate names: ['x']"),
+    ], ids=["scalar-not-a-string", "vector-length", "vector-entry", "matrix-ragged",
+            "matrix-entry", "matrix-entry-coordinate"])
+    def test_shape_errors_name_the_entry(self, read, value, message):
+        with pytest.raises(cfg.ConfigError) as err:
+            read(value, "config.forcing.divq")
+        assert str(err.value) == message
+
+    def test_the_shape_is_checked_before_any_entry(self):
+        # a ragged matrix is reported as such, not by its first unreadable entry
+        with pytest.raises(cfg.ConfigError, match="3x3 nested list"):
+            cfg.time_fn_matrix([[1, "0", "0"], ["0"]], "config.forcing.L")
+
+    def test_fixed_shapes_are_bindings_of_time_fn(self):
+        for read, shape in ((cfg.time_fn_scalar, ()), (cfg.time_fn_vector, (3,)),
+                               (cfg.time_fn_matrix, (3, 3))):
+            assert read.func is cfg.time_fn and read.keywords == {"shape": shape}

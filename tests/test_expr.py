@@ -124,6 +124,20 @@ class TestEval:
         assert f.grad(b) == pytest.approx([c * 2.0, c * 1.5], rel=1e-12)
         assert f.hessian(b) == pytest.approx(np.array([[0.0, c], [c, 0.0]]), rel=1e-12)
 
+    def test_deep_overflow_names_the_expression(self):
+        # the DomainError message serializes the 3000-deep sum, which raised RecursionError
+        n = 3000
+        text = " + ".join(f"{k}*x" for k in range(1, n + 1)) + " + 1e308*x*10"
+        f = ScalarField.from_text(text, ["x"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^non-finite result in '1\*x\+2\*x\+"):
+                f.value({"x": 1.0})
+        s = str(f)
+        assert s == text.replace(" ", "").replace("1e308", "1e+308")
+        # parse(str(f)) is f: its text round-trips (== on trees this deep would recurse)
+        assert str(ScalarField.from_text(s, ["x"])) == s
+
 
 class TestGrad:
     def test_square(self):
@@ -189,12 +203,13 @@ def test_grad_matches_fd_on_composites(text, x, y):
     assert np.max(np.abs(g - ref) / scale) <= 1e-6
 
 
-@pytest.mark.parametrize("text", COMPOSITE_CORPUS)
-@given(x=st.floats(0.1, 2.0), y=st.floats(0.1, 2.0))
+@pytest.mark.parametrize("text", COMPOSITE_CORPUS + ["(x*y+z)*(x*z+y)*(y*z+x)"])
+@given(x=st.floats(0.1, 2.0), y=st.floats(0.1, 2.0), z=st.floats(0.1, 2.0))
 @settings(max_examples=25, deadline=None)
-def test_hessian_bitwise_symmetric(text, x, y):
-    h = hessian(parse(text), {"x": x, "y": y}, ["x", "y"])
-    # symmetric to exactly zero: computed once per unordered pair
+def test_hessian_bitwise_symmetric(text, x, y, z):
+    h = hessian(parse(text), {"x": x, "y": y, "z": z}, ["x", "y", "z"])
+    # symmetric to exactly zero: the lower triangle is a copy of the upper one
+    # (the 3-variable product's dual sweep sums its cross terms in two orders)
     assert np.array_equal(h, h.T)
 
 

@@ -230,6 +230,19 @@ class TestRateRelation:
         res = rate_relation_residual(u, c)
         assert np.abs(res).max() <= 1e-12
 
+    def test_one_hessian_per_interior_sample(self, monkeypatch):
+        # the (q_i, t) column comes from the same Hessian as the q block (was 1 + n calls)
+        calls = []
+        hessian = ScalarField.hessian
+        monkeypatch.setattr(ScalarField, "hessian",
+                            lambda f, b, wrt=None: calls.append(wrt) or hessian(f, b, wrt))
+        # on (t, t^2), p1 = 3t^2 and p2 = t: central differences are exact, and
+        # dp1/dt = 6t needs the U_{,q1 t} = 2t column
+        u = ScalarField.from_text("q1^2*t + q1*q2", ("q1", "q2", "t"))
+        res = rate_relation_residual(u, self.parabola_curve(0.1))
+        assert calls == [("q1", "q2", "t")] * len(res)
+        assert np.abs(res).max() <= 1e-12
+
     def test_coordinate_mismatch(self):
         u = ScalarField.from_text("a*b", ("a", "b"))
         with pytest.raises(ProcessError):
