@@ -336,11 +336,10 @@ def cmd_vdw(args) -> int:
     s_axis = np.linspace(args.smin, args.smax, args.sn)
     v_axis = np.linspace(args.vmin, args.vmax, args.vn)
     rows = []
-    for s_val in s_axis:
-        for v_val in v_axis:
-            q = {"S": float(s_val), "V": float(v_val)}
-            g = u.grad(q)
-            rows.append([s_val, v_val, u.value(q), float(g[0]), -float(g[1])])
+    for s_val, v_val in itertools.product(s_axis, v_axis):
+        q = {"S": float(s_val), "V": float(v_val)}
+        g = u.grad(q)
+        rows.append([s_val, v_val, u.value(q), float(g[0]), -float(g[1])])
     # the scan rejects an empty V range, so it runs before any output is written
     roots = spinodal_scan(u, "V", args.vmin, args.vmax, {"S": 0.0}, xtol=1e-4)
     _write_csv(args.out, ["S", "V", "U", "T", "p"], rows)

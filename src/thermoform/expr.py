@@ -5,15 +5,17 @@ built from these expressions.  Each expression is lowered once, on its first
 evaluation, to a flat instruction tape with common subexpressions merged.
 Values come from one sweep over plain floats.  Gradients add one reverse
 (adjoint) sweep, whose cost does not grow with the number of variables.
-Hessians run second-order dual numbers over the same tape.  Derivatives are
-exact, so curl/closeness residuals are limited only by round-off, not by
-finite difference noise.  Leaving a function's real domain, overflow
-included, raises DomainError naming the subexpression.
+Hessians come from one forward second-order sweep on floats that keeps each
+slot's gradient and its Hessian's upper triangle.  Derivatives are exact, so
+curl/closeness residuals are limited only by round-off, not by finite
+difference noise.  Leaving a function's real domain, overflow included,
+raises DomainError naming the subexpression.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -223,9 +225,6 @@ class _Parser:
         if kind == _TOK_OP and val == "-":
             self.advance()
             return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expression:
         base = self.primary()
         kind, val, _ = self.peek()
         if kind == _TOK_OP and val == "^":
@@ -403,11 +402,8 @@ class _Tape:
     def plan(self, wrt: tuple[str, ...] | None):
         """(forward code, reverse code, gradient slot per wrt entry); None: value only."""
         plan = self.plans.get(wrt)
-        if plan is None:
-            plan = self.plans[wrt] = self._make_plan(wrt)
-        return plan
-
-    def _make_plan(self, wrt):
+        if plan is not None:
+            return plan
         names = wrt or ()
         index = {name: i for i, name in enumerate(names)}
         dep = [False] * len(self.consts) + [name in index for name in self.names]
@@ -429,7 +425,8 @@ class _Tape:
         for k, name in enumerate(self.names):
             if name in index:
                 slots[index[name]] = len(self.consts) + k
-        return (self.code if code == self.code else code), rev, slots
+        plan = self.plans[wrt] = (self.code if code == self.code else code), rev, slots
+        return plan
 
 
 def _lower(root: Expression) -> _Tape:
@@ -591,8 +588,7 @@ def _reverse(tape: _Tape, rev: list[tuple], vals: list[float]) -> list[float]:
                 adj[a] += g
                 adj[b] -= g
             elif op == _POWI or op == _POWC:
-                x = vals[a]
-                p = b if op == _POWI else vals[b]
+                x, p = vals[a], (b if op == _POWI else vals[b])
                 if p == round(p):
                     p = int(round(p))
                     if x != 0.0:
@@ -628,129 +624,90 @@ def _reverse(tape: _Tape, rev: list[tuple], vals: list[float]) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Second-order dual numbers, swept over the same tape for Hessians.  Their h is
-# symmetric up to rounding; ``hessian`` mirrors its upper triangle.
+# Second-order forward sweep for Hessians, on plain floats.  Per slot it keeps
+# the gradient as n floats and the Hessian's upper triangle, row by row, as
+# n(n+1)/2 floats, so an instruction costs O(n^2) (Griewank & Walther,
+# Evaluating Derivatives, 2nd ed., ch. 13).  Each entry is summed in the order
+# of second-order dual-number arithmetic: for u*w, h_ij w + g_i w_j + g_j w_i
+# + u w_ij, and for f(u), f' h_ij + f'' g_i g_j.
 # ---------------------------------------------------------------------------
 
-class _Dual:
-    __slots__ = ("v", "g", "h")
-
-    def __init__(self, v: float, g: np.ndarray, h: np.ndarray):
-        self.v = v
-        self.g = g
-        self.h = h
-
-    @staticmethod
-    def constant(v: float, nvars: int) -> "_Dual":
-        return _Dual(v, np.zeros(nvars), np.zeros((nvars, nvars)))
-
-    @staticmethod
-    def seed(v: float, index: int, nvars: int) -> "_Dual":
-        g = np.zeros(nvars)
-        g[index] = 1.0
-        return _Dual(v, g, np.zeros((nvars, nvars)))
-
-    def add(self, o: "_Dual") -> "_Dual":
-        return _Dual(self.v + o.v, self.g + o.g, self.h + o.h)
-
-    def sub(self, o: "_Dual") -> "_Dual":
-        return _Dual(self.v - o.v, self.g - o.g, self.h - o.h)
-
-    def neg(self) -> "_Dual":
-        return _Dual(-self.v, -self.g, -self.h)
-
-    def mul(self, o: "_Dual") -> "_Dual":
-        cross = np.outer(self.g, o.g)
-        h = self.h * o.v + cross + cross.T + self.v * o.h
-        return _Dual(self.v * o.v, self.g * o.v + self.v * o.g, h)
-
-    def recip(self) -> "_Dual":
-        inv = 1.0 / self.v
-        g = -self.g * inv * inv
-        outer = np.outer(self.g, self.g)
-        h = -self.h * inv * inv + 2.0 * outer * inv ** 3
-        return _Dual(inv, g, h)
-
-    def chain(self, f: float, fp: float, fpp: float) -> "_Dual":
-        """Apply scalar function with value f and derivatives fp, fpp."""
-        h = fp * self.h + fpp * np.outer(self.g, self.g)
-        return _Dual(f, fp * self.g, h)
+@lru_cache(maxsize=None)
+def _triangle(n: int):
+    """(i, j) pairs of the upper triangle row by row, and the (n, n) index of its mirror."""
+    pairs = tuple((i, j) for i in range(n) for j in range(i, n))
+    mirror = [[pairs.index((min(i, j), max(i, j))) for j in range(n)] for i in range(n)]
+    return pairs, np.array(mirror, dtype=np.intp).reshape(n, n)
 
 
-def _dual_pow(base: _Dual, p: float | None, expo: _Dual | None = None) -> _Dual:
-    """base^p for a constant exponent p; base^expo = exp(expo ln base) when p is None."""
-    if p is None:
-        ln_a = base.chain(math.log(base.v), 1.0 / base.v, -1.0 / base.v ** 2)
-        prod = expo.mul(ln_a)
-        e = math.exp(prod.v)
-        return prod.chain(e, e, e)
-    if p == round(p):
-        p = int(round(p))
-        v = float(base.v ** p)
-        if base.v == 0.0:
-            fp = 0.0 if p != 1 else 1.0
-            fpp = 0.0 if p != 2 else 2.0
-        else:
-            fp = p * base.v ** (p - 1)
-            fpp = p * (p - 1) * base.v ** (p - 2)
-        return base.chain(v, fp, fpp)
-    v = base.v ** p
-    fp = p * base.v ** (p - 1.0)
-    fpp = p * (p - 1.0) * base.v ** (p - 2.0)
-    return base.chain(v, fp, fpp)
+def _chain(fp: float, fpp: float, g: list, h: list, pairs) -> tuple:
+    """Gradient and triangle of f(u) from those of u, with f' = fp and f'' = fpp."""
+    return [fp * p for p in g], [fp * q + fpp * (g[i] * g[j]) for q, (i, j) in zip(h, pairs)]
 
 
-@np.errstate(over="raise", invalid="raise")  # an array overflow is a FloatingPointError, not a warning
-def _dual(e: Expression, binding: dict[str, float], wrt: tuple[str, ...]) -> _Dual:
-    """Value, gradient and Hessian of ``e`` by a dual-number sweep over its tape."""
+def _product(u: float, gu: list, hu: list, w: float, gw: list, hw: list, pairs) -> tuple:
+    """Gradient and triangle of u*w."""
+    return ([p * w + u * q for p, q in zip(gu, gw)],
+            [((q * w + gu[i] * gw[j]) + gu[j] * gw[i]) + u * r
+             for q, r, (i, j) in zip(hu, hw, pairs)])
+
+
+def _second_order(e: Expression, binding: dict[str, float], wrt: tuple[str, ...]) -> tuple:
+    """Value, gradient and Hessian upper triangle of ``e`` by one forward sweep over its tape."""
     tape = _lowered(e)
     code = tape.plan(wrt)[0]
-    vals = _forward(tape, code, binding)  # the domain checks, as in the other sweeps
-    nvars = len(wrt)
-    index = {name: i for i, name in enumerate(wrt)}
-    nc = len(tape.consts)
-    duals = [_Dual.constant(v, nvars) for v in vals[:nc]]
-    for k, name in enumerate(tape.names):
-        v = vals[nc + k]
-        duals.append(_Dual.seed(v, index[name], nvars) if name in index else _Dual.constant(v, nvars))
-    push = duals.append
+    vals = _forward(tape, code, binding)  # the values and the domain checks, as in the other sweeps
+    pairs = _triangle(len(wrt))[0]
+    zero = [0.0] * len(wrt), [0.0] * len(pairs)  # (gradient, triangle) of a constant
+    seed = {name: ([float(j == i) for j in range(len(wrt))], zero[1]) for i, name in enumerate(wrt)}
+    jets = [zero] * len(tape.consts) + [seed.get(name, zero) for name in tape.names]
     try:
-        for op, a, b in code:
-            x = duals[a]
-            if op == _ADD:
-                push(x.add(duals[b]))
+        for k, (op, a, b) in enumerate(code):
+            x, v, (g, h) = vals[a], vals[tape.base + k], jets[a]
+            if op == _MUL:
+                g, h = _product(x, g, h, vals[b], *jets[b], pairs)
+            elif op == _ADD:
+                g, h = ([p + q for p, q in zip(u, w)] for u, w in zip(jets[a], jets[b]))
             elif op == _SUB:
-                push(x.sub(duals[b]))
-            elif op == _MUL:
-                push(x.mul(duals[b]))
+                g, h = ([p - q for p, q in zip(u, w)] for u, w in zip(jets[a], jets[b]))
             elif op == _NEG:
-                push(x.neg())
+                g, h = ([-p for p in u] for u in jets[a])
             elif op == _RECIP:
-                push(x.recip())
-            elif op == _POWI:
-                push(_dual_pow(x, b))
-            elif op == _POWC:
-                push(_dual_pow(x, duals[b].v))
-            elif op == _POWV:
-                push(_dual_pow(x, None, duals[b]))
-            elif op == _EXP:
-                f = math.exp(x.v)
-                push(x.chain(f, f, f))
-            elif op == _LN:
-                push(x.chain(math.log(x.v), 1.0 / x.v, -1.0 / x.v ** 2))
-            elif op == _SQRT:
-                r = math.sqrt(x.v)
-                push(x.chain(r, 0.5 / r, -0.25 / (r * x.v)))
-            else:  # _ABS
-                sign = 1.0 if x.v > 0.0 else (-1.0 if x.v < 0.0 else 0.0)
-                push(x.chain(abs(x.v), sign, 0.0))
+                v3 = v ** 3
+                g, h = ([-p * v * v for p in g],
+                        [-q * v * v + 2.0 * (g[i] * g[j]) * v3 for q, (i, j) in zip(h, pairs)])
+            elif op == _POWV:  # exp(expo ln x)
+                g, h = _chain(1.0 / x, -1.0 / x ** 2, g, h, pairs)
+                g, h = _product(vals[b], *jets[b], math.log(x), g, h, pairs)
+                g, h = _chain(v, v, g, h, pairs)
+            else:
+                if op == _POWI or op == _POWC:
+                    p = b if op == _POWI else vals[b]
+                    if p == round(p):
+                        p = int(round(p))
+                        if x == 0.0:
+                            fp, fpp = (1.0 if p == 1 else 0.0), (2.0 if p == 2 else 0.0)
+                        else:
+                            fp, fpp = p * x ** (p - 1), p * (p - 1) * x ** (p - 2)
+                    else:
+                        fp, fpp = p * x ** (p - 1.0), p * (p - 1.0) * x ** (p - 2.0)
+                elif op == _EXP:
+                    fp = fpp = v
+                elif op == _LN:
+                    fp, fpp = 1.0 / x, -1.0 / x ** 2
+                elif op == _SQRT:
+                    fp, fpp = 0.5 / v, -0.25 / (v * x)
+                else:  # _ABS
+                    fp, fpp = (1.0 if x > 0.0 else -1.0 if x < 0.0 else 0.0), 0.0
+                g, h = _chain(fp, fpp, g, h, pairs)
+            jets.append((g, h))
     except ArithmeticError:
-        raise DomainError("floating-point overflow", tape.nodes[len(duals) - tape.base], x.v) from None
-    out = duals[tape.out]
+        raise DomainError("floating-point overflow", tape.nodes[k], x) from None
+    v, (g, h) = vals[tape.out], jets[tape.out]
     # a float product or sum overflows to inf silently; from finite inputs only an overflow gives inf/NaN
-    if not (math.isfinite(out.v) and np.isfinite(out.h).all()):
-        raise DomainError("floating-point overflow", e, out.v)
-    return out
+    if not (math.isfinite(v) and all(map(math.isfinite, g)) and all(map(math.isfinite, h))):
+        raise DomainError("floating-point overflow", e, v)
+    return v, g, h
 
 
 def evaluate(e: Expression, binding: dict[str, float]) -> float:
@@ -771,12 +728,10 @@ def grad(e: Expression, binding: dict[str, float], wrt: list[str] | tuple[str, .
 
 
 def hessian(e: Expression, binding: dict[str, float], wrt: list[str] | tuple[str, ...]) -> np.ndarray:
-    """Exact second derivatives, symmetric bitwise: the lower triangle copies the upper
-    one, as the dual product sums an entry's two cross terms in its mirror's reverse order."""
-    h = _dual(e, binding, tuple(wrt)).h
-    for i in range(1, len(h)):
-        h[i, :i] = h[:i, i]
-    return h
+    """Exact second derivatives from a float second-order sweep that stores the upper
+    triangle; the lower triangle copies it, so the matrix is symmetric bitwise."""
+    wrt = tuple(wrt)
+    return np.array(_second_order(e, binding, wrt)[2])[_triangle(len(wrt))[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -924,6 +879,15 @@ class ScalarField:
 
     def grad(self, binding: dict[str, float], wrt: tuple[str, ...] | None = None) -> np.ndarray:
         return grad(self.expression, binding, wrt if wrt is not None else self.coords)
+
+    def finite_grad(self, binding: dict[str, float], labels: tuple[str, ...],
+                    wrt: tuple[str, ...] | None = None) -> np.ndarray:
+        """``grad``; an inf or NaN entry is a DomainError naming it by its entry of ``labels``."""
+        g = self.grad(binding, wrt)
+        for label, v in zip(labels, g.tolist()):
+            if not math.isfinite(v):
+                raise DomainError(f"non-finite {label}", self.expression, v)
+        return g
 
     def hessian(self, binding: dict[str, float], wrt: tuple[str, ...] | None = None) -> np.ndarray:
         return hessian(self.expression, binding, wrt if wrt is not None else self.coords)

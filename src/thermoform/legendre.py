@@ -7,13 +7,12 @@ so the pulled-back contact form equals d(sigma).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .expr import Bin, DomainError, ScalarField
+from .expr import Bin, ScalarField
 from .geometry import ContactChart, GeometryError, reeb_flow
 
 __all__ = [
@@ -65,21 +64,12 @@ class ConstitutiveSurface:
         )
 
 
-def _finite_grad(field: ScalarField, q: dict[str, float], names: tuple[str, ...]) -> np.ndarray:
-    """grad of ``field`` at q; an inf or NaN entry is a DomainError naming it by ``names``."""
-    g = field.grad(q)
-    for name, v in zip(names, g):
-        if not math.isfinite(v):
-            raise DomainError(f"non-finite {name}", field.expression, float(v))
-    return g
-
-
 def legendre_embed(surface: LegendreSurface, q: dict[str, float]) -> dict[str, float]:
     """Phase point (s = U(q); q; p = grad U(q))."""
     chart = surface.chart
     point = {chart.s_name: surface.potential.value(q)}
     point.update((name, q[name]) for name in chart.q_names)
-    point.update(zip(chart.p_names, map(float, _finite_grad(surface.potential, q, chart.p_names))))
+    point.update(zip(chart.p_names, map(float, surface.potential.finite_grad(q, chart.p_names))))
     return point
 
 
@@ -96,8 +86,8 @@ def pullback_contact(surface: ConstitutiveSurface, q: dict[str, float]) -> np.nd
     so the identity is actually exercised.
     """
     chart = surface.chart
-    p = _finite_grad(surface.potential, q, chart.p_names)
-    s_grad = _finite_grad(surface.entropy, q, tuple(f"d(U + sigma)/d{n}" for n in chart.q_names))
+    p = surface.potential.finite_grad(q, chart.p_names)
+    s_grad = surface.entropy.finite_grad(q, tuple(f"d(U + sigma)/d{n}" for n in chart.q_names))
     return s_grad - p
 
 

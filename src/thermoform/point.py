@@ -44,6 +44,7 @@ FE_COORDS = (EPS_NAME,) + F_NAMES + PI_NAMES + GPI_NAMES + H_NAMES
 _F, _H, _PI, _GPI, _U, _GU = (slice(1, 10), slice(10, 13), slice(13, 16), slice(16, 25),
                               slice(25, 28), slice(28, 37))
 _POTENTIAL_NAMES = STATE_NAMES[:25]  # zipped with a state vector: the potential's binding
+_DU_LABELS = tuple(f"dU/d{name}" for name in _POTENTIAL_NAMES)
 
 
 class ModelError(Exception):
@@ -134,7 +135,7 @@ class Forcing:
 def _constitutive(c: Constitutive, b: dict[str, float]):
     if len(b) != len(c.potential.coords):
         raise ModelError("the state and the constitutive law are of different point models")
-    g = c.potential.grad(b, _POTENTIAL_NAMES[:len(b)])
+    g = c.potential.finite_grad(b, _DU_LABELS, _POTENTIAL_NAMES[:len(b)])
     u_eps = float(g[0])
     if u_eps == 0.0:
         raise TemperatureSingularity("dU/d(eps) = 0 at the probe state")

@@ -112,23 +112,20 @@ def admissibility(surface: ConstitutiveSurface, curve: ProcessCurve,
     tangents = np.empty_like(pts)
     tangents[0] = (pts[1] - pts[0]) / (t[1] - t[0])
     tangents[-1] = (pts[-1] - pts[-2]) / (t[-1] - t[-2])
-    for i in range(1, n - 1):
-        tangents[i] = (pts[i + 1] - pts[i - 1]) / (t[i + 1] - t[i - 1])
+    tangents[1:-1] = (pts[2:] - pts[:-2]) / (t[2:] - t[:-2])[:, None]
 
-    all_rates = np.empty(n)
-    for i in range(n):
-        b = dict(zip(surface.chart.q_names, map(float, pts[i])))
-        all_rates[i] = float(surface.production.grad(b) @ tangents[i])
+    points = [dict(zip(surface.chart.q_names, map(float, q))) for q in pts]
+    labels = tuple(f"dsigma/d{name}" for name in surface.chart.q_names)
+    all_rates = np.array([float(surface.production.finite_grad(b, labels) @ tangent)
+                          for b, tangent in zip(points, tangents)])
 
     judged = slice(0, n) if include_endpoints else slice(1, n - 1)
     rates = all_rates[judged]
     offset = 0 if include_endpoints else 1
     bad = tuple(int(i + offset) for i in np.nonzero(rates < -tol)[0])
 
-    b0 = dict(zip(surface.chart.q_names, map(float, pts[0])))
-    b1 = dict(zip(surface.chart.q_names, map(float, pts[-1])))
-    d_sigma = surface.production.value(b1) - surface.production.value(b0)
-    d_u = surface.potential.value(b1) - surface.potential.value(b0)
+    d_sigma = surface.production.value(points[-1]) - surface.production.value(points[0])
+    d_u = surface.potential.value(points[-1]) - surface.potential.value(points[0])
     return AdmissibilityReport(
         rates=rates,
         admissible=len(bad) == 0,
@@ -204,8 +201,7 @@ def spinodal_scan(potential: ScalarField, scan_name: str, lo: float, hi: float,
     for i in range(len(xs) - 1):
         if ds[i] == 0.0:
             roots.append(float(xs[i]))
-            continue
-        if ds[i] * ds[i + 1] < 0.0:
+        elif ds[i] * ds[i + 1] < 0.0:
             a, b = float(xs[i]), float(xs[i + 1])
             fa = ds[i]
             while b - a > xtol:

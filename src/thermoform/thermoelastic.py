@@ -71,13 +71,13 @@ def entropy_form(thetainv: ScalarField, stress: tuple[ScalarField, ...],
 
 def rates(x: ThermoelasticState, c: Constitutive, f: Forcing, t: float) -> np.ndarray:
     """Right-hand side of the 13-dim system at (t, x)."""
-    return point.rhs(x.vector(), c, f, t)
+    return point.rhs(x.vector(), _thermoelastic(c), f, t)
 
 
 def step(x: ThermoelasticState, c: Constitutive, f: Forcing, t: float,
          dt: float) -> ThermoelasticState:
     """One classical RK4 step; rejects loss of orientation (det F <= 0)."""
-    return point.rk4_step(x, c, f, t, dt)
+    return point.rk4_step(x, _thermoelastic(c), f, t, dt)
 
 
 def closeness_system_residual(thetainv: ScalarField, stress_over_theta: tuple[ScalarField, ...],

@@ -150,6 +150,22 @@ integration: {t1: 0.1, dt: 0.001}
         assert 2 <= len(rows) < 101
         assert np.all(np.isfinite(rows))
 
+    def test_non_finite_potential_gradient_exits_1(self, tmp_path, capsys):
+        # the infinite dU/dH1 at t = 0 entered the RK stages, which exited 3 naming a symptom
+        config = write(tmp_path / "c.yaml", """
+model: thermoelastic
+potential: "ln(eps) - 1e300*H1^0.5"
+initial: {eps: 0.5, H: [1.0e-300, 0, 0]}
+integration: {t1: 0.1, dt: 0.05}
+""")
+        out = tmp_path / "trace.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == "error: non-finite dU/dH1 in 'ln(eps)-1e+300*H1^0.5' (value -inf)\n"
+        assert not out.exists()
+
     def test_ferroelectric_harmonic(self, tmp_path, capsys):
         config = write(tmp_path / "c.yaml", """
 model: ferroelectric
@@ -265,6 +281,24 @@ curve: "{curve}"
         header, rows = read_csv(out)
         assert header == ["sample", "rate"]
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("q1", [[1e-300] * 3, [1e-300, 2e-300, 3e-300]], ids=["held", "rising"])
+    def test_non_finite_production_gradient_exits_1(self, tmp_path, capsys, q1):
+        # held printed NaN rates (not JSON) and "admissible": true, rising -Infinity rates; both exit 0
+        lines = ["t,q1"] + [f"{0.1 * i},{v}" for i, v in enumerate(q1)]
+        curve = write(tmp_path / "curve.csv", "\n".join(lines) + "\n")
+        config = write(tmp_path / "c.yaml", f"""
+coords: [q1]
+potential: "q1^2"
+sigma: "-1e300*q1^0.5"
+curve: "{curve}"
+""")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["admissible", "--config", config]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-finite dsigma/dq1 in '-1e+300*q1^0.5' (value -inf)\n"
 
 
 class TestMetricAction:

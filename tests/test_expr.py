@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thermoform.expr import (
     Bin,
@@ -26,7 +26,7 @@ from thermoform.expr import (
     serialize,
 )
 from thermoform import expr as _expr
-from thermoform.expr import _dual, _forward, _lowered
+from thermoform.expr import _forward, _lowered, _second_order
 from conftest import fd_grad, fd_hessian, random_polynomial_text
 
 VDW_TEXT = "(V-0.1)^(2/3)*exp(S/1.5) - 1/V"
@@ -208,8 +208,8 @@ def test_grad_matches_fd_on_composites(text, x, y):
 @settings(max_examples=25, deadline=None)
 def test_hessian_bitwise_symmetric(text, x, y, z):
     h = hessian(parse(text), {"x": x, "y": y, "z": z}, ["x", "y", "z"])
-    # symmetric to exactly zero: the lower triangle is a copy of the upper one
-    # (the 3-variable product's dual sweep sums its cross terms in two orders)
+    # symmetric to exactly zero: the sweep forms the upper triangle only and the
+    # lower one is its copy (the 3-variable product sums cross terms in two orders)
     assert np.array_equal(h, h.T)
 
 
@@ -254,7 +254,7 @@ def test_negative_literal_power_base_round_trips_by_value():
     assert evaluate(parse(serialize(e)), {}) == evaluate(e, {}) == 4.0
 
 
-# --- the float and reverse sweeps against dual numbers over the same tape ----
+# --- the value and reverse sweeps against the second-order forward sweep ----
 
 def _outcome(fn):
     try:
@@ -269,6 +269,11 @@ def _bits(v: float) -> bytes:
 
 def _is_overflow(err) -> bool:
     return err is not None and "overflow" in err[1]
+
+
+def _term(coefficient: float, m: np.ndarray) -> np.ndarray:
+    """|coefficient| * m; an operand of zero magnitude contributes 0, even under an inf coefficient."""
+    return np.where(m == 0.0, 0.0, abs(coefficient) * m)
 
 
 def _gradient_magnitude(e, b, names) -> np.ndarray:
@@ -291,59 +296,62 @@ def _gradient_magnitude(e, b, names) -> np.ndarray:
         if op in (_expr._ADD, _expr._SUB):
             m = mag[a] + mag[c]
         elif op == _expr._MUL:
-            m = abs(vals[c]) * mag[a] + abs(x) * mag[c]
+            m = _term(vals[c], mag[a]) + _term(x, mag[c])
         elif op == _expr._POWV:
-            m = abs(v * vals[c] / x) * mag[a] + abs(v * math.log(x)) * mag[c]
+            m = _term(v * vals[c] / x, mag[a]) + _term(v * math.log(x), mag[c])
         elif op in (_expr._NEG, _expr._ABS):
             m = mag[a]
         elif op == _expr._RECIP:
-            m = v * v * mag[a]
+            m = _term(v * v, mag[a])
         elif op == _expr._EXP:
-            m = v * mag[a]
+            m = _term(v, mag[a])
         elif op == _expr._LN:
-            m = mag[a] / x
+            m = _term(1.0 / x, mag[a])
         elif op == _expr._SQRT:
-            m = 0.5 / v * mag[a]
+            m = _term(0.5 / v, mag[a])
         else:  # constant exponent
             p = c if op == _expr._POWI else vals[c]
-            m = (abs(p * x ** (p - 1)) if x != 0.0 else float(p == 1)) * mag[a]
+            m = _term(p * x ** (p - 1) if x != 0.0 else float(p == 1), mag[a])
         mag.append(m)
     return mag[tape.out]
 
 
-def check_sweeps_against_dual(e, b, names):
-    """Values bitwise, gradients to 1e-14 and errors as the order-2 dual sweep."""
+def check_sweeps_against_forward_mode(e, b, names):
+    """Values bitwise, reverse-mode gradients to 1e-14 of the second-order forward
+    sweep's and errors as that sweep's; its Hessian is finite and mirrored bitwise."""
     names = tuple(names)
     tape = _lowered(e)
     value, value_err = _outcome(lambda: evaluate(e, b))
-    const, const_err = _outcome(lambda: _dual(e, b, ()))
+    const, const_err = _outcome(lambda: _second_order(e, b, ()))
     if const_err is None:
-        assert value_err is None and _bits(value) == _bits(const.v)
+        assert value_err is None and _bits(value) == _bits(const[0])
     elif not _is_overflow(const_err) and "not differentiable" not in const_err[1]:
         assert value_err == const_err
 
     # with derivatives taken, the same forward sweep feeds the reverse one
     fwd, fwd_err = _outcome(lambda: _forward(tape, tape.plan(names)[0], b)[tape.out])
     g, g_err = _outcome(lambda: grad(e, b, names))
-    dual, dual_err = _outcome(lambda: _dual(e, b, names))
+    second, second_err = _outcome(lambda: _second_order(e, b, names))
     if fwd_err is not None:
-        assert g_err == fwd_err and dual_err == fwd_err
+        assert g_err == fwd_err and second_err == fwd_err
         return
-    assert _bits(fwd) == _bits(dual.v) if dual_err is None else _is_overflow(dual_err)
+    assert _bits(fwd) == _bits(second[0]) if second_err is None else _is_overflow(second_err)
     if g_err is not None:
-        # a first-derivative factor overflowed; the dual sweep forms the same factor
-        assert _is_overflow(g_err) and _is_overflow(dual_err)
+        # a first-derivative factor overflowed; the second-order sweep forms the same factor
+        assert _is_overflow(g_err) and _is_overflow(second_err)
         return
-    if dual_err is not None:
-        # only the second-derivative factors of the order-2 sweep overflowed
-        assert _is_overflow(dual_err)
+    if second_err is not None:
+        # only the second-derivative factors, or a value the gradient does not reach, overflowed
+        assert _is_overflow(second_err)
         return
-    if np.all(np.isfinite(dual.g)):
-        # relative to the summed terms, which the dual's g is unless they cancel
-        with np.errstate(all="ignore"):
-            scale = np.maximum(_gradient_magnitude(e, b, names), 1.0)
-        assert np.all(np.abs(g - dual.g) <= 1e-14 * scale)
-    assert np.array_equal(dual.h, dual.h.T, equal_nan=True)
+    # relative to the summed terms, which the forward sweep's gradient is unless they cancel
+    with np.errstate(all="ignore"):
+        scale = np.maximum(_gradient_magnitude(e, b, names), 1.0)
+    assert np.all(np.abs(g - np.array(second[1])) <= 1e-14 * scale)
+    h = hessian(e, b, names)
+    upper = np.triu_indices(len(names))
+    assert np.all(np.isfinite(h)) and np.array_equal(h, h.T)
+    assert list(map(_bits, h[upper])) == list(map(_bits, second[2]))
 
 
 @pytest.mark.parametrize("text", COMPOSITE_CORPUS + [VDW_TEXT])
@@ -351,14 +359,22 @@ def check_sweeps_against_dual(e, b, names):
 @settings(max_examples=50, deadline=None)
 def test_sweeps_match_dual_on_corpus(text, x, y):
     names = ("x", "y") if text != VDW_TEXT else ("S", "V")
-    check_sweeps_against_dual(parse(text), dict(zip(names, (x, y))), names)
+    check_sweeps_against_forward_mode(parse(text), dict(zip(names, (x, y))), names)
+
+
+_ALL = ("x", "y", "z", "V", "S")
 
 
 @given(e=_expr_strategy(), x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0),
-       z=st.floats(0.01, 3.0), wrt=st.sampled_from([("x", "y", "z", "V", "S"), ("y", "S"), ()]))
+       z=st.floats(0.01, 3.0), wrt=st.sampled_from([_ALL, ("y", "S"), ()]))
+# gradient 1e300 against a constant base's zero magnitude: the scale was inf * 0 = NaN
+@example(e=Neg(Neg(Neg(Neg(Call("pow", (Num(1.2704758575596067e-149), Var("V"))))))),
+         x=2.0, y=0.0, z=1.0, wrt=_ALL)
+# 1/5e-324 overflows to inf, and its derivatives to NaN: an error, not an inf/NaN Hessian
+@example(e=Neg(Neg(Neg(Bin("/", Num(5e-324), Num(5e-324))))), x=1.0, y=1.0, z=1.0, wrt=_ALL)
 @settings(max_examples=300, deadline=None)
 def test_sweeps_match_dual_on_random_trees(e, x, y, z, wrt):
-    check_sweeps_against_dual(e, {"x": x, "y": y, "z": z, "V": -x, "S": z + 1.0}, wrt)
+    check_sweeps_against_forward_mode(e, {"x": x, "y": y, "z": z, "V": -x, "S": z + 1.0}, wrt)
 
 
 class TestTape:

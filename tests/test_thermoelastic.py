@@ -39,6 +39,18 @@ def no_forcing():
 SAMPLE_BOX = {name: (0.05, 0.3) for name in BASE_COORDS}
 
 
+def test_rates_and_step_reject_a_ferroelectric_law():
+    # they used to run the ferroelectric model: 37 rates and a FerroelectricState
+    from thermoform.ferroelectric import FE_COORDS, FerroelectricState
+    c = ThermoelasticConstitutive(ScalarField.from_text("ln(eps) + pi1^2", FE_COORDS), rho=1.0, k=1.0)
+    x = FerroelectricState(eps=0.5, F=np.eye(3), H=np.zeros(3), pi=np.zeros(3),
+                           grad_pi=np.zeros((3, 3)), u=np.zeros(3), grad_u=np.zeros((3, 3)))
+    with pytest.raises(ModelError, match="13 base coordinates"):
+        rates(x, c, no_forcing(), 0.0)
+    with pytest.raises(ModelError, match="13 base coordinates"):
+        step(x, c, no_forcing(), 0.0, 0.01)
+
+
 class TestState:
     def test_orientation_guard(self):
         with pytest.raises(ModelError):
