@@ -18,7 +18,7 @@ import numpy as np
 
 from . import config as cfg
 from .expr import DomainError
-from .geometry import ContactChart, OneForm, low_discrepancy_samples, potential_form, worst_residual
+from .geometry import ContactChart, GeometryError, OneForm, low_discrepancy_samples, potential_form, worst_residual
 from .legendre import ConstitutiveSurface, GibbsConnection, connection_curvature, pullback_contact, surface_embed
 from .processes import ProcessCurve, ProcessError, admissibility, entropy_action, spinodal_scan, thermo_metric
 from .point import (BASE_COORDS, FE_COORDS, STATE_NAMES, Constitutive, FerroelectricState, Forcing,
@@ -248,8 +248,10 @@ def _surface_from(doc, path: str = "config") -> ConstitutiveSurface:
     coords = cfg.as_name_list(cfg.need(doc, "coords", path), f"{path}.coords")
     u = cfg.field_from(cfg.need(doc, "potential", path), coords, f"{path}.potential")
     sigma = cfg.field_from(doc.get("sigma", "0"), coords, f"{path}.sigma")
-    chart = ContactChart(n=len(coords), q_names=coords,
-                         p_names=tuple("p_" + c for c in coords))
+    try:
+        chart = ContactChart(n=len(coords), q_names=coords, p_names=tuple("p_" + c for c in coords))
+    except GeometryError as exc:
+        raise cfg.ConfigError(f"{path}.coords: {exc}: the chart adds 's' and 'p_<name>' per name") from None
     return ConstitutiveSurface(chart, u, sigma)
 
 
@@ -321,11 +323,12 @@ def cmd_action(args) -> int:
 def cmd_curvature(args) -> int:
     doc = cfg.load_yaml(args.config)
     cfg.check_keys(doc, {"s", "coords", "coefficients", "point"}, "config")
-    s_name = doc.get("s", "s")
     q_names = cfg.as_name_list(cfg.need(doc, "coords", "config"), "config.coords")
-    space = (s_name,) + q_names
-    connection = GibbsConnection(s_name, q_names, _coefficients(doc, q_names, space))
-    point = cfg.per_name(cfg.need(doc, "point", "config"), space, "config.point", cfg.as_number)
+    s_name = doc.get("s", "s")
+    if not isinstance(s_name, str) or s_name in q_names:
+        raise cfg.ConfigError(f"config.s: expected a name not in config.coords, got {s_name!r}")
+    connection = GibbsConnection(s_name, q_names, _coefficients(doc, q_names, (s_name,) + q_names))
+    point = cfg.per_name(cfg.need(doc, "point", "config"), connection.coords, "config.point", cfg.as_number)
     omega = connection_curvature(connection, point)
     _print_json({"curvature": [[float(v) for v in row] for row in omega]})
     return EXIT_OK

@@ -117,7 +117,7 @@ _FUNCTIONS = {"exp": 1, "ln": 1, "sqrt": 1, "abs": 1, "pow": 2}
 
 
 # ---------------------------------------------------------------------------
-# Parser: recursive descent, precedence low->high:
+# Parser: recursive descent (the one depth limit left), precedence low->high:
 #   additive < multiplicative < unary minus < power (right assoc) < primary
 # ---------------------------------------------------------------------------
 
@@ -173,7 +173,6 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -320,19 +319,7 @@ def serialize(e: Expression) -> str:
 
 def free_names(e: Expression) -> set[str]:
     """Coordinate names the expression refers to; iterative, so depth is unbounded."""
-    out: set[str] = set()
-    seen: set[int] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Var):
-            out.add(node.name)
-        else:
-            stack.extend(_children(node))
-    return out
+    return {node.name for node in _post_order(e) if isinstance(node, Var)}
 
 
 def _children(e: Expression) -> tuple[Expression, ...]:
@@ -340,25 +327,23 @@ def _children(e: Expression) -> tuple[Expression, ...]:
         return (e.arg,)
     if isinstance(e, Bin):
         return (e.left, e.right)
-    if isinstance(e, Call):
-        return e.args
-    return ()
+    return e.args if isinstance(e, Call) else ()
 
 
 def _post_order(root: Expression):
     """Each distinct node once, operands first and left before right; iterative."""
     done: set[int] = set()
-    stack = [(root, False)]
+    stack = [(root, iter(_children(root)))]  # a node, and its operands not yet walked
     while stack:
-        e, operands_done = stack.pop()
-        if id(e) in done:
-            continue
-        if operands_done:
+        e, operands = stack[-1]
+        for k in operands:
+            if id(k) not in done:
+                stack.append((k, iter(_children(k))))
+                break
+        else:
+            stack.pop()
             done.add(id(e))
             yield e
-        else:
-            stack.append((e, True))
-            stack.extend((k, False) for k in reversed(_children(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +521,8 @@ def _forward(tape: _Tape, code: list[tuple], binding: dict[str, float]) -> list[
                 push(1.0 / x)
             elif op == _POWC:
                 x, p = vals[a], vals[b]
+                if math.isnan(p):
+                    raise _domain_error(tape, vals, "NaN exponent", p)
                 if p == round(p):
                     p = int(round(p))
                     if x == 0.0 and p < 0:
@@ -737,8 +724,9 @@ def hessian(e: Expression, binding: dict[str, float], wrt: list[str] | tuple[str
 # ---------------------------------------------------------------------------
 # Symbolic derivative trees.  Used to materialize potential-generated 1-form
 # coefficients as expressions in their own right (so closeness tests really
-# differentiate them again, instead of reading off a Hessian).  Only trivial
-# constant folding; no CAS-style simplification.
+# differentiate them again, instead of reading off a Hessian).  One iterative
+# walk over the DAG gives every requested partial, a shared subtree's once.
+# Only trivial constant folding; no CAS-style simplification.
 # ---------------------------------------------------------------------------
 
 def const(v: float) -> Expression:
@@ -803,50 +791,46 @@ def neg(a: Expression) -> Expression:
 
 def differentiate(e: Expression, name: str) -> Expression:
     """Partial derivative as a new expression tree."""
-    if isinstance(e, Num):
-        return Num(0.0)
-    if isinstance(e, Var):
-        return Num(1.0 if e.name == name else 0.0)
-    if isinstance(e, Neg):
-        return neg(differentiate(e.arg, name))
-    if isinstance(e, Bin):
-        da = differentiate(e.left, name)
-        db = differentiate(e.right, name)
-        if e.op == "+":
-            return add(da, db)
-        if e.op == "-":
-            return sub(da, db)
-        if e.op == "*":
-            return add(mul(da, e.right), mul(e.left, db))
-        if e.op == "/":
-            return sub(div(da, e.right), div(mul(e.left, db), mul(e.right, e.right)))
-        # power
-        return _diff_pow(e.left, e.right, da, db)
-    if e.fn == "pow":
-        base, expo = e.args
-        return _diff_pow(base, expo, differentiate(base, name), differentiate(expo, name))
-    (a,) = e.args
-    da = differentiate(a, name)
-    if e.fn == "exp":
-        return mul(Call("exp", (a,)), da)
-    if e.fn == "ln":
-        return div(da, a)
-    if e.fn == "sqrt":
-        return div(da, mul(Num(2.0), Call("sqrt", (a,))))
-    if e.fn == "abs":
-        # d|a| = a/|a| da away from zero
-        return mul(div(a, Call("abs", (a,))), da)
-    raise ExprError(f"unknown function '{e.fn}'")
+    return _partials(e, (name,))[0]
 
 
-def _diff_pow(base: Expression, expo: Expression, da: Expression, db: Expression) -> Expression:
-    f = Bin("^", base, expo)
-    if _is_num(db, 0.0):
-        # p * a^(p-1) * a'
-        return mul(mul(expo, Bin("^", base, sub(expo, Num(1.0)))), da)
-    # general: f' = f * (b' ln a + b a'/a)
-    inner = add(mul(db, Call("ln", (base,))), div(mul(expo, da), base))
-    return mul(f, inner)
+def _partials(e: Expression, names: tuple[str, ...]) -> tuple[Expression, ...]:
+    """Partial derivative trees by each of ``names``, from one walk over the DAG."""
+    d: dict[int, tuple[Expression, ...]] = {}  # id(node) -> its partials, ordered as names
+    for node in _post_order(e):
+        operands = _children(node)
+        a, b = (*operands, None, None)[:2]  # None past the node's arity
+        pairs = zip(*(d[id(k)] for k in operands))
+        if isinstance(node, Num):
+            out = (Num(0.0),) * len(names)
+        elif isinstance(node, Var):
+            out = tuple(Num(1.0 if node.name == n else 0.0) for n in names)
+        elif isinstance(node, Neg):
+            out = tuple(neg(da) for (da,) in pairs)
+        elif isinstance(node, Bin) and node.op in "+-":
+            out = tuple((add if node.op == "+" else sub)(da, db) for da, db in pairs)
+        elif isinstance(node, Bin) and node.op == "*":
+            out = tuple(add(mul(da, b), mul(a, db)) for da, db in pairs)
+        elif isinstance(node, Bin) and node.op == "/":
+            out = tuple(sub(div(da, b), div(mul(a, db), mul(b, b))) for da, db in pairs)
+        elif isinstance(node, Bin) or node.fn == "pow":
+            # constant exponent: p a^(p-1) a'; else f' = f (b' ln a + b a'/a)
+            f, scale = Bin("^", a, b), mul(b, Bin("^", a, sub(b, Num(1.0))))
+            out = tuple(mul(scale, da) if _is_num(db, 0.0)
+                        else mul(f, add(mul(db, Call("ln", (a,))), div(mul(b, da), a)))
+                        for da, db in pairs)
+        elif node.fn == "exp":
+            out = tuple(mul(node, da) for (da,) in pairs)
+        elif node.fn == "ln":
+            out = tuple(div(da, a) for (da,) in pairs)
+        elif node.fn == "sqrt":
+            out = tuple(div(da, mul(Num(2.0), node)) for (da,) in pairs)
+        elif node.fn == "abs":  # d|a| = a/|a| da away from zero
+            out = tuple(mul(div(a, node), da) for (da,) in pairs)
+        else:
+            raise ExprError(f"unknown function '{node.fn}'")
+        d[id(node)] = out
+    return d[id(e)]
 
 
 # ---------------------------------------------------------------------------
@@ -895,6 +879,10 @@ class ScalarField:
     def partial(self, name: str) -> "ScalarField":
         """Symbolic partial derivative, as a field over the same coordinates."""
         return ScalarField(differentiate(self.expression, name), self.coords)
+
+    def partials(self) -> tuple["ScalarField", ...]:
+        """``partial`` by every coordinate, in order, from one walk over the expression."""
+        return tuple(ScalarField(d, self.coords) for d in _partials(self.expression, self.coords))
 
     def __str__(self) -> str:
         return serialize(self.expression)

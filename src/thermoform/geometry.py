@@ -99,10 +99,7 @@ class OneForm:
 
 def potential_form(potential: ScalarField) -> OneForm:
     """The exact form dU, with symbolically differentiated coefficients."""
-    return OneForm(
-        coords=potential.coords,
-        coefficients=tuple(potential.partial(name) for name in potential.coords),
-    )
+    return OneForm(potential.coords, potential.partials())
 
 
 def d_residual(form: OneForm, x: dict[str, float]) -> np.ndarray:

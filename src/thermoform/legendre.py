@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import Bin, ScalarField
+from .expr import Bin, DomainError, ScalarField
 from .geometry import ContactChart, GeometryError, reeb_flow
 
 __all__ = [
@@ -124,14 +124,18 @@ def connection_curvature(connection: GibbsConnection, x: dict[str, float]) -> np
     Omega_ij = (p_{j,s} p_i - p_{i,s} p_j) + (p_{j,q^i} - p_{i,q^j});
     vanishes when eta = dU for s-independent U.
     """
-    coords = connection.coords
+    coords, q_names = connection.coords, connection.q_names
     p = np.array([f.value(x) for f in connection.p_fields])
-    jac = np.array([f.grad(x, coords) for f in connection.p_fields])  # d p_i / d(s, q)
-    p_s = jac[:, 0]
-    p_q = jac[:, 1:]
-    omega = np.outer(p, p_s) - np.outer(p_s, p) + (p_q.T - p_q)
+    jac = np.array([f.finite_grad(x, tuple(f"dp_{q}/d{c}" for c in coords))  # d p_i / d(s, q)
+                    for q, f in zip(q_names, connection.p_fields)])
+    p_s, p_q = jac[:, 0], jac[:, 1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is raised below
+        omega = np.outer(p, p_s) - np.outer(p_s, p) + (p_q.T - p_q)
     # the lower triangle is the negated upper one, signed zeros included
     out = np.triu(omega, 1)
     lower = np.tril_indices(len(p), -1)
     out[lower] = -omega.T[lower]
+    if not np.isfinite(out).all():  # the first one in row-major order is in the upper triangle
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        raise DomainError(f"non-finite curvature {out[i, j]} in the pair ({q_names[i]}, {q_names[j]})")
     return out

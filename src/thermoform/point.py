@@ -156,21 +156,21 @@ def potential_coefficients(c: Constitutive):
     """Constitutive fields as expressions: theta^-1, stress(9), LE(3), LEt(9), beta(3);
     LE and LEt are None when the potential has no electric coordinates."""
     u = c.potential
-    thetainv = u.partial(EPS_NAME)
-    ti = thetainv.expression
+    du = dict(zip(u.coords, u.partials()))
+    ti = du[EPS_NAME].expression
 
     def over(e):
         return ScalarField(e, u.coords)
 
     def work_conjugate(name):  # -rho theta dU/d(name)
-        return over(neg(mul(const(c.rho), div(u.partial(name).expression, ti))))
+        return over(neg(mul(const(c.rho), div(du[name].expression, ti))))
 
     stress = tuple(work_conjugate(n) for n in F_NAMES)
     e_loc = e_tensor = None
     if u.coords == FE_COORDS:
-        e_loc = tuple(over(div(u.partial(n).expression, ti)) for n in PI_NAMES)
+        e_loc = tuple(over(div(du[n].expression, ti)) for n in PI_NAMES)
         e_tensor = tuple(work_conjugate(n) for n in GPI_NAMES)
-    return thetainv, stress, e_loc, e_tensor, tuple(u.partial(n) for n in H_NAMES)
+    return du[EPS_NAME], stress, e_loc, e_tensor, tuple(du[n] for n in H_NAMES)
 
 
 def entropy_form(thetainv: ScalarField, stress: tuple[ScalarField, ...],

@@ -7,12 +7,13 @@ delta s = delta U + delta sigma.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .expr import ScalarField
+from .expr import DomainError, ScalarField
 from .geometry import OneForm
 from .legendre import ConstitutiveSurface
 
@@ -84,13 +85,11 @@ def entropy_action(curve: ProcessCurve, form: OneForm, nodes: int = 4) -> float:
     xs, ws = leggauss(max(nodes, 4))
     total = 0.0
     for i in range(len(curve.times) - 1):
-        a, b = pts[i], pts[i + 1]
-        dq = b - a
+        a, dq = pts[i], pts[i + 1] - pts[i]
         for xi, wi in zip(xs, ws):
             lam = 0.5 * (xi + 1.0)
             point = dict(zip(form.coords, map(float, a + lam * dq)))
-            coeff = form.values(point)
-            total += 0.5 * wi * float(coeff @ dq)
+            total += 0.5 * wi * float(form.values(point) @ dq)
     return total
 
 
@@ -116,12 +115,13 @@ def admissibility(surface: ConstitutiveSurface, curve: ProcessCurve,
 
     points = [dict(zip(surface.chart.q_names, map(float, q))) for q in pts]
     labels = tuple(f"dsigma/d{name}" for name in surface.chart.q_names)
-    all_rates = np.array([float(surface.production.finite_grad(b, labels) @ tangent)
-                          for b, tangent in zip(points, tangents)])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rate is raised below
+        all_rates = np.array([float(surface.production.finite_grad(b, labels) @ tangent)
+                              for b, tangent in zip(points, tangents)])
 
-    judged = slice(0, n) if include_endpoints else slice(1, n - 1)
-    rates = all_rates[judged]
     offset = 0 if include_endpoints else 1
+    rates = all_rates[offset:n - offset]
+    _check_finite(rates, offset, "production rate")
     bad = tuple(int(i + offset) for i in np.nonzero(rates < -tol)[0])
 
     d_sigma = surface.production.value(points[-1]) - surface.production.value(points[0])
@@ -167,19 +167,29 @@ def rate_relation_residual(potential: ScalarField, curve: ProcessCurve) -> np.nd
             b["t"] = float(t[i])
         return b
 
-    p = np.array([potential.grad(bind(i), q_names) for i in range(n)])
+    labels = tuple(f"dU/d{name}" for name in q_names)
+    p = np.array([potential.finite_grad(bind(i), labels, q_names) for i in range(n)])
     m = len(q_names)
     out = np.empty(n - 2)
-    for i in range(1, n - 1):
-        dt = t[i + 1] - t[i - 1]
-        p_dot = (p[i + 1] - p[i - 1]) / dt
-        q_dot = (pts[i + 1] - pts[i - 1]) / dt
-        hess = potential.hessian(bind(i), q_names + ("t",) if has_t else q_names)
-        rhs = hess[:m, :m] @ q_dot
-        if has_t:
-            rhs = rhs + hess[:m, m]
-        out[i - 1] = float(np.abs(p_dot - rhs).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is raised below
+        for i in range(1, n - 1):
+            dt = t[i + 1] - t[i - 1]
+            p_dot = (p[i + 1] - p[i - 1]) / dt
+            q_dot = (pts[i + 1] - pts[i - 1]) / dt
+            hess = potential.hessian(bind(i), q_names + ("t",) if has_t else q_names)
+            rhs = hess[:m, :m] @ q_dot
+            if has_t:
+                rhs = rhs + hess[:m, m]
+            out[i - 1] = float(np.abs(p_dot - rhs).max())
+    _check_finite(out, 1, "rate-relation residual")
     return out
+
+
+def _check_finite(values: np.ndarray, offset: int, what: str) -> None:
+    """DomainError for the first non-finite entry, naming its curve sample (entry k is sample k + offset)."""
+    for k, v in enumerate(values.tolist()):
+        if not math.isfinite(v):
+            raise DomainError(f"non-finite {what} {v!r} at curve sample {k + offset}")
 
 
 def spinodal_scan(potential: ScalarField, scan_name: str, lo: float, hi: float,
@@ -191,9 +201,7 @@ def spinodal_scan(potential: ScalarField, scan_name: str, lo: float, hi: float,
                            f"got lo={lo!r}, hi={hi!r}, samples={samples!r}")
 
     def det_at(v: float) -> float:
-        b = dict(fixed)
-        b[scan_name] = v
-        return godograph_det(potential, b)
+        return godograph_det(potential, {**fixed, scan_name: v})
 
     xs = np.linspace(lo, hi, samples)
     ds = [det_at(v) for v in xs]

@@ -59,6 +59,19 @@ count: 8
         assert doc["max_residual"] == pytest.approx(2.0)
         assert set(doc["worst_pair"]) == {"x", "y"}
 
+    def test_deep_potential_is_closed(self, tmp_path, capsys):
+        # differentiating this 3000-deep sum raised RecursionError, a traceback
+        terms = " + ".join(f"{k}*x*y" for k in range(1, 3001))
+        config = write(tmp_path / "c.yaml", f"""
+coords: [x, y]
+potential: "{terms}"
+box: {{x: [0.5, 1.5], y: [0.5, 1.5]}}
+count: 4
+""")
+        code, doc = run_json(capsys, ["check-closed", "--config", config])
+        assert code == EXIT_OK
+        assert doc["closed"] is True
+
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         config = write(tmp_path / "c.yaml", """
 coords: [x, y]
@@ -300,6 +313,23 @@ curve: "{curve}"
         assert captured.out == ""
         assert captured.err == "error: non-finite dsigma/dq1 in '-1e+300*q1^0.5' (value -inf)\n"
 
+    def test_overflowing_rate_exits_1(self, tmp_path, capsys):
+        # a finite gradient times a finite tangent overflowed: a RuntimeWarning,
+        # "rates": [Infinity] and "admissible": true with exit 0
+        curve = write(tmp_path / "curve.csv", "t,q1\n0,0\n1e-300,1e-100\n2e-300,2e-100\n")
+        config = write(tmp_path / "c.yaml", f"""
+coords: [q1]
+potential: "q1^2"
+sigma: "1e200*q1"
+curve: "{curve}"
+""")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["admissible", "--config", config]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-finite production rate inf at curve sample 1\n"
+
 
 class TestMetricAction:
     def test_metric(self, tmp_path, capsys):
@@ -312,6 +342,18 @@ point: {q1: 1.0, q2: 2.0}
         assert code == EXIT_OK
         assert doc["metric"] == [[2.0, 0.0], [0.0, 2.0]]
         assert doc["det"] == pytest.approx(4.0)
+
+    def test_nan_exponent_exits_1(self, tmp_path, capsys):
+        # round(nan) raised ValueError: a traceback
+        config = write(tmp_path / "c.yaml", """
+coords: [x]
+potential: "x^(1e308*10-1e308*10)"
+point: {x: 2.0}
+""")
+        assert main(["metric", "--config", config]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: NaN exponent in 'x^(1e+308*10-1e+308*10)' (value nan)\n"
 
     def test_action_of_exact_form(self, tmp_path, capsys):
         curve = write(tmp_path / "curve.csv",
@@ -338,6 +380,25 @@ point: {s: 2.0, q1: 0.0, q2: 0.0}
         assert code == EXIT_OK
         assert doc["curvature"][0][1] == pytest.approx(2.0)
         assert doc["curvature"][1][0] == pytest.approx(-2.0)
+
+    @pytest.mark.parametrize("coords, coefficients, point, message", [
+        ("[q1, q2]", '{q1: "1e300*q2^0.5", q2: "0"}', "{s: 0.0, q1: 1.0, q2: 1.0e-300}",
+         "non-finite dp_q1/dq2 in '1e+300*q2^0.5' (value inf)"),
+        ("[q1]", '{q1: "1e300*q1^0.5"}', "{s: 0.0, q1: 1.0e-300}",
+         "non-finite dp_q1/dq1 in '1e+300*q1^0.5' (value inf)"),
+        ("[q1, q2]", '{q1: "1e200*s", q2: "1e200*s"}', "{s: 1.0, q1: 1.0, q2: 1.0}",
+         "non-finite curvature nan in the pair (q1, q2)"),
+    ], ids=["jacobian", "one-coordinate", "omega"])
+    def test_non_finite_entry_exits_1(self, tmp_path, capsys, coords, coefficients, point, message):
+        # printed -Infinity/Infinity with exit 0, or a RuntimeWarning
+        config = write(tmp_path / "c.yaml",
+                       f"coords: {coords}\ncoefficients: {coefficients}\npoint: {point}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["curvature", "--config", config]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestVdw:
@@ -387,6 +448,9 @@ class TestVdw:
         main(["vdw", "--out", str(b)])
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+CHART_CLASH = "config.coords: coordinate names must be distinct: the chart adds 's' and 'p_<name>' per name"
 
 
 class TestInputRobustness:
@@ -580,6 +644,26 @@ integration: {{t1: 0.1, dt: 0.01}}
     def test_coordinate_keyed_errors_name_the_schema_path(self, tmp_path, capsys, sub, body,
                                                           message):
         # check-closed and action said "potential: ..." and "coefficients.y: ..."
+        config = write(tmp_path / "c.yaml", body)
+        assert main([sub, "--config", config]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("sub, body, message", [
+        ("surface", 'coords: [s]\npotential: "s"\ngrid: {s: [0.0, 1.0, 2]}\n', CHART_CLASH),
+        ("admissible", 'coords: [x, p_x]\npotential: "x"\ncurve: c.csv\n', CHART_CLASH),
+        ("curvature", 's: [a]\ncoords: [q1]\ncoefficients: {q1: "0"}\npoint: {q1: 1.0}\n',
+         "config.s: expected a name not in config.coords, got ['a']"),
+        ("curvature", 's: q1\ncoords: [q1]\ncoefficients: {q1: "0"}\npoint: {q1: 1.0}\n',
+         "config.s: expected a name not in config.coords, got 'q1'"),
+        ("curvature", 'coords: [s]\ncoefficients: {s: "0"}\npoint: {s: 1.0}\n',
+         "config.s: expected a name not in config.coords, got 's'"),
+    ], ids=["surface-s", "admissible-p_x", "curvature-s-list", "curvature-s-in-coords",
+            "curvature-default-s-in-coords"])
+    def test_chart_name_collisions_name_the_schema_path(self, tmp_path, capsys, sub, body, message):
+        # surface and admissible ended in a GeometryError traceback; curvature blamed
+        # config.coefficients.q1 with "unhashable type: 'list'"
         config = write(tmp_path / "c.yaml", body)
         assert main([sub, "--config", config]) == EXIT_ERROR
         captured = capsys.readouterr()

@@ -18,14 +18,20 @@ from thermoform.expr import (
     ParseError,
     ScalarField,
     Var,
+    add,
     differentiate,
+    div,
     evaluate,
     grad,
     hessian,
+    mul,
+    neg,
     parse,
     serialize,
+    sub,
 )
 from thermoform import expr as _expr
+from thermoform.geometry import is_closed, potential_form
 from thermoform.expr import _forward, _lowered, _second_order
 from conftest import fd_grad, fd_hessian, random_polynomial_text
 
@@ -108,6 +114,15 @@ class TestEval:
             with pytest.raises(DomainError, match=r"non-finite result .*\(value nan\)"):
                 evaluate(parse("x*1e308*10 - x*1e308*10"), {"x": 1.0})
 
+    @pytest.mark.parametrize("text", ["x^(1e308*10-1e308*10)", "pow(x, 1e308*10-1e308*10)"])
+    def test_nan_exponent_is_domain_error(self, text):
+        # round(nan) raised ValueError from the constant-exponent branch
+        e = parse(text)
+        for sweep in (lambda: evaluate(e, {"x": 2.0}), lambda: grad(e, {"x": 2.0}, ["x"]),
+                      lambda: hessian(e, {"x": 2.0}, ["x"])):
+            with pytest.raises(DomainError, match=rf"^NaN exponent in '{re.escape(serialize(e))}'"):
+                sweep()
+
     def test_sqrt_at_zero_has_a_value_but_no_derivative(self):
         e = parse("sqrt(x)")
         assert evaluate(e, {"x": 0.0}) == 0.0
@@ -123,6 +138,12 @@ class TestEval:
         assert f.value(b) == c * 3.0
         assert f.grad(b) == pytest.approx([c * 2.0, c * 1.5], rel=1e-12)
         assert f.hessian(b) == pytest.approx(np.array([[0.0, c], [c, 0.0]]), rel=1e-12)
+        # the symbolic partials of the chain: .partial("x") raised RecursionError
+        assert f.partial("x").value(b) == c * 2.0
+        assert [p.value(b) for p in f.partials()] == [c * 2.0, c * 1.5]
+        form = potential_form(f)
+        assert [a.value(b) for a in form.coefficients] == [c * 2.0, c * 1.5]
+        assert is_closed(form, [b, {"x": -0.5, "y": 0.25}]) == (True, 0.0)
 
     def test_deep_overflow_names_the_expression(self):
         # the DomainError message serializes the 3000-deep sum, which raised RecursionError
@@ -421,6 +442,73 @@ class TestDifferentiate:
                     grad(e, b, [name])[0], rel=1e-12, abs=1e-12)
 
 
+def _recursive_differentiate(e, name):
+    """The recursive differentiate that the one-walk version replaced, kept as its oracle."""
+    if isinstance(e, Num):
+        return Num(0.0)
+    if isinstance(e, Var):
+        return Num(1.0 if e.name == name else 0.0)
+    if isinstance(e, Neg):
+        return neg(_recursive_differentiate(e.arg, name))
+    if isinstance(e, Bin):
+        da = _recursive_differentiate(e.left, name)
+        db = _recursive_differentiate(e.right, name)
+        if e.op == "+":
+            return add(da, db)
+        if e.op == "-":
+            return sub(da, db)
+        if e.op == "*":
+            return add(mul(da, e.right), mul(e.left, db))
+        if e.op == "/":
+            return sub(div(da, e.right), div(mul(e.left, db), mul(e.right, e.right)))
+        return _recursive_diff_pow(e.left, e.right, da, db)
+    if e.fn == "pow":
+        base, expo = e.args
+        return _recursive_diff_pow(base, expo, _recursive_differentiate(base, name),
+                                   _recursive_differentiate(expo, name))
+    (a,) = e.args
+    da = _recursive_differentiate(a, name)
+    if e.fn == "exp":
+        return mul(Call("exp", (a,)), da)
+    if e.fn == "ln":
+        return div(da, a)
+    if e.fn == "sqrt":
+        return div(da, mul(Num(2.0), Call("sqrt", (a,))))
+    return mul(div(a, Call("abs", (a,))), da)
+
+
+def _recursive_diff_pow(base, expo, da, db):
+    if isinstance(db, Num) and db.value == 0.0:
+        return mul(mul(expo, Bin("^", base, sub(expo, Num(1.0)))), da)
+    return mul(Bin("^", base, expo), add(mul(db, Call("ln", (base,))), div(mul(expo, da), base)))
+
+
+def check_partials_against_recursive_oracle(e, names):
+    # serialize, not ==: dataclass == recurses, and the trees must print alike
+    first = _expr._partials(e, names)
+    assert [serialize(d) for d in first] == [serialize(_recursive_differentiate(e, n)) for n in names]
+    assert [serialize(differentiate(e, n)) for n in names] == [serialize(d) for d in first]
+    # first derivatives share subtrees, with e and with each other
+    for d in first:
+        assert [serialize(dd) for dd in _expr._partials(d, names)] == [
+            serialize(_recursive_differentiate(d, n)) for n in names]
+
+
+# every rule with an operand whose derivative is neither 0 nor 1
+RULES_TEXT = "exp(x*y)/sqrt(x*y) - abs(x*y)*ln(x*y) + (x*y)^(x*y) + pow(x*y, 3) - -(x*y)/(y*y)"
+
+
+@pytest.mark.parametrize("text", COMPOSITE_CORPUS + [VDW_TEXT, RULES_TEXT])
+def test_partials_match_the_recursive_oracle_on_corpus(text):
+    check_partials_against_recursive_oracle(parse(text), ("x", "y", "S", "V", "x"))
+
+
+@given(e=_expr_strategy(), names=st.lists(_names, min_size=1, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_partials_match_the_recursive_oracle(e, names):
+    check_partials_against_recursive_oracle(e, tuple(names))
+
+
 class TestScalarField:
     def test_unresolved_name_is_bind_error(self):
         with pytest.raises(BindError, match="unresolved"):
@@ -429,6 +517,11 @@ class TestScalarField:
     def test_duplicate_names_rejected(self):
         with pytest.raises(BindError):
             ScalarField.from_text("x", ["x", "x"])
+
+    def test_partials_follow_coords(self):
+        f = ScalarField.from_text("x*y^2 + exp(y)", ["y", "x"])
+        assert [str(p) for p in f.partials()] == [str(f.partial("y")), str(f.partial("x"))]
+        assert all(p.coords == ("y", "x") for p in f.partials())
 
     def test_grad_order_follows_wrt(self):
         f = ScalarField.from_text("x*y^2", ["x", "y"])

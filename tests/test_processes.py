@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from thermoform.expr import ScalarField
+from thermoform.expr import DomainError, ScalarField
 from thermoform.geometry import ContactChart, OneForm, potential_form
 from thermoform.legendre import ConstitutiveSurface
 from thermoform.processes import (
@@ -247,3 +247,16 @@ class TestRateRelation:
         u = ScalarField.from_text("a*b", ("a", "b"))
         with pytest.raises(ProcessError):
             rate_relation_residual(u, self.parabola_curve(0.1))
+
+    @pytest.mark.parametrize("text, q1, times, message", [
+        ("1e300*q1^0.5", [1e-300, 2e-300, 3e-300], [0.0, 1.0, 2.0],
+         r"^non-finite dU/dq1 in '1e\+300\*q1\^0\.5' \(value inf\)$"),
+        ("1e300*q1^2", [0.1, 0.2, 0.3], [0.0, 1e-300, 2e-300],
+         r"^non-finite rate-relation residual nan at curve sample 1$"),
+    ], ids=["gradient", "residual"])
+    def test_non_finite_is_domain_error(self, text, q1, times, message):
+        # a RuntimeWarning and a NaN residual
+        u = ScalarField.from_text(text, ("q1",))
+        curve = ProcessCurve(("q1",), np.array(times), np.array(q1)[:, None])
+        with pytest.raises(DomainError, match=message):
+            rate_relation_residual(u, curve)
