@@ -20,7 +20,8 @@ from . import config as cfg
 from .expr import DomainError
 from .geometry import ContactChart, GeometryError, OneForm, low_discrepancy_samples, potential_form, worst_residual
 from .legendre import ConstitutiveSurface, GibbsConnection, connection_curvature, pullback_contact, surface_embed
-from .processes import ProcessCurve, ProcessError, admissibility, entropy_action, spinodal_scan, thermo_metric
+from .processes import (ProcessCurve, ProcessError, admissibility, entropy_action, godograph_det,
+                        spinodal_scan, thermo_metric)
 from .point import (BASE_COORDS, FE_COORDS, STATE_NAMES, Constitutive, FerroelectricState, Forcing,
                     ModelError, ThermoelasticState, constitutive_from_potential, rk4_step)
 from .vdw import vdw_potential
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CLOSED = 2
 EXIT_DOMAIN = 3
+MAX_SAMPLES = 1_000_000  # check-closed sample points; numpy cannot even size 10^30 of them
 
 
 def _fmt(x: float) -> str:
@@ -123,6 +125,8 @@ def cmd_check_closed(args) -> int:
     form = _load_form(doc, coords)
     box = cfg.per_name(cfg.need(doc, "box", "config"), coords, "config.box", _interval)
     count = cfg.as_count(doc.get("count", 64), "config.count")
+    if count > MAX_SAMPLES:
+        raise cfg.ConfigError(f"config.count: at most {MAX_SAMPLES} sample points, got {count}")
     tol = args.tol if args.tol is not None else cfg.as_number(doc.get("tol", 1e-8), "config.tol")
 
     worst, worst_pair = worst_residual(form, low_discrepancy_samples(box, count, seed=args.seed))
@@ -302,10 +306,9 @@ def cmd_metric(args) -> int:
     coords = cfg.as_name_list(cfg.need(doc, "coords", "config"), "config.coords")
     u = cfg.field_from(cfg.need(doc, "potential", "config"), coords, "config.potential")
     point = cfg.per_name(cfg.need(doc, "point", "config"), coords, "config.point", cfg.as_number)
-    metric = thermo_metric(u, point)
     _print_json({
-        "metric": [[float(v) for v in row] for row in metric],
-        "det": float(np.linalg.det(metric)),
+        "metric": [[float(v) for v in row] for row in thermo_metric(u, point)],
+        "det": godograph_det(u, point),
     })
     return EXIT_OK
 

@@ -12,7 +12,7 @@ from typing import Any, Callable
 import numpy as np
 import yaml
 
-from .expr import ScalarField
+from .expr import ScalarField, evaluate_all, lower
 
 __all__ = ["ConfigError", "load_yaml", "check_keys", "need", "per_name", "as_number",
            "as_count", "as_name_list", "field_from", "time_fn", "time_fn_scalar",
@@ -89,18 +89,23 @@ def field_from(text: Any, coords: tuple[str, ...], path: str) -> ScalarField:
 
 def time_fn(value: Any, path: str, shape: tuple[int, ...]):
     """A function of t from an expression string (``shape`` ()) or a nested list of
-    them of ``shape``; None is zero.  Entry paths read ``<path>[i][j]``."""
+    them of ``shape``; None is zero.  Entry paths read ``<path>[i][j]``.
+
+    The entries are lowered into one tape with an output per entry, and a call
+    is one float value sweep over it (sqrt(0) stays legal).  When the sweep
+    fails, the entries are re-run one by one, so the error is the first failing
+    entry's, with its own message.
+    """
     leaves = [(np.full(shape, "0").tolist() if value is None else value, path)]
     for n in shape:  # the whole shape is checked before any entry is parsed
         if any(not isinstance(row, list) or len(row) != n for row, _ in leaves):
             kind = f"list of {n}" if len(shape) == 1 else f"{'x'.join(map(str, shape))} nested list of"
             raise ConfigError(f"{path}: expected a {kind} expression strings")
         leaves = [(v, f"{p}[{i}]") for row, p in leaves for i, v in enumerate(row)]
-    fields = [field_from(v, ("t",), p) for v, p in leaves]
+    tape = lower(field_from(v, ("t",), p).expression for v, p in leaves)
     if not shape:
-        (f,) = fields
-        return lambda t: f.value({"t": t})
-    return lambda t: np.array([f.value({"t": t}) for f in fields]).reshape(shape)
+        return lambda t: evaluate_all(tape, {"t": t})[0]
+    return lambda t: np.array(evaluate_all(tape, {"t": t})).reshape(shape)
 
 
 time_fn_scalar = partial(time_fn, shape=())

@@ -10,6 +10,15 @@ slot's gradient and its Hessian's upper triangle.  Derivatives are exact, so
 curl/closeness residuals are limited only by round-off, not by finite
 difference noise.  Leaving a function's real domain, overflow included,
 raises DomainError naming the subexpression.
+
+A tuple of expressions lowers to one tape with one output per expression
+(``lower``), merged across them; a single expression is the 1-tuple case.
+``evaluate_all`` takes every output's value from one float sweep;
+``grad_columns`` sweeps a batch of bindings as (N,) columns, then runs one
+reverse sweep per output in that output's own order.  Both are bitwise the
+per-expression ``evaluate`` and ``grad``; when a joint or batched sweep
+fails, they re-run the outputs (and bindings) one by one through those, so
+the error is the first failing one's, with its own message.
 """
 from __future__ import annotations
 
@@ -37,6 +46,9 @@ __all__ = [
     "evaluate",
     "grad",
     "hessian",
+    "lower",
+    "evaluate_all",
+    "grad_columns",
     "differentiate",
     "const",
     "var",
@@ -347,12 +359,16 @@ def _post_order(root: Expression):
 
 
 # ---------------------------------------------------------------------------
-# Tape.  An expression is lowered once, without recursion, into a flat list
-# of instructions in post-order (left operand first), and instructions with
-# the same (op, operand slots) are merged.  Slots 0..base-1 hold the
+# Tape.  A tuple of expressions is lowered once, without recursion, into one
+# flat list of instructions with a list of outputs (Griewank & Walther,
+# Evaluating Derivatives, 2nd ed., ch. 3).  Each root is walked in post-order
+# (left operand first) in turn, and instructions with the same (op, operand
+# slots) are merged, within a root and across roots.  Slots 0..base-1 hold the
 # constants and then the coordinates in order of first use; instruction k
-# writes slot base + k.  The tape is stored on the root node the first time
-# the expression is evaluated.
+# writes slot base + k.  Per root the tape also keeps its instructions in the
+# order the root's own walk first reaches them, which is the order a tape of
+# that root alone would hold them in.  A single expression is the 1-tuple
+# case; its tape is stored on the root node the first time it is evaluated.
 #
 # A plan specializes the tape for one list of differentiated names (wrt):
 # an exponent that depends structurally on none of them counts as constant.
@@ -372,28 +388,32 @@ _UNARY_FNS = {"exp": _EXP, "ln": _LN, "sqrt": _SQRT, "abs": _ABS}
 
 
 class _Tape:
-    __slots__ = ("consts", "names", "code", "nodes", "base", "out", "value_code", "plans")
+    __slots__ = ("consts", "names", "code", "nodes", "base", "roots", "outs", "orders",
+                 "value_code", "plans")
 
-    def __init__(self, consts, names, code, nodes, out):
+    def __init__(self, consts, names, code, nodes, roots, outs, orders):
         self.consts = consts            # constant slot values
         self.names = names              # coordinate per coordinate slot
         self.code = code                # (op, a, b): operand slots; b is the exponent of _POWI
         self.nodes = nodes              # source node per instruction, for error messages
         self.base = len(consts) + len(names)
-        self.out = out
+        self.roots = roots              # the lowered expressions
+        self.outs = outs                # slot per root
+        self.orders = orders            # per root, its instructions in its own post-order
         self.plans: dict = {}
         self.value_code = self.plan(None)[0]
 
     def plan(self, wrt: tuple[str, ...] | None):
-        """(forward code, reverse code, gradient slot per wrt entry); None: value only."""
+        """(forward code, (output slot, reverse code) per root, gradient slot per wrt
+        entry, per slot whether it depends on wrt); wrt None: value only."""
         plan = self.plans.get(wrt)
         if plan is not None:
             return plan
         names = wrt or ()
         index = {name: i for i, name in enumerate(names)}
         dep = [False] * len(self.consts) + [name in index for name in self.names]
-        code, rev = [], []
-        for k, (op, a, b) in enumerate(self.code):
+        code = []
+        for op, a, b in self.code:
             d = dep[a] or (op in _BINARY and dep[b])
             if op == _POW:
                 op = _POWV if dep[b] else _POWC
@@ -401,26 +421,29 @@ class _Tape:
                 op = _SQRT0
             code.append((op, a, b))
             dep.append(d)
-            if d:
-                rev.append((op, self.base + k, a, b))
-        rev.reverse()
+        # each root's reverse code follows its own post-order, so every adjoint
+        # sums its terms in the order a tape of that root alone would
+        revs = [(out, [(*code[k], self.base + k) for k in reversed(order) if dep[self.base + k]])
+                for out, order in zip(self.outs, self.orders)]
         # a name the expression does not use reads the spare slot past the end,
         # which stays 0.0; a repeated name takes its derivative at the last entry
         slots = [len(dep)] * len(names)
         for k, name in enumerate(self.names):
             if name in index:
                 slots[index[name]] = len(self.consts) + k
-        plan = self.plans[wrt] = (self.code if code == self.code else code), rev, slots
+        plan = self.plans[wrt] = (self.code if code == self.code else code), revs, slots, dep
         return plan
 
 
-def _lower(root: Expression) -> _Tape:
+def _lower(roots: tuple[Expression, ...]) -> _Tape:
     consts: list[float] = []
     names: list[str] = []
     code: list[tuple] = []
     nodes: list[Expression] = []
     interned: dict[tuple, tuple] = {}   # (op, operand refs) -> ref
     ref_of: dict[int, tuple] = {}       # id(node) -> ref; refs are ("c"|"v"|"o", index)
+    orders: list[list[int]] = []        # per root, its instructions in first-use order
+    reached: set[int] = set()           # instructions the current root has used
 
     def intern(key, node):
         ref = interned.get(key)
@@ -436,6 +459,9 @@ def _lower(root: Expression) -> _Tape:
                 code.append(key)
                 nodes.append(node)
             interned[key] = ref
+        if ref[0] == "o" and ref[1] not in reached:
+            reached.add(ref[1])
+            orders[-1].append(ref[1])
         return ref
 
     def power(base, expo, node):
@@ -443,31 +469,34 @@ def _lower(root: Expression) -> _Tape:
             return intern((_POWI, base, int(consts[expo[1]])), node)
         return intern((_POW, base, expo), node)
 
-    for e in _post_order(root):
-        args = [ref_of[id(k)] for k in _children(e)]
-        if isinstance(e, Num):
-            v = float(e.value)
-            ref = intern(("c", v.hex(), v), None)  # keyed on the bits: 0.0 and -0.0 stay apart
-        elif isinstance(e, Var):
-            ref = intern(("v", e.name), None)
-        elif isinstance(e, Neg):
-            ref = intern((_NEG, args[0], None), e)
-        elif isinstance(e, Bin):
-            a, b = args
-            if e.op == "/":
-                ref = intern((_MUL, a, intern((_RECIP, b, None), e)), e)
-            elif e.op == "^":
-                ref = power(a, b, e)
+    for root in roots:
+        orders.append([])
+        reached.clear()
+        for e in _post_order(root):
+            args = [ref_of[id(k)] for k in _children(e)]
+            if isinstance(e, Num):
+                v = float(e.value)
+                ref = intern(("c", v.hex(), v), None)  # keyed on the bits: 0.0 and -0.0 stay apart
+            elif isinstance(e, Var):
+                ref = intern(("v", e.name), None)
+            elif isinstance(e, Neg):
+                ref = intern((_NEG, args[0], None), e)
+            elif isinstance(e, Bin):
+                a, b = args
+                if e.op == "/":
+                    ref = intern((_MUL, a, intern((_RECIP, b, None), e)), e)
+                elif e.op == "^":
+                    ref = power(a, b, e)
+                else:
+                    ref = intern((_BIN_OPS[e.op], a, b), e)
+            elif e.fn == "pow":
+                ref = power(*args, e)
+            elif e.fn in _UNARY_FNS:
+                (a,) = args
+                ref = intern((_UNARY_FNS[e.fn], a, None), e)
             else:
-                ref = intern((_BIN_OPS[e.op], a, b), e)
-        elif e.fn == "pow":
-            ref = power(*args, e)
-        elif e.fn in _UNARY_FNS:
-            (a,) = args
-            ref = intern((_UNARY_FNS[e.fn], a, None), e)
-        else:
-            raise ExprError(f"unknown function '{e.fn}'")
-        ref_of[id(e)] = ref
+                raise ExprError(f"unknown function '{e.fn}'")
+            ref_of[id(e)] = ref
 
     offset = {"c": 0, "v": len(consts), "o": len(consts) + len(names)}
 
@@ -475,21 +504,53 @@ def _lower(root: Expression) -> _Tape:
         return offset[ref[0]] + ref[1]
 
     flat = [(op, slot(a), b if op == _POWI else 0 if b is None else slot(b)) for op, a, b in code]
-    return _Tape(consts, tuple(names), flat, nodes, slot(ref_of[id(root)]))
+    return _Tape(consts, tuple(names), flat, nodes, tuple(roots),
+                 [slot(ref_of[id(root)]) for root in roots], orders)
 
 
 def _lowered(e: Expression) -> _Tape:
     try:
         return e._tape
     except AttributeError:
-        tape = _lower(e)
+        tape = _lower((e,))
         object.__setattr__(e, "_tape", tape)
         return tape
 
 
-def _domain_error(tape: _Tape, vals: list[float], message: str, value: float) -> DomainError:
+def lower(exprs) -> _Tape:
+    """One tape for a sequence of expressions, with one output per expression."""
+    return _lower(tuple(exprs))
+
+
+def _domain_error(tape: _Tape, vals: list, message: str, value: float) -> DomainError:
     """Error for the instruction that would write the next slot."""
     return DomainError(message, tape.nodes[len(vals) - tape.base], value)
+
+
+def _powc(tape: _Tape, vals: list, x: float, p: float) -> float:
+    """x^p for an exponent that carries no derivative, as every sweep forms it."""
+    if math.isnan(p):
+        raise _domain_error(tape, vals, "NaN exponent", p)
+    if p == round(p):
+        p = int(round(p))
+        if x == 0.0 and p < 0:
+            raise _domain_error(tape, vals, "zero raised to a negative power", x)
+        return float(x ** p)
+    if x <= 0.0:
+        raise _domain_error(tape, vals, "non-integer power of a non-positive base", x)
+    return x ** p
+
+
+def _dpow(x: float, p: float) -> float | None:
+    """d(x^p)/dx for an exponent that carries no derivative, for the column sweep;
+    None where the reverse sweeps add nothing (x = 0 and p != 1, where p x^(p-1)
+    would be 0 or a pole).  The float reverse sweep inlines the same rule."""
+    if p == round(p):
+        p = int(round(p))
+        if x != 0.0:
+            return p * x ** (p - 1)
+        return 1.0 if p == 1 else None
+    return p * x ** (p - 1.0)
 
 
 def _forward(tape: _Tape, code: list[tuple], binding: dict[str, float]) -> list[float]:
@@ -520,18 +581,7 @@ def _forward(tape: _Tape, code: list[tuple], binding: dict[str, float]) -> list[
                     raise _domain_error(tape, vals, "division by zero", x)
                 push(1.0 / x)
             elif op == _POWC:
-                x, p = vals[a], vals[b]
-                if math.isnan(p):
-                    raise _domain_error(tape, vals, "NaN exponent", p)
-                if p == round(p):
-                    p = int(round(p))
-                    if x == 0.0 and p < 0:
-                        raise _domain_error(tape, vals, "zero raised to a negative power", x)
-                    push(float(x ** p))
-                elif x <= 0.0:
-                    raise _domain_error(tape, vals, "non-integer power of a non-positive base", x)
-                else:
-                    push(x ** p)
+                push(_powc(tape, vals, vals[a], vals[b]))
             elif op == _POWV:
                 x = vals[a]
                 if x <= 0.0:
@@ -558,12 +608,12 @@ def _forward(tape: _Tape, code: list[tuple], binding: dict[str, float]) -> list[
     return vals
 
 
-def _reverse(tape: _Tape, rev: list[tuple], vals: list[float]) -> list[float]:
+def _reverse(tape: _Tape, rev: list[tuple], out: int, vals: list[float]) -> list[float]:
     """Adjoint of every slot (and one spare 0.0 past the end): d out / d slot."""
     adj = [0.0] * (len(vals) + 1)
-    adj[tape.out] = 1.0
+    adj[out] = 1.0
     try:
-        for op, i, a, b in rev:
+        for op, a, b, i in rev:
             g = adj[i]
             if op == _MUL:
                 adj[a] += g * vals[b]
@@ -574,7 +624,7 @@ def _reverse(tape: _Tape, rev: list[tuple], vals: list[float]) -> list[float]:
             elif op == _SUB:
                 adj[a] += g
                 adj[b] -= g
-            elif op == _POWI or op == _POWC:
+            elif op == _POWI or op == _POWC:  # _dpow's rule, inlined: a call costs 8 % of a grad
                 x, p = vals[a], (b if op == _POWI else vals[b])
                 if p == round(p):
                     p = int(round(p))
@@ -608,6 +658,162 @@ def _reverse(tape: _Tape, rev: list[tuple], vals: list[float]) -> list[float]:
     except ArithmeticError:
         raise DomainError("floating-point overflow", tape.nodes[i - tape.base], vals[a]) from None
     return adj
+
+
+# ---------------------------------------------------------------------------
+# Column sweeps: the same instructions over a batch of N bindings, each slot
+# an (N,) array.  + - * /, negation, abs and sqrt run in numpy, which rounds
+# them correctly, as float arithmetic does; exp, ln and the powers run element
+# by element through the float sweep's own operations, so libm's bits are
+# kept.  Every column entry is therefore bitwise the float sweep's value, and
+# a float operation that raises raises here too.  Nothing here picks the
+# failing binding or the message: evaluate_all and grad_columns re-run a
+# failed batch through the per-expression sweeps for that.
+# ---------------------------------------------------------------------------
+
+def _column_forward(tape: _Tape, code: list[tuple], bindings: list[dict]) -> list[np.ndarray]:
+    """Column of every slot over the bindings.  numpy does not raise at a zero
+    divisor or outside sqrt's domain, so those are checked; the element-wise
+    operations raise by themselves where the float sweep's checks do."""
+    n = len(bindings)
+    try:
+        coords = [[float(b[name]) for name in tape.names] for b in bindings]
+    except KeyError as exc:
+        raise BindError(f"unbound coordinate '{exc.args[0]}'") from None
+    inputs = np.empty((tape.base, n))
+    inputs[:len(tape.consts)] = np.array(tape.consts).reshape(-1, 1)
+    inputs[len(tape.consts):] = np.array(coords).reshape(n, len(tape.names)).T
+    vals = list(inputs)
+    push = vals.append
+    for op, a, b in code:
+        x = vals[a]
+        if op == _MUL:
+            push(x * vals[b])
+        elif op == _ADD:
+            push(x + vals[b])
+        elif op == _SUB:
+            push(x - vals[b])
+        elif op == _NEG:
+            push(-x)
+        elif op == _RECIP:
+            if not x.all():
+                raise _domain_error(tape, vals, "division by zero", 0.0)
+            push(1.0 / x)
+        elif op == _ABS:
+            push(np.abs(x))
+        elif op == _SQRT or op == _SQRT0:
+            if (x < 0.0).any():
+                raise _domain_error(tape, vals, "square root of a negative value", float(x[x < 0.0][0]))
+            if op == _SQRT and not x.all():
+                raise _domain_error(tape, vals, "square root not differentiable at zero", 0.0)
+            push(np.sqrt(x))
+        else:  # math.log raises at x <= 0, and 0.0 ** -n at a pole
+            xs = x.tolist()
+            if op == _POWI:
+                push(np.array([float(v ** b) for v in xs]))
+            elif op == _POWC:
+                push(np.array([_powc(tape, vals, v, p) for v, p in zip(xs, vals[b].tolist())]))
+            elif op == _POWV:
+                push(np.array([math.exp(p * math.log(v)) for v, p in zip(xs, vals[b].tolist())]))
+            elif op == _EXP:
+                push(np.array([math.exp(v) for v in xs]))
+            else:  # _LN
+                push(np.array([math.log(v) for v in xs]))
+    return vals
+
+
+def _column_reverse(rev: list[tuple], out: int, vals: list[np.ndarray], dep: list[bool],
+                    adj: np.ndarray) -> None:
+    """Fill the zeroed ``adj`` (one row per slot and a spare) with d out / d slot per
+    column.  A slot that depends on no differentiated name gets no adjoint: none is read."""
+    adj[out] = 1.0
+    for op, a, b, i in rev:
+        g = adj[i]
+        if op == _MUL:
+            if dep[a]:
+                adj[a] += g * vals[b]
+            if dep[b]:
+                adj[b] += g * vals[a]
+        elif op == _ADD:
+            if dep[a]:
+                adj[a] += g
+            if dep[b]:
+                adj[b] += g
+        elif op == _SUB:
+            if dep[a]:
+                adj[a] += g
+            if dep[b]:
+                adj[b] -= g
+        elif op == _NEG:
+            adj[a] -= g
+        elif op == _RECIP:
+            v = vals[i]
+            adj[a] -= g * v * v
+        elif op == _EXP:
+            adj[a] += g * vals[i]
+        elif op == _LN:
+            adj[a] += g * (1.0 / vals[a])
+        elif op == _SQRT:
+            adj[a] += g * (0.5 / vals[i])
+        elif op == _ABS:  # at x = 0 (or NaN) the row is left as it is, as in the float sweep
+            x, row = vals[a], adj[a]
+            adj[a] = np.where(x > 0.0, row + g, np.where(x < 0.0, row - g, row))
+        elif op == _POWV:
+            x, v = vals[a], vals[i]
+            if dep[a]:
+                adj[a] += g * v * (vals[b] * (1.0 / x))
+            adj[b] += g * v * np.array([math.log(u) for u in x.tolist()])
+        else:  # _POWI, _POWC; where _dpow adds nothing the row is left as it is
+            ps = [b] * len(g) if op == _POWI else vals[b].tolist()
+            fs = [_dpow(u, p) for u, p in zip(vals[a].tolist(), ps)]
+            row = adj[a]
+            term = row + g * np.array([0.0 if f is None else f for f in fs])
+            adj[a] = np.where([f is None for f in fs], row, term)
+
+
+def evaluate_all(tape: _Tape, binding: dict[str, float]) -> list[float]:
+    """Every output's value at a binding, from one float sweep over the joint tape.
+
+    Bitwise each output's ``evaluate``.  When the sweep raises or an output is
+    not finite, the outputs are re-run through ``evaluate`` one by one, so the
+    error is the one the first failing output gives on its own.
+    """
+    try:
+        vals = _forward(tape, tape.value_code, binding)
+        values = [vals[k] for k in tape.outs]
+        if all(map(math.isfinite, values)):
+            return values
+    except Exception:
+        pass
+    return [evaluate(e, binding) for e in tape.roots]
+
+
+def grad_columns(tape: _Tape, bindings: list[dict[str, float]],
+                 wrt: list[str] | tuple[str, ...]) -> np.ndarray:
+    """Every output's gradient at every binding, shape (bindings, outputs, len(wrt)).
+
+    One forward sweep over columns of the bindings, then one reverse sweep per
+    output; each entry is bitwise that output's ``grad`` at that binding.
+    When a sweep raises, the bindings are re-run one by one, and at each the
+    outputs one by one, through ``grad``: the error is the first failing
+    binding's, and there the first failing output's, with its own message.
+    """
+    wrt = tuple(wrt)
+    code, revs, slots, dep = tape.plan(wrt)
+    try:
+        with np.errstate(all="ignore"):  # inf and NaN are the float sweeps' values too
+            vals = _column_forward(tape, code, bindings)
+            adj = np.empty((len(vals) + 1, len(bindings)))
+            jac = np.empty((len(revs), len(slots), len(bindings)))
+            rows = np.array(slots, dtype=np.intp)
+            for k, (out, rev) in enumerate(revs):
+                adj.fill(0.0)
+                _column_reverse(rev, out, vals, dep, adj)
+                jac[k] = adj[rows]
+        return jac.transpose(2, 0, 1)
+    except Exception:
+        per_binding = [[grad(e, b, wrt) for e in tape.roots] for b in bindings]
+        return np.array(per_binding).reshape(len(bindings), len(tape.roots), len(wrt))
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +896,7 @@ def _second_order(e: Expression, binding: dict[str, float], wrt: tuple[str, ...]
             jets.append((g, h))
     except ArithmeticError:
         raise DomainError("floating-point overflow", tape.nodes[k], x) from None
-    v, (g, h) = vals[tape.out], jets[tape.out]
+    v, (g, h) = vals[tape.outs[0]], jets[tape.outs[0]]
     # a float product or sum overflows to inf silently; from finite inputs only an overflow gives inf/NaN
     if not (math.isfinite(v) and all(map(math.isfinite, g)) and all(map(math.isfinite, h))):
         raise DomainError("floating-point overflow", e, v)
@@ -700,7 +906,7 @@ def _second_order(e: Expression, binding: dict[str, float], wrt: tuple[str, ...]
 def evaluate(e: Expression, binding: dict[str, float]) -> float:
     """Evaluate at a binding; domain violations raise instead of returning NaN/inf."""
     tape = _lowered(e)
-    value = _forward(tape, tape.value_code, binding)[tape.out]
+    value = _forward(tape, tape.value_code, binding)[tape.outs[0]]
     if not math.isfinite(value):
         raise DomainError("non-finite result", e, value)
     return value
@@ -709,8 +915,8 @@ def evaluate(e: Expression, binding: dict[str, float]) -> float:
 def grad(e: Expression, binding: dict[str, float], wrt: list[str] | tuple[str, ...]) -> np.ndarray:
     """Exact first derivatives, ordered as ``wrt``, by one reverse sweep."""
     tape = _lowered(e)
-    code, rev, slots = tape.plan(tuple(wrt))
-    adj = _reverse(tape, rev, _forward(tape, code, binding))
+    code, ((out, rev),), slots, _ = tape.plan(tuple(wrt))
+    adj = _reverse(tape, rev, out, _forward(tape, code, binding))
     return np.array([adj[s] for s in slots])
 
 
@@ -741,13 +947,18 @@ def _is_num(e: Expression, v: float) -> bool:
     return isinstance(e, Num) and e.value == v
 
 
+def _fold(op: str, a: Num, b: Num, v: float) -> Expression:
+    """Num(v) for an operation on two constants, unless v overflowed: no literal prints inf or NaN."""
+    return Num(v) if math.isfinite(v) else Bin(op, a, b)
+
+
 def add(a: Expression, b: Expression) -> Expression:
     if _is_num(a, 0.0):
         return b
     if _is_num(b, 0.0):
         return a
     if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value + b.value)
+        return _fold("+", a, b, a.value + b.value)
     return Bin("+", a, b)
 
 
@@ -757,7 +968,7 @@ def sub(a: Expression, b: Expression) -> Expression:
     if _is_num(a, 0.0):
         return neg(b)
     if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value - b.value)
+        return _fold("-", a, b, a.value - b.value)
     return Bin("-", a, b)
 
 
@@ -769,7 +980,7 @@ def mul(a: Expression, b: Expression) -> Expression:
     if _is_num(b, 1.0):
         return a
     if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value * b.value)
+        return _fold("*", a, b, a.value * b.value)
     return Bin("*", a, b)
 
 

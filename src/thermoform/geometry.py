@@ -8,11 +8,12 @@ forward-mode derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .expr import DomainError, ScalarField
+from .expr import DomainError, ScalarField, evaluate_all, grad_columns, lower
 
 __all__ = [
     "ContactChart",
@@ -93,8 +94,13 @@ class OneForm:
             if c.coords != self.coords:
                 raise GeometryError("all coefficients must live on the form's coordinate space")
 
+    @cached_property
+    def tape(self):
+        """The coefficients lowered jointly: one tape, one output per coefficient."""
+        return lower(c.expression for c in self.coefficients)
+
     def values(self, x: dict[str, float]) -> np.ndarray:
-        return np.array([c.value(x) for c in self.coefficients])
+        return np.array(evaluate_all(self.tape, x))
 
 
 def potential_form(potential: ScalarField) -> OneForm:
@@ -102,11 +108,28 @@ def potential_form(potential: ScalarField) -> OneForm:
     return OneForm(potential.coords, potential.partials())
 
 
-def d_residual(form: OneForm, x: dict[str, float]) -> np.ndarray:
-    """C_ij = da_i/dx^j - da_j/dx^i; exactly antisymmetric, zero iff closed at x."""
-    jac = np.array([c.grad(x) for c in form.coefficients])
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which worst_residual reports
-        return jac - jac.T
+def d_residual(form: OneForm, x: dict[str, float] | list[dict[str, float]]) -> np.ndarray:
+    """C_ij = da_i/dx^j - da_j/dx^i; exactly antisymmetric, zero iff closed at x.
+
+    At one binding C is (m, m); at a list of N bindings it is (N, m, m), from
+    one forward sweep over the form's joint tape with a column per binding and
+    one reverse sweep per coefficient.  Either is bitwise the Jacobian of the
+    coefficients' own gradients, and raises what they raise, binding by binding.
+    """
+    jac = grad_columns(form.tape, [x] if isinstance(x, dict) else x, form.coords)
+    with np.errstate(over="ignore", invalid="ignore"):  # worst_residual reports inf and NaN
+        res = jac - jac.transpose(0, 2, 1)
+    return res[0] if isinstance(x, dict) else res
+
+
+def _finite_residual(form: OneForm, x: dict[str, float]) -> np.ndarray:
+    """|C| at x; a non-finite residual is no evidence either way: a DomainError."""
+    res = np.abs(d_residual(form, x))
+    if not np.isfinite(res).all():
+        i, j = np.argwhere(~np.isfinite(res))[0]
+        raise DomainError(f"non-finite closeness residual {res[i, j]} in the pair "
+                          f"({form.coords[i]}, {form.coords[j]})")
+    return res
 
 
 def worst_residual(form: OneForm, samples: list[dict[str, float]]) -> tuple[float, tuple[str, str]]:
@@ -114,20 +137,20 @@ def worst_residual(form: OneForm, samples: list[dict[str, float]]) -> tuple[floa
 
     Ties go to the first sample, then the first pair in row-major order.  A
     non-finite residual is no evidence either way: it raises DomainError.
+    All samples go through one ``d_residual`` call; when it raises or a
+    residual is not finite, the samples are re-run one by one, so the error is
+    the first failing sample's, as a loop over the samples would raise it.
     """
     if not samples:
         raise GeometryError("empty sample set")
-    residuals = []
-    for x in samples:
-        res = np.abs(d_residual(form, x))
-        if not np.isfinite(res).all():
-            i, j = np.argwhere(~np.isfinite(res))[0]
-            raise DomainError(f"non-finite closeness residual {res[i, j]} in the pair "
-                              f"({form.coords[i]}, {form.coords[j]})")
-        residuals.append(res)
-    stacked = np.array(residuals)
-    k, i, j = np.unravel_index(int(stacked.argmax()), stacked.shape)
-    return float(stacked[k, i, j]), (form.coords[i], form.coords[j])
+    try:
+        residuals = np.abs(d_residual(form, samples))
+    except Exception:
+        residuals = None
+    if residuals is None or not np.isfinite(residuals).all():
+        residuals = np.array([_finite_residual(form, x) for x in samples])
+    k, i, j = np.unravel_index(int(residuals.argmax()), residuals.shape)
+    return float(residuals[k, i, j]), (form.coords[i], form.coords[j])
 
 
 def is_closed(form: OneForm, samples: list[dict[str, float]], tol: float = 1e-8) -> tuple[bool, float]:

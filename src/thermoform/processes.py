@@ -84,12 +84,16 @@ def entropy_action(curve: ProcessCurve, form: OneForm, nodes: int = 4) -> float:
 
     xs, ws = leggauss(max(nodes, 4))
     total = 0.0
-    for i in range(len(curve.times) - 1):
-        a, dq = pts[i], pts[i + 1] - pts[i]
-        for xi, wi in zip(xs, ws):
-            lam = 0.5 * (xi + 1.0)
-            point = dict(zip(form.coords, map(float, a + lam * dq)))
-            total += 0.5 * wi * float(form.values(point) @ dq)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is raised below
+        for i in range(len(curve.times) - 1):
+            a, dq = pts[i], pts[i + 1] - pts[i]
+            for xi, wi in zip(xs, ws):
+                lam = 0.5 * (xi + 1.0)
+                point = dict(zip(form.coords, map(float, a + lam * dq)))
+                total += 0.5 * wi * float(form.values(point) @ dq)
+                if not math.isfinite(total):  # a non-finite term makes the total so too
+                    raise DomainError(f"non-finite entropy action {float(total)!r} on curve interval {i} "
+                                      f"(t = {float(curve.times[i])!r} to {float(curve.times[i + 1])!r})")
     return total
 
 
@@ -142,8 +146,16 @@ def thermo_metric(potential: ScalarField, q: dict[str, float]) -> np.ndarray:
 
 
 def godograph_det(potential: ScalarField, q: dict[str, float]) -> float:
-    """det of the Hessian; |det| < 1e-12 means the dual map is locally non-invertible."""
-    return float(np.linalg.det(thermo_metric(potential, q)))
+    """det of the Hessian; |det| < 1e-12 means the dual map is locally non-invertible.
+
+    The Hessian is finite, but its determinant can overflow: a DomainError.
+    """
+    hess = thermo_metric(potential, q)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite det is raised below
+        det = float(np.linalg.det(hess))
+    if not math.isfinite(det):
+        raise DomainError(f"non-finite Hessian determinant {det!r}", potential.expression)
+    return det
 
 
 def rate_relation_residual(potential: ScalarField, curve: ProcessCurve) -> np.ndarray:

@@ -1,16 +1,23 @@
 import argparse
 import ast
+import contextlib
 import importlib
 import inspect
+import io
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
+import tempfile
 import textwrap
 import warnings
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from thermoform.cli import EXIT_DOMAIN, EXIT_ERROR, EXIT_NOT_CLOSED, EXIT_OK, build_parser, main
 
@@ -98,6 +105,100 @@ count: {count}
         assert captured.out == ""
         assert "config.count" in captured.err
 
+    def test_count_beyond_the_sample_limit(self, tmp_path, capsys):
+        # numpy could not size 10^30 points: a ValueError traceback
+        config = write(tmp_path / "c.yaml", """
+coords: [x]
+potential: "x"
+box: {x: [0.0, 1.0]}
+count: 1000000000000000000000000000000
+""")
+        assert main(["check-closed", "--config", config]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: config.count: at most 1000000 sample points, got 1000000000000000000000000000000\n")
+
+
+# --- check-closed under generated configs: poles, ln, overflow, bad boxes and counts ---
+
+_FUZZ_NAMES = ("x", "y", "z")
+# {a} and {b} stand for coordinates; "w" is never one
+_FUZZ_TERMS = ("{a}", "{a}*{b}", "1/({a}-0.5)", "1/{b}", "ln({a})", "ln({b}-0.25)", "sqrt({a})",
+               "{a}*1e308*10", "exp({b}*800)", "1e200*{a}*{b}", "{a}^-1", "{a}^0.5", "pow({a}, {b})",
+               "abs({a}-0.5)", "{a}^({b}-{b})", "1e308*10-1e308*10", "2.5", "0", "w")
+_FUZZ_FAULTS = st.sampled_from([float("nan"), float("inf"), -1.7e308, 1.7e308, 1e300, "a", None, True])
+
+
+@st.composite
+def _fuzz_expression(draw, names):
+    def term():
+        a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        return draw(st.sampled_from(_FUZZ_TERMS)).format(a=a, b=b)
+    text = term()
+    for _ in range(draw(st.integers(0, 2))):
+        text += f"{draw(st.sampled_from('+-*/'))}({term()})"
+    return text
+
+
+def _mostly(draw, good, bad, odds: int = 6):
+    """good, or one time in ``odds`` bad."""
+    return draw(bad) if not draw(st.integers(0, odds - 1)) else draw(good)
+
+
+@st.composite
+def _check_closed_doc(draw):
+    """Mostly well-formed configs whose forms may have poles, ln of negatives or
+    overflow; now and then a malformed section, box or count."""
+    coords = _mostly(draw, st.lists(st.sampled_from(_FUZZ_NAMES), min_size=1, max_size=3, unique=True),
+                     st.sampled_from([[], ["x", "x"], "x", [1], None]), odds=12)
+    names = [c for c in coords if isinstance(c, str)] if isinstance(coords, list) else []
+    names = names or ["x"]
+    doc = {"coords": coords}
+    kind = _mostly(draw, st.sampled_from(["potential", "coefficients"]), st.sampled_from(["both", "neither"]),
+                   odds=12)
+    if kind in ("potential", "both"):
+        doc["potential"] = draw(_fuzz_expression(names))
+    if kind in ("coefficients", "both"):
+        keys = _mostly(draw, st.just(names), st.lists(st.sampled_from(_FUZZ_NAMES), unique=True), odds=12)
+        doc["coefficients"] = {k: _mostly(draw, _fuzz_expression(names), st.just(3), odds=20) for k in keys}
+    bound = st.floats(-2.0, 2.0, allow_subnormal=False)
+    interval = st.tuples(bound, bound).filter(lambda p: p[0] != p[1]).map(sorted)
+    bad_interval = st.one_of(st.tuples(bound, _FUZZ_FAULTS).map(list), st.lists(bound, max_size=3),
+                             st.tuples(bound, bound).map(lambda p: sorted(p, reverse=True)))
+    doc["box"] = _mostly(draw, st.just(None), st.sampled_from([5, None, []]), odds=20) or {
+        k: _mostly(draw, interval, bad_interval, odds=10) for k in names}
+    count = _mostly(draw, st.one_of(st.none(), st.integers(1, 12)),
+                    st.sampled_from([0, -2, 2.5, True, "8", None, 10 ** 30]))
+    if count is not None:
+        doc["count"] = count
+    if not draw(st.integers(0, 4)):
+        doc["tol"] = _mostly(draw, st.floats(0.0, 1.0), _FUZZ_FAULTS)
+    if not draw(st.integers(0, 19)):
+        doc["bogus"] = 1
+    return doc
+
+
+@given(doc=_check_closed_doc(), seed=st.integers(0, 5))
+# the partial 1e308*10 was folded to an inf literal, which the error message could not print
+@example(doc={"coords": ["x"], "potential": "x+(x*1e308*10)/(x)", "box": {"x": [0.0, 1.7e308]}}, seed=0)
+@settings(max_examples=200, deadline=None)
+def test_check_closed_fuzz_ends_in_an_exit_code(doc, seed):
+    """A result or a documented exit code, never a traceback, with RuntimeWarnings as errors."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "c.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump(doc, fh)
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["check-closed", "--config", path, "--seed", str(seed)])
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_NOT_CLOSED, EXIT_DOMAIN)
+    assert "Traceback" not in err.getvalue()
+    if code in (EXIT_OK, EXIT_NOT_CLOSED):
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["closed"] is (code == EXIT_OK)
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
 
 class TestSimulate:
     THERMO = """
@@ -178,6 +279,23 @@ integration: {t1: 0.1, dt: 0.05}
         captured = capsys.readouterr()
         assert captured.err == "error: non-finite dU/dH1 in 'ln(eps)-1e+300*H1^0.5' (value -inf)\n"
         assert not out.exists()
+
+    def test_forcing_entry_domain_exit_line(self, tmp_path, capsys):
+        # the nine L entries are one tape; the exit line names entry [1][2] on its own
+        config = write(tmp_path / "c.yaml", """
+model: thermoelastic
+potential: "ln(eps) - 0.15*(H1^2+H2^2+H3^2)"
+initial: {eps: 0.5, H: [1.0, 0.0, 0.0]}
+forcing:
+  L: [["0", "0.1*t", "0"], ["0", "0", "ln(0.01-t)"], ["1/(t-0.05)", "0", "0"]]
+integration: {t1: 0.1, dt: 0.001}
+""")
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == (
+            "domain exit at t=0.009000000000000001: logarithm of a non-positive value in "
+            "'ln(0.01-t)' (value -1.734723475976807e-18)\n")
+        assert len(read_csv(out)[1]) == 10
 
     def test_ferroelectric_harmonic(self, tmp_path, capsys):
         config = write(tmp_path / "c.yaml", """
@@ -354,6 +472,36 @@ point: {x: 2.0}
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: NaN exponent in 'x^(1e+308*10-1e+308*10)' (value nan)\n"
+
+    def test_overflowing_det_exits_1(self, tmp_path, capsys):
+        # printed "det": Infinity with a RuntimeWarning and exit 0
+        config = write(tmp_path / "c.yaml", """
+coords: [x, y]
+potential: "1e200*x^2 + 1e200*y^2"
+point: {x: 1.0, y: 1.0}
+""")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["metric", "--config", config]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-finite Hessian determinant inf in '1e+200*x^2+1e+200*y^2'\n"
+
+    def test_overflowing_action_exits_1(self, tmp_path):
+        # printed "action": Infinity with a RuntimeWarning and exit 0
+        curve = write(tmp_path / "curve.csv", "t,x\n0,0\n1,1e10\n")
+        config = write(tmp_path / "c.yaml", f"""
+coords: [x]
+coefficients: {{x: "1e300"}}
+curve: "{curve}"
+""")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "thermoform.cli", "action",
+             "--config", config], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src")))
+        assert proc.returncode == EXIT_ERROR
+        assert proc.stdout == ""
+        assert proc.stderr == "error: non-finite entropy action inf on curve interval 0 (t = 0.0 to 1.0)\n"
 
     def test_action_of_exact_form(self, tmp_path, capsys):
         curve = write(tmp_path / "curve.csv",

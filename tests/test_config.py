@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from thermoform import config as cfg
+from thermoform.expr import DomainError, evaluate, parse
 
 
 class TestPerName:
@@ -76,3 +77,41 @@ class TestTimeFn:
         for read, shape in ((cfg.time_fn_scalar, ()), (cfg.time_fn_vector, (3,)),
                                (cfg.time_fn_matrix, (3, 3))):
             assert read.func is cfg.time_fn and read.keywords == {"shape": shape}
+
+    MATRIX = [["t", "0", "sqrt(t)"], ["2*t", "t^2", "ln(t - 1)"], ["1/(t - 0.3)", "0", "pow(t, 2)"]]
+
+    def loop_error(self, texts, t):
+        """The error of evaluating the entries one by one, in row-major order."""
+        try:
+            for text in texts:
+                evaluate(parse(text), {"t": t})
+        except DomainError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("t", [0.3, 0.5, 1.5])
+    def test_entries_are_one_tape_with_per_entry_values(self, t):
+        # sqrt(0) keeps its value in a value-only sweep; only [1][2] leaves the domain below t = 1
+        f = cfg.time_fn_matrix(self.MATRIX, "config.forcing.L")
+        texts = [text for row in self.MATRIX for text in row]
+        if t == 1.5:
+            want = [evaluate(parse(text), {"t": t}) for text in texts]
+            assert [v.hex() for v in f(t).ravel().tolist()] == [v.hex() for v in want]
+        else:
+            with pytest.raises(DomainError) as err:
+                f(t)
+            assert str(err.value) == self.loop_error(texts, t)
+
+    def test_entry_1_2_leaving_the_domain_names_itself(self):
+        with pytest.raises(DomainError) as err:
+            cfg.time_fn_matrix(self.MATRIX, "config.forcing.L")(0.5)
+        assert str(err.value) == "logarithm of a non-positive value in 'ln(t-1)' (value -0.5)"
+
+    def test_first_failing_entry_wins(self):
+        # the one sweep over all entries fails first at [1][2]'s ln, but entry
+        # [0][1] is already inf, and evaluating entry by entry reports that first
+        texts = [["t", "exp(t*800)*1e300*10", "0"], ["0", "0", "ln(t - 1)"], ["0", "0", "0"]]
+        with pytest.raises(DomainError) as err:
+            cfg.time_fn_matrix(texts, "config.forcing.L")(0.5)
+        assert str(err.value) == self.loop_error([v for row in texts for v in row], 0.5)
+        assert str(err.value).startswith("non-finite result in 'exp(t*800)*1e+300*10'")

@@ -22,8 +22,11 @@ from thermoform.expr import (
     differentiate,
     div,
     evaluate,
+    evaluate_all,
     grad,
+    grad_columns,
     hessian,
+    lower,
     mul,
     neg,
     parse,
@@ -31,7 +34,9 @@ from thermoform.expr import (
     sub,
 )
 from thermoform import expr as _expr
-from thermoform.geometry import is_closed, potential_form
+from thermoform.geometry import OneForm, d_residual, is_closed, low_discrepancy_samples, potential_form
+from thermoform.point import (BASE_COORDS, FE_COORDS, Constitutive, entropy_form,
+                              potential_coefficients)
 from thermoform.expr import _forward, _lowered, _second_order
 from conftest import fd_grad, fd_hessian, random_polynomial_text
 
@@ -334,7 +339,7 @@ def _gradient_magnitude(e, b, names) -> np.ndarray:
             p = c if op == _expr._POWI else vals[c]
             m = _term(p * x ** (p - 1) if x != 0.0 else float(p == 1), mag[a])
         mag.append(m)
-    return mag[tape.out]
+    return mag[tape.outs[0]]
 
 
 def check_sweeps_against_forward_mode(e, b, names):
@@ -350,7 +355,7 @@ def check_sweeps_against_forward_mode(e, b, names):
         assert value_err == const_err
 
     # with derivatives taken, the same forward sweep feeds the reverse one
-    fwd, fwd_err = _outcome(lambda: _forward(tape, tape.plan(names)[0], b)[tape.out])
+    fwd, fwd_err = _outcome(lambda: _forward(tape, tape.plan(names)[0], b)[tape.outs[0]])
     g, g_err = _outcome(lambda: grad(e, b, names))
     second, second_err = _outcome(lambda: _second_order(e, b, names))
     if fwd_err is not None:
@@ -398,6 +403,154 @@ def test_sweeps_match_dual_on_random_trees(e, x, y, z, wrt):
     check_sweeps_against_forward_mode(e, {"x": x, "y": y, "z": z, "V": -x, "S": z + 1.0}, wrt)
 
 
+# --- the joint tape and its column sweep against the per-expression sweeps ----
+
+def _hex(v) -> str:
+    return float(v).hex()
+
+
+def check_joint_against_per_expression(roots, bindings, wrt):
+    """evaluate_all and grad_columns over one joint tape: each output's value and
+    gradient float.hex-equal to its own evaluate and grad, at every binding, and
+    any error the one the per-expression loops raise first, type and message."""
+    tape = lower(roots)
+    for b in bindings:
+        joint, joint_err = _outcome(lambda: evaluate_all(tape, b))
+        alone, alone_err = _outcome(lambda: [evaluate(e, b) for e in roots])
+        assert joint_err == alone_err
+        if alone_err is None:
+            assert list(map(_hex, joint)) == list(map(_hex, alone))
+    batch, batch_err = _outcome(lambda: grad_columns(tape, bindings, wrt))
+    loop, loop_err = _outcome(lambda: [[grad(e, b, wrt) for e in roots] for b in bindings])
+    assert batch_err == loop_err
+    if loop_err is None:
+        assert batch.shape == (len(bindings), len(roots), len(wrt))
+        assert [[list(map(_hex, g)) for g in row] for row in batch] == [
+            [list(map(_hex, g)) for g in row] for row in loop]
+
+
+# shared by object across roots and merged by structure within and across them
+_SHARED = parse("x*y + 0.5")
+JOINT_CORPUS = [
+    Bin("-", Call("exp", (_SHARED,)), Call("sqrt", (parse("x+2"),))),
+    Bin("*", Call("ln", (_SHARED,)), Var("y")),
+    parse("(x+1)^(y+2) - pow(x+1, y+2)"),
+    parse("pow(x+2, 3) + abs(y-0.5) + (x*y+0.5)^0.5"),
+    Bin("/", Num(1.0), Bin("+", _SHARED, parse("x^2"))),
+    Neg(Bin("^", _SHARED, Num(-2.0))),
+    Var("y"),
+    Num(2.5),
+]
+_OPS = {_expr._NEG, _expr._ADD, _expr._SUB, _expr._MUL, _expr._RECIP, _expr._EXP, _expr._LN,
+        _expr._SQRT, _expr._ABS, _expr._POWI, _expr._POWC, _expr._POWV}
+
+
+def _bindings(rng, n, names=_ALL, values=None):
+    """n bindings of uniform values in [-3, 3], or drawn from ``values`` when given."""
+    draw = (lambda: float(rng.choice(values))) if values is not None else (lambda: float(rng.uniform(-3, 3)))
+    return [{name: draw() for name in names} for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_joint_tape_on_every_op(n, rng):
+    wrt = ("x", "y")
+    tape = lower(JOINT_CORPUS)
+    assert {op for op, _, _ in tape.plan(wrt)[0]} == _OPS
+    # positive x and y: every output evaluates; then anywhere, so some binding fails
+    inside = [{"x": float(rng.uniform(0.1, 2.0)), "y": float(rng.uniform(0.1, 2.0))} for _ in range(n)]
+    assert grad_columns(tape, inside, wrt).shape == (n, len(JOINT_CORPUS), 2)
+    check_joint_against_per_expression(JOINT_CORPUS, inside, wrt)
+    check_joint_against_per_expression(JOINT_CORPUS, _bindings(rng, n, ("x", "y")), wrt)
+    check_joint_against_per_expression(JOINT_CORPUS, _bindings(rng, n, ("x", "y"), [-0.5, 0.0, 0.5]), wrt)
+
+
+@st.composite
+def _joint_roots(draw):
+    """Random trees, and further roots that combine them, so subtrees are shared."""
+    parts = draw(st.lists(_expr_strategy(), min_size=1, max_size=3))
+    roots = list(parts)
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(parts)), draw(st.sampled_from(parts))
+        roots.append(draw(st.sampled_from([Bin("+", a, b), Bin("*", a, b), Bin("/", a, b),
+                                           Call("pow", (a, b)), Call("exp", (Neg(a),)),
+                                           Call("ln", (b,))])))
+    return draw(st.permutations(roots))
+
+
+@given(roots=_joint_roots(), n=st.sampled_from([1, 2, 8, 64]), seed=st.integers(0, 2 ** 32 - 1),
+       values=st.sampled_from([None, (-1.0, 0.0, 0.5, 2.0)]),
+       wrt=st.sampled_from([_ALL, ("y", "S"), ()]))
+@settings(max_examples=150, deadline=None)
+def test_joint_tape_matches_per_expression_sweeps(roots, n, seed, values, wrt):
+    bindings = _bindings(np.random.default_rng(seed), n, values=values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the column sweep warns of nothing the float sweep hides
+        check_joint_against_per_expression(roots, bindings, wrt)
+
+
+def test_joint_tape_error_is_the_first_failing_binding_and_output():
+    # the column sweep fails first at ln(x+1), which is 0 at binding 2; the loop
+    # over bindings fails first at binding 0, output 0, where y - 1 = 0
+    roots = [parse("ln(x+1)*0 + 1/(y-1)"), parse("ln(y)")]
+    bindings = [{"x": 0.0, "y": 1.0}, {"x": 1.0, "y": 2.0}, {"x": -1.0, "y": -1.0}]
+    with pytest.raises(DomainError, match=r"^division by zero in '1/\(y-1\)' \(value 0\.0\)$"):
+        grad_columns(lower(roots), bindings, ("x", "y"))
+    check_joint_against_per_expression(roots, bindings, ("x", "y"))
+
+
+def test_adjoints_sum_in_each_outputs_own_order():
+    # -x comes first on the joint tape, last in output 1's own post-order.  Its own
+    # reverse sweep sums dx as (-1 + 1) + 1e-16 = 1e-16; in the joint tape's order
+    # it would be (1 + 1e-16) - 1 = 0
+    roots = [parse("-x"), parse("1e-16*x + x + -x")]
+    assert grad(roots[1], {"x": 1.0}, ("x",))[0] == 1e-16
+    assert grad_columns(lower(roots), [{"x": 1.0}] * 2, ("x",))[:, 1, 0].tolist() == [1e-16] * 2
+    check_joint_against_per_expression(roots, [{"x": 1.0}, {"x": -2.0}], ("x",))
+
+
+def test_reverse_adds_nothing_at_a_kink_or_a_zero_base():
+    # d|x| and d(x^p), p != 1, add nothing at x = 0: not 0 times the infinite adjoint, NaN
+    roots = [parse("abs(x)*1e308*10"), parse("x^2*1e308*10"), parse("pow(x, y)*1e308*10")]
+    bindings = [{"x": 0.0, "y": 2.0}, {"x": 0.0, "y": 3.0}]
+    assert grad_columns(lower(roots), bindings, ("x",)).tolist() == [[[0.0]] * 3] * 2
+    check_joint_against_per_expression(roots, bindings, ("x",))
+
+
+def test_joint_tape_merges_across_outputs():
+    roots = [parse("exp(x*y) + x"), parse("exp(x*y) * y"), parse("x*y")]
+    alone = sum(len(_lowered(e).code) for e in roots)
+    assert len(lower(roots).code) == 4 < alone  # x*y, exp, + and *, once each
+
+
+def _certify_forms(rng):
+    """Entropy forms of random potentials, both point models, as the certify benchmark
+    builds them, and each with c*x_j added to one coefficient, so it is not closed."""
+    forms = []
+    for coords in (BASE_COORDS, FE_COORDS):
+        text = "10.0 + " + random_polynomial_text(list(coords), rng)
+        c = Constitutive(ScalarField.from_text(text, coords), rho=1.5, k=1.0)
+        form = entropy_form(*potential_coefficients(c), rho=c.rho)
+        i, j = rng.choice(len(coords), size=2, replace=False)
+        coeffs = list(form.coefficients)
+        coeffs[i] = ScalarField(add(coeffs[i].expression, mul(Num(0.75), Var(coords[j]))), coords)
+        forms += [form, OneForm(coords, tuple(coeffs))]
+    return forms
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_certify_forms_residual_matches_the_per_coefficient_jacobian(n, rng):
+    for form in _certify_forms(rng):
+        samples = low_discrepancy_samples({name: (0.05, 0.3) for name in form.coords}, n,
+                                          seed=int(rng.integers(4096)))
+        batch = d_residual(form, samples)
+        assert batch.shape == (n, len(form.coords), len(form.coords))
+        for x, res in zip(samples, batch):
+            jac = np.array([c.grad(x) for c in form.coefficients])
+            assert list(map(_hex, (jac - jac.T).ravel())) == list(map(_hex, res.ravel()))
+            assert list(map(_hex, d_residual(form, x).ravel())) == list(map(_hex, res.ravel()))
+            assert list(map(_hex, form.values(x))) == [_hex(c.value(x)) for c in form.coefficients]
+
+
 class TestTape:
     def test_shared_subexpressions_are_merged(self):
         tape = _lowered(parse("exp(x*y) + exp(x*y) / (x*y)"))
@@ -423,6 +576,14 @@ class TestTape:
 
 
 class TestDifferentiate:
+    def test_overflowing_constant_fold_keeps_the_operation(self):
+        # 1e308*10 folded to Num(inf), which serialize could not print: an OverflowError
+        # from every DomainError naming it (check-closed ended in a traceback)
+        d = differentiate(parse("x*1e308*10"), "x")
+        assert serialize(d) == "1e+308*10" and parse(serialize(d)) == d
+        with pytest.raises(DomainError, match=r"^non-finite result in '1e\+308\*10' \(value inf\)$"):
+            evaluate(d, {"x": 1.0})
+
     @pytest.mark.parametrize("text", COMPOSITE_CORPUS)
     def test_symbolic_matches_ad(self, text):
         e = parse(text)

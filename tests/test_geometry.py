@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -180,27 +181,40 @@ class TestIsClosed:
 
 
 def loop_d_residual(form, x):
-    """Reference: C_ij built one coordinate pair at a time."""
+    """Reference: C_ij built one coordinate pair at a time, on floats."""
     m = len(form.coords)
-    jac = np.array([c.grad(x) for c in form.coefficients])
+    jac = [c.grad(x).tolist() for c in form.coefficients]
     out = np.zeros((m, m))
     for i in range(m):
+        out[i, i] = jac[i][i] - jac[i][i]  # 0, or NaN from an overflowed derivative
         for j in range(i + 1, m):
-            c = jac[i, j] - jac[j, i]
+            c = jac[i][j] - jac[j][i]
             out[i, j] = c
             out[j, i] = -c
     return out
 
 
 def loop_worst_residual(form, samples):
-    """Reference: a running strict maximum over samples, first pair on ties."""
+    """Reference: a running strict maximum over samples, first pair on ties; the
+    first sample that raises, or has a non-finite entry (row-major), ends the loop."""
     worst, pair = 0.0, (form.coords[0], form.coords[0])
     for x in samples:
         res = np.abs(loop_d_residual(form, x))
+        for (i, j), v in np.ndenumerate(res):
+            if not math.isfinite(v):
+                raise DomainError(f"non-finite closeness residual {v} in the pair "
+                                  f"({form.coords[i]}, {form.coords[j]})")
         i, j = np.unravel_index(int(res.argmax()), res.shape)
         if res[i, j] > worst:
             worst, pair = float(res[i, j]), (form.coords[i], form.coords[j])
     return worst, pair
+
+
+def outcome(fn):
+    try:
+        return fn(), None
+    except DomainError as exc:
+        return None, (type(exc), str(exc))
 
 
 def loop_contact_nondegeneracy(chart, x):
@@ -251,6 +265,30 @@ class TestArrayBuildersMatchLoops:
             # a repeated sample ties with itself: the first one is kept either way
             doubled = samples[::-1] + samples
             assert worst_residual(form, doubled) == loop_worst_residual(form, doubled)
+
+    # samples (x, 1) at x = 0.5, 3, 0.7, -1 and 2
+    ERROR_SAMPLES = [{"x": x, "y": 1.0} for x in (0.5, 3.0, 0.7, -1.0, 2.0)]
+
+    @pytest.mark.parametrize("texts, message", [
+        (("y/(x+1)", "x"), r"^division by zero in 'y/\(x\+1\)' \(value 0\.0\)$"),
+        (("ln(x)", "x*x*1e308"), r"^non-finite closeness residual inf in the pair \(x, y\)$"),
+        (("x*x*1e308", "y"), r"^non-finite closeness residual nan in the pair \(x, x\)$"),
+    ], ids=["pole-at-sample-3", "non-finite-at-1-and-ln-at-3", "overflowed-diagonal"])
+    def test_worst_residual_errors_match_the_loop(self, texts, message):
+        # one batched d_residual call fails at the ln or the pole of sample 3 (or
+        # has inf/NaN entries); the error must be the first failing sample's, with
+        # the message the loop over samples gives
+        form = form_xy(*texts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(lambda: worst_residual(form, self.ERROR_SAMPLES))
+            want = outcome(lambda: loop_worst_residual(form, self.ERROR_SAMPLES))
+        assert got == want
+        with pytest.raises(DomainError, match=message):
+            worst_residual(form, self.ERROR_SAMPLES)
+        # without the failing samples, the same form gets a verdict from the batch
+        fine = self.ERROR_SAMPLES[:1]
+        assert worst_residual(form, fine) == loop_worst_residual(form, fine)
 
     def test_worst_residual_all_zero(self):
         form = form_xy("1", "2")

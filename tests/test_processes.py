@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,16 @@ class TestEntropyAction:
         form = potential_form(ScalarField.from_text("a*b", ("a", "b")))
         with pytest.raises(ProcessError):
             entropy_action(curve_xy([[0, 0], [1, 1]]), form)
+
+    @pytest.mark.parametrize("xs, interval", [([0.0, 1e10], 0), ([0.0, 1.0, 1e10], 1)])
+    def test_overflowing_quadrature_is_a_domain_error(self, xs, interval):
+        # a finite coefficient times a finite step overflowed: a RuntimeWarning and an inf action
+        form = OneForm(("x",), (ScalarField.from_text("1e300", ("x",)),))
+        curve = ProcessCurve(("x",), np.arange(len(xs), dtype=float), np.array(xs).reshape(-1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"^non-finite entropy action inf on curve interval {interval} "):
+                entropy_action(curve, form)
 
 
 class TestAdmissibility:
@@ -167,6 +179,15 @@ class TestMetric:
         q = {"S": 0.1, "V": 0.8}
         assert godograph_det(u, q) == float(np.linalg.det(thermo_metric(u, q)))
 
+    def test_overflowing_det_is_a_domain_error(self):
+        # the Hessian diag(2e200, 2e200) is finite; its determinant overflowed to inf
+        u = ScalarField.from_text("1e200*x^2 + 1e200*y^2", ("x", "y"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(thermo_metric(u, {"x": 1.0, "y": 1.0})).all()
+            with pytest.raises(DomainError, match=r"^non-finite Hessian determinant inf in '1e\+200\*x\^2"):
+                godograph_det(u, {"x": 1.0, "y": 1.0})
+
 
 class TestSpinodal:
     def test_no_root_for_convex_potential(self):
@@ -184,6 +205,14 @@ class TestSpinodal:
         # a reversed range reported a wrong root; one sample gave a vacuous []
         with pytest.raises(ProcessError, match="need lo < hi and samples >= 2"):
             spinodal_scan(vdw_potential(), "V", lo, hi, {"S": 0.0}, samples=samples)
+
+    def test_overflowing_det_is_a_domain_error(self):
+        # an inf determinant took part in the sign test
+        u = ScalarField.from_text("1e200*x^2 + 1e200*y^2", ("x", "y"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite Hessian determinant inf"):
+                spinodal_scan(u, "x", -1.0, 1.0, {"y": 1.0})
 
     def test_vdw_spinodal_location(self):
         # analytic root of (2/3) f/(V-b)^2 = 2a/V^3 at S=0 frozen from a
