@@ -30,7 +30,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CLOSED = 2
 EXIT_DOMAIN = 3
-MAX_SAMPLES = 1_000_000  # check-closed sample points; numpy cannot even size 10^30 of them
+MAX_SAMPLES = 1_000_000  # sample or grid points; numpy cannot even size 10^30 of them
 
 
 def _fmt(x: float) -> str:
@@ -93,11 +93,17 @@ def _interval(entry, path: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _capped(count: int, path: str, what: str) -> int:
+    if count > MAX_SAMPLES:
+        raise cfg.ConfigError(f"{path}: at most {MAX_SAMPLES} {what}, got {count}")
+    return count
+
+
 def _axis(entry, path: str) -> np.ndarray:
     if not isinstance(entry, list) or len(entry) != 3:
         raise cfg.ConfigError(f"{path}: expected [start, stop, count]")
     return np.linspace(cfg.as_number(entry[0], path), cfg.as_number(entry[1], path),
-                       cfg.as_count(entry[2], path))
+                       _capped(cfg.as_count(entry[2], path), path, "samples"))
 
 
 def _coefficients(doc: dict, names: tuple[str, ...], coords: tuple[str, ...]) -> tuple:
@@ -124,9 +130,7 @@ def cmd_check_closed(args) -> int:
     coords = cfg.as_name_list(cfg.need(doc, "coords", "config"), "config.coords")
     form = _load_form(doc, coords)
     box = cfg.per_name(cfg.need(doc, "box", "config"), coords, "config.box", _interval)
-    count = cfg.as_count(doc.get("count", 64), "config.count")
-    if count > MAX_SAMPLES:
-        raise cfg.ConfigError(f"config.count: at most {MAX_SAMPLES} sample points, got {count}")
+    count = _capped(cfg.as_count(doc.get("count", 64), "config.count"), "config.count", "sample points")
     tol = args.tol if args.tol is not None else cfg.as_number(doc.get("tol", 1e-8), "config.tol")
 
     worst, worst_pair = worst_residual(form, low_discrepancy_samples(box, count, seed=args.seed))
@@ -265,6 +269,7 @@ def cmd_surface(args) -> int:
     surface = _surface_from(doc)
     coords = surface.chart.q_names
     axes = cfg.per_name(cfg.need(doc, "grid", "config"), coords, "config.grid", _axis).values()
+    _capped(math.prod(map(len, axes)), "config.grid", "grid points")
 
     header = [*coords, "s", *(f"p_{c}" for c in coords), *(f"res_{c}" for c in coords)]
     rows = []
@@ -338,6 +343,7 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_vdw(args) -> int:
+    _capped(args.sn * args.vn, "--sn x --vn", "grid points")
     u = vdw_potential(a=args.a, b=args.b, R=args.r, c_V=args.cv)
     s_axis = np.linspace(args.smin, args.smax, args.sn)
     v_axis = np.linspace(args.vmin, args.vmax, args.vn)
@@ -379,6 +385,8 @@ def _finite(text: str) -> float:
 def _count(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    if int(text) > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"at most {MAX_SAMPLES} samples, got {text!r}")
     return int(text)
 
 

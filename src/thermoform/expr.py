@@ -11,6 +11,13 @@ curl/closeness residuals are limited only by round-off, not by finite
 difference noise.  Leaving a function's real domain, overflow included,
 raises DomainError naming the subexpression.
 
+The value and gradient sweeps run as kernels: per plan, straight-line Python
+generated from the tape's opcodes and slot numbers, compiled once per tape
+shape (a memo keyed on the source text) and kept on the tape.  Constants and
+coordinate values are arguments, not text.  A domain check raises in
+instruction order with its message; an overflow maps back to its
+instruction through a line table built with the source.
+
 A tuple of expressions lowers to one tape with one output per expression
 (``lower``), merged across them; a single expression is the 1-tuple case.
 ``evaluate_all`` takes every output's value from one float sweep;
@@ -389,7 +396,7 @@ _UNARY_FNS = {"exp": _EXP, "ln": _LN, "sqrt": _SQRT, "abs": _ABS}
 
 class _Tape:
     __slots__ = ("consts", "names", "code", "nodes", "base", "roots", "outs", "orders",
-                 "value_code", "plans")
+                 "plans", "kernels")
 
     def __init__(self, consts, names, code, nodes, roots, outs, orders):
         self.consts = consts            # constant slot values
@@ -401,7 +408,7 @@ class _Tape:
         self.outs = outs                # slot per root
         self.orders = orders            # per root, its instructions in its own post-order
         self.plans: dict = {}
-        self.value_code = self.plan(None)[0]
+        self.kernels: dict = {}         # (wrt, kind) -> (compiled kernel, its line table)
 
     def plan(self, wrt: tuple[str, ...] | None):
         """(forward code, (output slot, reverse code) per root, gradient slot per wrt
@@ -433,6 +440,15 @@ class _Tape:
                 slots[index[name]] = len(self.consts) + k
         plan = self.plans[wrt] = (self.code if code == self.code else code), revs, slots, dep
         return plan
+
+    def kernel(self, wrt: tuple[str, ...] | None, kind: int) -> tuple:
+        """plan(wrt)'s compiled kernel of ``kind`` and its line table, built on first use."""
+        key = wrt, kind
+        kernel = self.kernels.get(key)
+        if kernel is None:
+            source, where = _source(self, wrt, kind)
+            kernel = self.kernels[key] = _compiled(source), where
+        return kernel
 
 
 def _lower(roots: tuple[Expression, ...]) -> _Tape:
@@ -544,7 +560,7 @@ def _powc(tape: _Tape, vals: list, x: float, p: float) -> float:
 def _dpow(x: float, p: float) -> float | None:
     """d(x^p)/dx for an exponent that carries no derivative, for the column sweep;
     None where the reverse sweeps add nothing (x = 0 and p != 1, where p x^(p-1)
-    would be 0 or a pole).  The float reverse sweep inlines the same rule."""
+    would be 0 or a pole).  The gradient kernels' _POWI and _POWC lines hold the same rule."""
     if p == round(p):
         p = int(round(p))
         if x != 0.0:
@@ -553,111 +569,171 @@ def _dpow(x: float, p: float) -> float | None:
     return p * x ** (p - 1.0)
 
 
-def _forward(tape: _Tape, code: list[tuple], binding: dict[str, float]) -> list[float]:
-    """Value of every slot, on plain floats, with the domain checks."""
-    try:
-        vals = tape.consts + [float(binding[name]) for name in tape.names]
-    except KeyError as exc:
-        raise BindError(f"unbound coordinate '{exc.args[0]}'") from None
-    push = vals.append
-    try:
-        for op, a, b in code:
-            if op == _MUL:
-                push(vals[a] * vals[b])
-            elif op == _ADD:
-                push(vals[a] + vals[b])
-            elif op == _SUB:
-                push(vals[a] - vals[b])
-            elif op == _POWI:
-                x = vals[a]
-                if x == 0.0 and b < 0:
-                    raise _domain_error(tape, vals, "zero raised to a negative power", x)
-                push(float(x ** b))
-            elif op == _NEG:
-                push(-vals[a])
-            elif op == _RECIP:
-                x = vals[a]
-                if x == 0.0:
-                    raise _domain_error(tape, vals, "division by zero", x)
-                push(1.0 / x)
-            elif op == _POWC:
-                push(_powc(tape, vals, vals[a], vals[b]))
-            elif op == _POWV:
-                x = vals[a]
-                if x <= 0.0:
-                    raise _domain_error(tape, vals, "variable power of a non-positive base", x)
-                push(math.exp(vals[b] * math.log(x)))
-            elif op == _EXP:
-                push(math.exp(vals[a]))
-            elif op == _LN:
-                x = vals[a]
-                if x <= 0.0:
-                    raise _domain_error(tape, vals, "logarithm of a non-positive value", x)
-                push(math.log(x))
-            elif op == _ABS:
-                push(abs(vals[a]))
-            else:  # _SQRT, _SQRT0
-                x = vals[a]
-                if x < 0.0:
-                    raise _domain_error(tape, vals, "square root of a negative value", x)
-                if x == 0.0 and op == _SQRT:
-                    raise _domain_error(tape, vals, "square root not differentiable at zero", x)
-                push(math.sqrt(x))
-    except ArithmeticError:
-        raise _domain_error(tape, vals, "floating-point overflow", vals[a]) from None
-    return vals
+# ---------------------------------------------------------------------------
+# Kernels.  Each plan is compiled, on first use, into a straight-line Python
+# function (source transformation; Griewank & Walther, Evaluating
+# Derivatives, 2nd ed., ch. 6) in which slot j is the local v<j> and its
+# adjoint a<j>.  The constants, the binding and the coordinate names come in
+# as arguments (c, b, n) and are read into locals by index, so the text holds
+# only each opcode's operations, slot numbers and _POWI's integer exponent: no
+# constant or name is formatted into it, no two literals meet in one
+# operation, and a memo keyed on the text compiles each shape once per
+# process.  Each instruction's lines do the float operations of its rule in
+# the rule's order, and each adjoint starts at 0.0 and accumulates in the
+# output's own reverse order, so every value and derivative is bitwise the
+# column sweeps' (which keep the same rules).  Kinds of kernel:
+#   _VALUES  the domain checks and instructions in order, then the outputs;
+#   _SLOTS   the same, then every slot (for the second-order sweep);
+#   _GRAD    the same, then the one output's reverse sweep, then its
+#            adjoint at the slot of each wrt entry.
+# A failed domain check raises _Fault(instruction, message, value).  An
+# ArithmeticError (overflow in ** or exp, round(inf)) is traced to the line
+# it came from, which the line table maps to (instruction, first operand).
+# ---------------------------------------------------------------------------
+
+_VALUES, _SLOTS, _GRAD = range(3)
 
 
-def _reverse(tape: _Tape, rev: list[tuple], out: int, vals: list[float]) -> list[float]:
-    """Adjoint of every slot (and one spare 0.0 past the end): d out / d slot."""
-    adj = [0.0] * (len(vals) + 1)
-    adj[out] = 1.0
-    try:
+class _Fault(Exception):
+    """A kernel's domain check failed: (instruction, message, value)."""
+
+
+# per op, its forward lines; {s} is the slot written, {k} the instruction,
+# {a} and {b} the operand slots, or for _POWI {b} the exponent
+_POLE = ("if v{a} == 0.0: raise _Fault({k}, 'zero raised to a negative power', v{a})",)
+_FORWARD = {
+    _MUL: ("v{s} = v{a} * v{b}",),
+    _ADD: ("v{s} = v{a} + v{b}",),
+    _SUB: ("v{s} = v{a} - v{b}",),
+    _NEG: ("v{s} = -v{a}",),
+    _POWI: ("v{s} = v{a} ** ({b})",),
+    _RECIP: ("if v{a} == 0.0: raise _Fault({k}, 'division by zero', v{a})",
+             "v{s} = 1.0 / v{a}"),
+    _POWC: ("p = v{b}",
+            "if isnan(p): raise _Fault({k}, 'NaN exponent', p)",
+            "if p == round(p):",
+            " p = int(round(p))",
+            " if v{a} == 0.0 and p < 0: raise _Fault({k}, 'zero raised to a negative power', v{a})",
+            "elif v{a} <= 0.0: raise _Fault({k}, 'non-integer power of a non-positive base', v{a})",
+            "v{s} = v{a} ** p"),
+    _POWV: ("if v{a} <= 0.0: raise _Fault({k}, 'variable power of a non-positive base', v{a})",
+            "v{s} = exp(v{b} * log(v{a}))"),
+    _EXP: ("v{s} = exp(v{a})",),
+    _LN: ("if v{a} <= 0.0: raise _Fault({k}, 'logarithm of a non-positive value', v{a})",
+          "v{s} = log(v{a})"),
+    _ABS: ("v{s} = abs(v{a})",),
+    _SQRT: ("if v{a} < 0.0: raise _Fault({k}, 'square root of a negative value', v{a})",
+            "if v{a} == 0.0: raise _Fault({k}, 'square root not differentiable at zero', v{a})",
+            "v{s} = sqrt(v{a})"),
+    _SQRT0: ("if v{a} < 0.0: raise _Fault({k}, 'square root of a negative value', v{a})",
+             "v{s} = sqrt(v{a})"),
+}
+# per op, (operand written: 0 for a, 1 for b; its lines) for each adjoint update;
+# {i} is the slot whose adjoint is passed back, {c} _POWI's exponent less one.
+# An update to an operand that depends on no wrt name is never read, so it is
+# left out (none of those can raise).  At x = 0 with p != 1, d(x^p) adds nothing.
+_REVERSE = {
+    _MUL: ((0, ("a{a} += a{i} * v{b}",)), (1, ("a{b} += a{i} * v{a}",))),
+    _ADD: ((0, ("a{a} += a{i}",)), (1, ("a{b} += a{i}",))),
+    _SUB: ((0, ("a{a} += a{i}",)), (1, ("a{b} -= a{i}",))),
+    _NEG: ((0, ("a{a} -= a{i}",)),),
+    _POWI: ((0, ("if v{a} != 0.0: a{a} += a{i} * (({b}) * v{a} ** ({c}))",)),),
+    _RECIP: ((0, ("a{a} -= a{i} * v{i} * v{i}",)),),
+    _POWC: ((0, ("p = v{b}",
+                 "if p == round(p):",
+                 " p = int(round(p))",
+                 " if v{a} != 0.0: a{a} += a{i} * (p * v{a} ** (p - 1))",
+                 " elif p == 1: a{a} += a{i}",
+                 "else: a{a} += a{i} * (p * v{a} ** (p - 1.0))")),),
+    _POWV: ((0, ("a{a} += a{i} * v{i} * (v{b} * (1.0 / v{a}))",)),
+            (1, ("a{b} += a{i} * v{i} * log(v{a})",))),
+    _EXP: ((0, ("a{a} += a{i} * v{i}",)),),
+    _LN: ((0, ("a{a} += a{i} * (1.0 / v{a})",)),),
+    _ABS: ((0, ("if v{a} > 0.0: a{a} += a{i}", "elif v{a} < 0.0: a{a} -= a{i}")),),
+    _SQRT: ((0, ("a{a} += a{i} * (0.5 / v{i})",)),),
+}
+
+
+def _chunk(lines: tuple[str, ...]) -> tuple[str, int]:
+    """One rule's lines as one format string, indented into the kernel's body."""
+    return "\n".join(" " + line for line in lines), len(lines)
+
+
+_FORWARD_CHUNKS = {op: _chunk(lines) for op, lines in _FORWARD.items()}
+_POLE_CHUNK = _chunk(_POLE + _FORWARD[_POWI])
+_REVERSE_CHUNKS = {op: tuple((operand, _chunk(lines)) for operand, lines in updates)
+                   for op, updates in _REVERSE.items()}
+_UNIT_CHUNK = ((0, _chunk(("else: a{a} += a{i}",))),)  # d(x^1) at x = 0, after _POWI's line
+
+
+def _source(tape: _Tape, wrt: tuple[str, ...] | None, kind: int) -> tuple[str, list]:
+    """Text of plan(wrt)'s kernel of ``kind``, and per line of it (from line 1)
+    the (instruction, first operand slot) it computes, or None."""
+    code, revs, slots, dep = tape.plan(wrt)
+    base, ncon = tape.base, len(tape.consts)
+    text = ["def kernel(c, b, n):"]
+    if ncon:
+        text.append(" " + "".join(f"v{j}, " for j in range(ncon)) + "= c")
+    text += [f" v{ncon + j} = float(b[n[{j}]])" for j in range(base - ncon)]
+    where = [None] * (len(text) + 1)
+    for k, (op, a, b) in enumerate(code):
+        chunk, count = _POLE_CHUNK if op == _POWI and b < 0 else _FORWARD_CHUNKS[op]
+        text.append(chunk.format(k=k, a=a, b=b, s=base + k))
+        where += [(k, a)] * count
+    if kind == _VALUES:
+        result = [f"v{j}" for j in tape.outs]
+    elif kind == _SLOTS:
+        result = [f"v{j}" for j in range(len(dep))]
+    else:
+        ((out, rev),) = revs
+        zero = [j for j in range(len(dep)) if dep[j] and j != out]
+        if zero:
+            text.append(" " + "".join(f"a{j} = " for j in zero) + "0.0")
+            where.append(None)
+        text.append(f" a{out} = 1.0")
+        where.append(None)
         for op, a, b, i in rev:
-            g = adj[i]
-            if op == _MUL:
-                adj[a] += g * vals[b]
-                adj[b] += g * vals[a]
-            elif op == _ADD:
-                adj[a] += g
-                adj[b] += g
-            elif op == _SUB:
-                adj[a] += g
-                adj[b] -= g
-            elif op == _POWI or op == _POWC:  # _dpow's rule, inlined: a call costs 8 % of a grad
-                x, p = vals[a], (b if op == _POWI else vals[b])
-                if p == round(p):
-                    p = int(round(p))
-                    if x != 0.0:
-                        adj[a] += g * (p * x ** (p - 1))
-                    elif p == 1:
-                        adj[a] += g
-                else:
-                    adj[a] += g * (p * x ** (p - 1.0))
-            elif op == _NEG:
-                adj[a] -= g
-            elif op == _RECIP:
-                v = vals[i]
-                adj[a] -= g * v * v
-            elif op == _POWV:
-                x, v = vals[a], vals[i]
-                adj[a] += g * v * (vals[b] * (1.0 / x))
-                adj[b] += g * v * math.log(x)
-            elif op == _EXP:
-                adj[a] += g * vals[i]
-            elif op == _LN:
-                adj[a] += g * (1.0 / vals[a])
-            elif op == _ABS:
-                x = vals[a]
-                if x > 0.0:
-                    adj[a] += g
-                elif x < 0.0:
-                    adj[a] -= g
-            else:  # _SQRT
-                adj[a] += g * (0.5 / vals[i])
-    except ArithmeticError:
-        raise DomainError("floating-point overflow", tape.nodes[i - tape.base], vals[a]) from None
-    return adj
+            updates = _REVERSE_CHUNKS[op] + (_UNIT_CHUNK if op == _POWI and b == 1 else ())
+            for operand, (chunk, count) in updates:
+                if dep[(a, b)[operand]]:
+                    text.append(chunk.format(a=a, b=b, c=b - 1 if op == _POWI else None, i=i))
+                    where += [(i - base, a)] * count
+        result = [f"a{j}" if j < len(dep) else "0.0" for j in slots]
+    text.append(" return [" + ", ".join(result) + "]")
+    return "\n".join(text) + "\n", where
+
+
+@lru_cache(maxsize=256)
+def _compiled(source: str):
+    """The function ``source`` defines; tapes of one shape share it."""
+    namespace = {"_Fault": _Fault, "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
+                 "isnan": math.isnan}
+    exec(compile(source, "<tape kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _run(tape: _Tape, kernel: tuple, binding: dict[str, float]) -> list[float]:
+    """A kernel's result at a binding; an unbound name is a BindError, and a failed
+    check or an overflow a DomainError naming its instruction's subexpression."""
+    fn, where = kernel
+    try:
+        return fn(tape.consts, binding, tape.names)
+    except KeyError as exc:  # only the reads of the binding, before any instruction, can raise it
+        raise BindError(f"unbound coordinate '{exc.args[0]}'") from None
+    except _Fault as fault:
+        k, message, value = fault.args
+        raise DomainError(message, tape.nodes[k], value) from None
+    except ArithmeticError as exc:
+        tb = exc.__traceback__
+        while tb.tb_next is not None:  # down to the kernel's frame
+            tb = tb.tb_next
+        k, a = where[tb.tb_lineno]
+        raise DomainError("floating-point overflow", tape.nodes[k], tb.tb_frame.f_locals[f"v{a}"]) from None
+
+
+def _slots(tape: _Tape, wrt: tuple[str, ...] | None, binding: dict[str, float]) -> list[float]:
+    """Value of every slot of plan(wrt) at a binding, with the domain checks."""
+    return _run(tape, tape.kernel(wrt, _SLOTS), binding)
 
 
 # ---------------------------------------------------------------------------
@@ -779,8 +855,7 @@ def evaluate_all(tape: _Tape, binding: dict[str, float]) -> list[float]:
     error is the one the first failing output gives on its own.
     """
     try:
-        vals = _forward(tape, tape.value_code, binding)
-        values = [vals[k] for k in tape.outs]
+        values = _run(tape, tape.kernel(None, _VALUES), binding)
         if all(map(math.isfinite, values)):
             return values
     except Exception:
@@ -849,7 +924,7 @@ def _second_order(e: Expression, binding: dict[str, float], wrt: tuple[str, ...]
     """Value, gradient and Hessian upper triangle of ``e`` by one forward sweep over its tape."""
     tape = _lowered(e)
     code = tape.plan(wrt)[0]
-    vals = _forward(tape, code, binding)  # the values and the domain checks, as in the other sweeps
+    vals = _slots(tape, wrt, binding)  # the values and the domain checks, as in the other sweeps
     pairs = _triangle(len(wrt))[0]
     zero = [0.0] * len(wrt), [0.0] * len(pairs)  # (gradient, triangle) of a constant
     seed = {name: ([float(j == i) for j in range(len(wrt))], zero[1]) for i, name in enumerate(wrt)}
@@ -906,7 +981,7 @@ def _second_order(e: Expression, binding: dict[str, float], wrt: tuple[str, ...]
 def evaluate(e: Expression, binding: dict[str, float]) -> float:
     """Evaluate at a binding; domain violations raise instead of returning NaN/inf."""
     tape = _lowered(e)
-    value = _forward(tape, tape.value_code, binding)[tape.outs[0]]
+    value = _run(tape, tape.kernel(None, _VALUES), binding)[0]
     if not math.isfinite(value):
         raise DomainError("non-finite result", e, value)
     return value
@@ -915,9 +990,7 @@ def evaluate(e: Expression, binding: dict[str, float]) -> float:
 def grad(e: Expression, binding: dict[str, float], wrt: list[str] | tuple[str, ...]) -> np.ndarray:
     """Exact first derivatives, ordered as ``wrt``, by one reverse sweep."""
     tape = _lowered(e)
-    code, ((out, rev),), slots, _ = tape.plan(tuple(wrt))
-    adj = _reverse(tape, rev, out, _forward(tape, code, binding))
-    return np.array([adj[s] for s in slots])
+    return np.array(_run(tape, tape.kernel(tuple(wrt), _GRAD), binding))
 
 
 def hessian(e: Expression, binding: dict[str, float], wrt: list[str] | tuple[str, ...]) -> np.ndarray:
@@ -1079,9 +1152,10 @@ class ScalarField:
                     wrt: tuple[str, ...] | None = None) -> np.ndarray:
         """``grad``; an inf or NaN entry is a DomainError naming it by its entry of ``labels``."""
         g = self.grad(binding, wrt)
-        for label, v in zip(labels, g.tolist()):
-            if not math.isfinite(v):
-                raise DomainError(f"non-finite {label}", self.expression, v)
+        values = g.tolist()
+        if not all(map(math.isfinite, values)):
+            label, v = next((label, v) for label, v in zip(labels, values) if not math.isfinite(v))
+            raise DomainError(f"non-finite {label}", self.expression, v)
         return g
 
     def hessian(self, binding: dict[str, float], wrt: tuple[str, ...] | None = None) -> np.ndarray:

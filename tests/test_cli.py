@@ -183,21 +183,113 @@ def _check_closed_doc(draw):
 @settings(max_examples=200, deadline=None)
 def test_check_closed_fuzz_ends_in_an_exit_code(doc, seed):
     """A result or a documented exit code, never a traceback, with RuntimeWarnings as errors."""
+    code, out, err = _run_cli(["check-closed", "--seed", str(seed)], doc)
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_NOT_CLOSED, EXIT_DOMAIN)
+    assert "Traceback" not in err
+    if code in (EXIT_OK, EXIT_NOT_CLOSED):
+        assert err == ""
+        assert json.loads(out)["closed"] is (code == EXIT_OK)
+    else:
+        assert out == "" and err.startswith("error: ")
+
+
+def _run_cli(argv, doc=None):
+    """(exit code, stdout, stderr) of main(argv), with ``doc`` as the YAML at --config,
+    argparse's SystemExit taken as the exit code and RuntimeWarnings as errors."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as directory:
-        path = os.path.join(directory, "c.yaml")
-        with open(path, "w") as fh:
-            yaml.safe_dump(doc, fh)
+        if doc is not None:
+            path = os.path.join(directory, "c.yaml")
+            with open(path, "w") as fh:
+                yaml.safe_dump(doc, fh)
+            argv = [*argv, "--config", path]
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("error", RuntimeWarning)
-            code = main(["check-closed", "--config", path, "--seed", str(seed)])
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exit_code(code, out, err):
     assert code in (EXIT_OK, EXIT_ERROR, EXIT_NOT_CLOSED, EXIT_DOMAIN)
-    assert "Traceback" not in err.getvalue()
-    if code in (EXIT_OK, EXIT_NOT_CLOSED):
-        assert err.getvalue() == ""
-        assert json.loads(out.getvalue())["closed"] is (code == EXIT_OK)
+    assert "Traceback" not in err
+    if code == EXIT_OK:
+        assert err == "" and out != ""
     else:
-        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert out == "" and "error: " in err
+
+
+_BAD_COUNTS = [10 ** 6 + 1, 10 ** 30, 0, -3, 2.5, True, "8", None]
+_BAD_BOUNDS = [float("nan"), float("inf"), -float("inf"), "a", None, [1.0]]
+
+
+@st.composite
+def _surface_doc(draw):
+    """Mostly well-formed surface configs, counts in cap kept small so a case takes
+    milliseconds; now and then a count over the cap, a bad bound, a wrong type, a
+    missing or an unknown key."""
+    names = draw(st.lists(st.sampled_from(("q1", "q2", "q3")), min_size=1, max_size=3, unique=True))
+    doc = {"coords": _mostly(draw, st.just(names), st.sampled_from([[], ["q1", "q1"], "q1", [1], ["s"]]),
+                             odds=12),
+           "potential": _mostly(draw, _fuzz_expression(names), st.sampled_from([3, None, "q1+", "w"]),
+                                odds=12)}
+    if draw(st.booleans()):
+        doc["sigma"] = _mostly(draw, _fuzz_expression(names), st.sampled_from([3, "q1+"]), odds=12)
+    bound = st.floats(-2.0, 2.0, allow_subnormal=False)
+    grid = {}
+    for i, name in enumerate(_mostly(draw, st.just(names), st.lists(st.sampled_from(("q1", "q2", "q9"))),
+                                     odds=12)):
+        count = _mostly(draw, st.integers(1, 50 if i == 0 else 4), st.sampled_from(_BAD_COUNTS))
+        lo, hi = (_mostly(draw, bound, st.sampled_from(_BAD_BOUNDS), odds=10) for _ in range(2))
+        grid[name] = _mostly(draw, st.just([lo, hi, count]), st.sampled_from([[lo, hi], 5, None]), odds=12)
+    doc["grid"] = _mostly(draw, st.just(grid), st.sampled_from([None, [], 5]), odds=20)
+    for key in ("coords", "potential", "grid"):
+        if not draw(st.integers(0, 24)):
+            del doc[key]
+    if not draw(st.integers(0, 19)):
+        doc["bogus"] = 1
+    return doc
+
+
+@given(doc=_surface_doc())
+@settings(max_examples=150, deadline=None)
+def test_surface_fuzz_ends_in_an_exit_code(doc):
+    code, out, err = _run_cli(["surface"], doc)
+    _assert_exit_code(code, out, err)
+    if code == EXIT_OK:
+        assert out.startswith(",".join(doc["coords"]) + ",s,")
+
+
+_VDW_NUMBERS = st.one_of(st.floats(-3.0, 3.0, allow_subnormal=False).map(repr),
+                         st.sampled_from(["nan", "inf", "-inf", "1e309", "abc", "", "1e300"]))
+_VDW_COUNTS = st.sampled_from([str(10 ** 6 + 1), str(10 ** 30), "0", "-3", "2.5", "abc", ""])
+
+
+@st.composite
+def _vdw_argv(draw):
+    """vdw flags: defaults, in-cap counts of at most 50, and now and then a count over
+    the cap, a non-finite, malformed or extreme number, or an unknown flag."""
+    argv = ["vdw"]
+    for flag in ("--a", "--b", "--r", "--cv", "--smin", "--smax", "--vmin", "--vmax"):
+        if not draw(st.integers(0, 3)):
+            argv += [flag, draw(_VDW_NUMBERS)]
+    for flag, top in (("--sn", 5), ("--vn", 50)):
+        if draw(st.booleans()):
+            argv += [flag, _mostly(draw, st.integers(1, top).map(str), _VDW_COUNTS)]
+    if not draw(st.integers(0, 19)):
+        argv.append(draw(st.sampled_from(["--bogus", "--sn", "extra"])))
+    return argv
+
+
+@given(argv=_vdw_argv())
+@settings(max_examples=120, deadline=None)
+def test_vdw_fuzz_ends_in_an_exit_code(argv):
+    code, out, err = _run_cli(argv)
+    _assert_exit_code(code, out, err)
+    if code == EXIT_OK:
+        assert out.startswith("S,V,U,T,p\n")
 
 
 class TestSimulate:
@@ -296,6 +388,24 @@ integration: {t1: 0.1, dt: 0.001}
             "domain exit at t=0.009000000000000001: logarithm of a non-positive value in "
             "'ln(0.01-t)' (value -1.734723475976807e-18)\n")
         assert len(read_csv(out)[1]) == 10
+
+    def test_overflowing_rk_stage_is_named(self, tmp_path, capsys):
+        # two numpy RuntimeWarnings, then "non-finite dU/deps" at the next stage: a symptom
+        config = write(tmp_path / "c.yaml", """
+model: thermoelastic
+potential: "ln(eps) - 0.15*(H1^2+H2^2+H3^2)"
+initial: {eps: 0.5, H: [1.0, 0.0, 0.0]}
+integration: {t1: 0.1, dt: 0.01}
+forcing:
+  L: [["0", "1e306*(t-0.02)", "0"], ["0", "0", "1e306*(t-0.02)"], ["0", "0", "0"]]
+""")
+        out = tmp_path / "trace.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == (
+            "domain exit at t=0.0: non-finite deps/dt in RK stage 2 at t=0.005 (value nan)\n")
+        assert len(read_csv(out)[1]) == 1
 
     def test_ferroelectric_harmonic(self, tmp_path, capsys):
         config = write(tmp_path / "c.yaml", """
@@ -580,6 +690,24 @@ class TestVdw:
         assert f"argument {flag}: expected an integer >= 1, got '{value}'" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("flag, value", [("--sn", str(10 ** 30)), ("--vn", "1000001")])
+    def test_grid_count_is_capped(self, capsys, flag, value):
+        # 10^30 was a numpy ValueError traceback from np.linspace
+        with pytest.raises(SystemExit) as exit_info:
+            main(["vdw", flag, value])
+        assert exit_info.value.code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: at most 1000000 samples, got '{value}'" in captured.err
+
+    def test_grid_points_are_capped(self, tmp_path, capsys):
+        out = tmp_path / "vdw.csv"
+        assert main(["vdw", "--sn", "1000", "--vn", "1001", "--out", str(out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --sn x --vn: at most 1000000 grid points, got 1001000\n"
+        assert not out.exists()
+
     def test_reversed_volume_range(self, tmp_path, capsys):
         # the bisection never ran, so the spinodal was reported at 0.2144 instead of 0.2215
         out = tmp_path / "vdw.csv"
@@ -679,6 +807,23 @@ grid: {{q1: [0.0, 1.0, 3], q2: [0.0, 1.0, {count}]}}
         assert main(["surface", "--config", config, "--out", str(out)]) == EXIT_ERROR
         assert capsys.readouterr().err == (
             f"error: config.grid.q2: expected an integer >= 1, got {count}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("q1, q2, message", [
+        (10 ** 30, 2, f"config.grid.q1: at most 1000000 samples, got {10 ** 30}"),
+        (2, 1_000_001, "config.grid.q2: at most 1000000 samples, got 1000001"),
+        (1000, 1001, "config.grid: at most 1000000 grid points, got 1001000"),
+    ], ids=["count-1e30", "count-over-cap", "product-over-cap"])
+    def test_surface_grid_is_capped(self, tmp_path, capsys, q1, q2, message):
+        # 10^30 was a numpy ValueError traceback from np.linspace
+        config = write(tmp_path / "c.yaml", f"""
+coords: [q1, q2]
+potential: "q1*q2"
+grid: {{q1: [0.0, 1.0, {q1}], q2: [0.0, 1.0, {q2}]}}
+""")
+        out = tmp_path / "surf.csv"
+        assert main(["surface", "--config", config, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_surface_grid_bound_must_be_finite(self, tmp_path, capsys):

@@ -37,7 +37,7 @@ from thermoform import expr as _expr
 from thermoform.geometry import OneForm, d_residual, is_closed, low_discrepancy_samples, potential_form
 from thermoform.point import (BASE_COORDS, FE_COORDS, Constitutive, entropy_form,
                               potential_coefficients)
-from thermoform.expr import _forward, _lowered, _second_order
+from thermoform.expr import _lowered, _second_order, _slots
 from conftest import fd_grad, fd_hessian, random_polynomial_text
 
 VDW_TEXT = "(V-0.1)^(2/3)*exp(S/1.5) - 1/V"
@@ -310,7 +310,7 @@ def _gradient_magnitude(e, b, names) -> np.ndarray:
     """
     tape = _lowered(e)
     code = tape.plan(names)[0]
-    vals = _forward(tape, code, b)
+    vals = _slots(tape, names, b)
     index = {name: i for i, name in enumerate(names)}
     mag = [np.zeros(len(names)) for _ in tape.consts]
     for name in tape.names:
@@ -355,7 +355,7 @@ def check_sweeps_against_forward_mode(e, b, names):
         assert value_err == const_err
 
     # with derivatives taken, the same forward sweep feeds the reverse one
-    fwd, fwd_err = _outcome(lambda: _forward(tape, tape.plan(names)[0], b)[tape.outs[0]])
+    fwd, fwd_err = _outcome(lambda: _slots(tape, names, b)[tape.outs[0]])
     g, g_err = _outcome(lambda: grad(e, b, names))
     second, second_err = _outcome(lambda: _second_order(e, b, names))
     if fwd_err is not None:
@@ -573,6 +573,81 @@ class TestTape:
         with pytest.raises(DomainError, match="variable power"):
             grad(e, {"x": -2.0, "y": 1.0}, ["x", "y"])
         assert grad(e, {"x": -2.0, "y": 1.0}, ["x"]) == pytest.approx([0.0])
+
+
+class TestKernels:
+    """The compiled value, slot and gradient kernels: their errors, memo and text."""
+
+    @pytest.mark.parametrize("e, binding, wrt, message", [
+        (parse("x*1e308"), {"x": 10.0}, None, "non-finite result in 'x*1e+308' (value inf)"),
+        (parse("x^3"), {"x": 1e200}, None, "floating-point overflow in 'x^3' (value 1e+200)"),
+        (parse("x^2.5"), {"x": 1e200}, None, "floating-point overflow in 'x^2.5' (value 1e+200)"),
+        (parse("x^y"), {"x": 10.0, "y": 400.0}, ("x", "y"),
+         "floating-point overflow in 'x^y' (value 10.0)"),
+        (parse("1+exp(x)"), {"x": 800.0}, None, "floating-point overflow in 'exp(x)' (value 800.0)"),
+        # forward x^-2 is 1e240; the reverse sweep's x^-3 overflows
+        (Bin("^", Var("x"), Num(-2.0)), {"x": 1e-120}, ("x",),
+         "floating-point overflow in 'x^-2' (value 1e-120)"),
+        (parse("x^(-2)"), {"x": 1e-120}, ("x",), "floating-point overflow in 'x^-2' (value 1e-120)"),
+    ], ids=["mul", "powi", "powc", "powv", "exp", "powi-reverse", "powc-reverse"])
+    def test_overflow_names_the_instruction(self, e, binding, wrt, message):
+        run = (lambda: evaluate(e, binding)) if wrt is None else (lambda: grad(e, binding, wrt))
+        with pytest.raises(DomainError) as err:
+            run()
+        assert str(err.value) == message
+        assert isinstance(err.value.subexpr, (Bin, Call))
+
+    def test_unbound_name_is_a_bind_error(self):
+        e = parse("x + y")
+        for run in (lambda: evaluate(e, {"x": 1.0}), lambda: grad(e, {"x": 1.0}, ("x",)),
+                    lambda: hessian(e, {"x": 1.0}, ("x", "y"))):
+            with pytest.raises(BindError, match=r"^unbound coordinate 'y'$"):
+                run()
+
+    def test_a_tape_of_the_same_shape_reuses_the_compiled_code(self):
+        first, second = parse("2*x + exp(x)"), parse("5*y + exp(y)")
+        assert evaluate(first, {"x": 1.0}) == 2.0 + math.exp(1.0)
+        assert evaluate(second, {"y": 1.0}) == 5.0 + math.exp(1.0)
+        assert grad(second, {"y": 2.0}, ("y",)).tolist() == [5.0 + math.exp(2.0)]
+        grad(first, {"x": 2.0}, ("x",))
+        kernels = _lowered(first).kernels, _lowered(second).kernels
+        assert kernels[0][None, _expr._VALUES][0] is kernels[1][None, _expr._VALUES][0]
+        assert kernels[0][("x",), _expr._GRAD][0] is kernels[1][("y",), _expr._GRAD][0]
+
+    def test_no_constant_or_name_is_in_the_source(self):
+        e = parse("2.718281828*theta_long + ln(theta_long)*1234.5 - sqrt(0.1*mu_other)^2.5"
+                  " + pow(theta_long, mu_other) + mu_other^-7")
+        names = ("theta_long", "mu_other")
+        tape = _lowered(e)
+        for wrt, kind in ((None, _expr._VALUES), (names, _expr._SLOTS), (names, _expr._GRAD)):
+            source = _expr._source(tape, wrt, kind)[0]
+            for name in names:
+                assert name not in source
+            for c in tape.consts:
+                assert repr(c) not in source and str(c) not in source
+            # the only numbers in the text are the rules' own and _POWI's integer exponent
+            assert set(re.findall(r"(?<![\w.])\d+\.\d+", source)) <= {"0.0", "0.5", "1.0"}
+
+    @pytest.mark.parametrize("e, binding", [
+        (parse("x^1"), {"x": 0.0, "y": 1.0}),  # _POWI
+        (parse("x^y"), {"x": 0.0, "y": 1.0}),  # _POWC: y is not differentiated
+    ], ids=["powi", "powc"])
+    def test_first_power_has_unit_derivative_at_zero(self, e, binding):
+        assert grad(e, binding, ("x",)).tolist() == [1.0]
+        assert grad_columns(lower([e]), [binding], ("x",)).tolist() == [[[1.0]]]
+
+    def test_adjoints_start_at_positive_zero(self):
+        # d(-0*x)/dx sums 0.0 + 1.0*(-0.0), which is +0.0; the lone term would be -0.0
+        e = Bin("*", Num(-0.0), Var("x"))
+        assert _bits(grad(e, {"x": 1.0}, ("x",))[0]) == _bits(0.0)
+        assert _bits(grad_columns(lower([e]), [{"x": 1.0}], ("x",))[0, 0, 0]) == _bits(0.0)
+
+    def test_memo_keeps_signed_zero_and_subnormal_bits(self):
+        # the constants come in as arguments: the bits of -0.0 and 5e-324 are kept
+        a, b = Bin("*", Num(-0.0), Var("x")), Bin("*", Num(5e-324), Var("x"))
+        assert _bits(evaluate(a, {"x": 1.0})) == _bits(-0.0)
+        assert evaluate(b, {"x": 2.0}) == 1e-323
+        assert _lowered(a).kernels[None, _expr._VALUES][0] is _lowered(b).kernels[None, _expr._VALUES][0]
 
 
 class TestDifferentiate:
