@@ -7,6 +7,7 @@ digits and LF line endings, JSON keys are sorted.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -37,17 +38,12 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _write_csv(path: str | None, header: list[str], rows: list[list[float]]) -> None:
-    def emit(fh):
+def _write_csv(path: str | None, header: list[str], rows) -> None:
+    """Write ``rows``, any iterable, as it yields them: to stdout when ``path`` is None."""
+    with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-    if path is None:
-        emit(sys.stdout)
-    else:
-        with open(path, "w", newline="") as fh:
-            emit(fh)
 
 
 def _print_json(obj) -> None:
@@ -55,6 +51,8 @@ def _print_json(obj) -> None:
 
 
 def _read_curve(path: str, coords: tuple[str, ...]) -> ProcessCurve:
+    if not isinstance(path, str):  # an int would be opened as a file descriptor
+        raise cfg.ConfigError(f"config.curve: expected a file path string, got {path!r}")
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -194,7 +192,7 @@ def _load_integration(doc) -> tuple[float, float, int]:
     if n_steps < 1 or abs(steps - n_steps) > 1e-9 * n_steps:
         raise cfg.ConfigError(f"config.integration.dt: t1 - t0 = {t1 - t0!r} is not a whole "
                               f"number of steps of {dt!r}")
-    return t0, dt, n_steps
+    return t0, dt, _capped(n_steps, "config.integration", "steps")
 
 
 def cmd_simulate(args) -> int:
@@ -237,19 +235,21 @@ def cmd_simulate(args) -> int:
             out += [sv, out[-1] + sv]
         return out
 
-    rows = [row(t0, state)]
-    code = EXIT_OK
-    for i in range(n_steps):
-        t = t0 + i * dt
-        try:
-            state = rk4_step(state, constitutive, forcing, t, dt)
-            rows.append(row(t0 + (i + 1) * dt, state))
-        except (ModelError, DomainError) as exc:
-            print(f"domain exit at t={t}: {exc}", file=sys.stderr)
-            code = EXIT_DOMAIN
-            break
-    _write_csv(args.out, header, rows)
-    return code
+    exits = []
+
+    def trace(state):  # rows as they are made; the output is opened after the first
+        for i in range(n_steps):
+            t = t0 + i * dt
+            try:
+                state = rk4_step(state, constitutive, forcing, t, dt)
+                yield row(t0 + (i + 1) * dt, state)
+            except (ModelError, DomainError) as exc:
+                print(f"domain exit at t={t}: {exc}", file=sys.stderr)
+                exits.append(EXIT_DOMAIN)
+                return
+
+    _write_csv(args.out, header, itertools.chain([row(t0, state)], trace(state)))
+    return exits[0] if exits else EXIT_OK
 
 
 def _surface_from(doc, path: str = "config") -> ConstitutiveSurface:

@@ -1151,12 +1151,17 @@ class ScalarField:
     def finite_grad(self, binding: dict[str, float], labels: tuple[str, ...],
                     wrt: tuple[str, ...] | None = None) -> np.ndarray:
         """``grad``; an inf or NaN entry is a DomainError naming it by its entry of ``labels``."""
-        g = self.grad(binding, wrt)
-        values = g.tolist()
+        return np.array(self.finite_grad_list(binding, labels, wrt))
+
+    def finite_grad_list(self, binding: dict[str, float], labels: tuple[str, ...],
+                         wrt: tuple[str, ...] | None = None) -> list[float]:
+        """``finite_grad`` as a list of floats."""
+        tape = _lowered(self.expression)
+        values = _run(tape, tape.kernel(tuple(wrt if wrt is not None else self.coords), _GRAD), binding)
         if not all(map(math.isfinite, values)):
             label, v = next((label, v) for label, v in zip(labels, values) if not math.isfinite(v))
             raise DomainError(f"non-finite {label}", self.expression, v)
-        return g
+        return values
 
     def hessian(self, binding: dict[str, float], wrt: tuple[str, ...] | None = None) -> np.ndarray:
         return hessian(self.expression, binding, wrt if wrt is not None else self.coords)

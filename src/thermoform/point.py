@@ -19,6 +19,10 @@ theta^-1 = dU/d(eps), sigma:F^-1 = -rho theta dU/dF, LE = theta dU/d(pi),
 LEt = -rho theta dU/d(grad pi), beta = dU/dH.  Spatial divergences (div q,
 div LEt, div P, flux/source of grad u) are not derivable from point state;
 each enters the dynamics as a forcing channel.
+
+An RK4 step works on plain Python floats: each channel is read once per distinct
+t (3 reads a step: stages 2 and 3 share t + dt/2), and the rates are summed in a
+fixed order with no BLAS or LAPACK call, so their bits do not depend on the CPU.
 """
 from __future__ import annotations
 
@@ -65,7 +69,8 @@ class ThermoelasticState:
     def __post_init__(self):
         self.F = np.asarray(self.F, dtype=float).reshape(3, 3)
         self.H = np.asarray(self.H, dtype=float).reshape(3)
-        if np.linalg.det(self.F) <= 0.0:
+        (a, b, c), (d, e, f), (g, h, i) = self.F.tolist()  # det F by cofactors, no LAPACK call
+        if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) <= 0.0:
             raise ModelError("deformation gradient must have positive determinant")
 
     def _blocks(self) -> list:
@@ -133,24 +138,26 @@ class Forcing:
     source_grad_u: Callable[[float], np.ndarray] = lambda t: np.zeros((3, 3))
 
 
-def _constitutive(c: Constitutive, b: dict[str, float]):
+def _gradient(c: Constitutive, y: list) -> list:
+    """dU in state order at the state vector ``y``, checked: model, finite, dU/d(eps) != 0."""
+    b = dict(zip(_POTENTIAL_NAMES, y))
     if len(b) != len(c.potential.coords):
         raise ModelError("the state and the constitutive law are of different point models")
-    g = c.potential.finite_grad(b, _DU_LABELS, _POTENTIAL_NAMES[:len(b)])
-    u_eps = float(g[0])
-    if u_eps == 0.0:
+    g = c.potential.finite_grad_list(b, _DU_LABELS, _POTENTIAL_NAMES[:len(b)])
+    if g[0] == 0.0:
         raise TemperatureSingularity("dU/d(eps) = 0 at the probe state")
-    theta = 1.0 / u_eps
-    stress_term = -c.rho * theta * g[_F].reshape(3, 3)
-    if len(g) == len(BASE_COORDS):
-        return u_eps, stress_term, None, None, g[_H]
-    return u_eps, stress_term, theta * g[_PI], -c.rho * theta * g[_GPI].reshape(3, 3), g[_H]
+    return g
 
 
 def constitutive_from_potential(c: Constitutive, x: ThermoelasticState):
     """(theta^-1, sigma:F^-1 tensor, LE, LEt tensor, beta) by exact gradients of U;
     LE and LEt are None when the potential has no electric coordinates."""
-    return _constitutive(c, x.binding())
+    g = _gradient(c, x.vector().tolist())
+    theta, d = 1.0 / g[0], np.array(g)
+    stress_term = -c.rho * theta * d[_F].reshape(3, 3)
+    if len(g) == len(BASE_COORDS):
+        return g[0], stress_term, None, None, d[_H]
+    return g[0], stress_term, theta * d[_PI], -c.rho * theta * d[_GPI].reshape(3, 3), d[_H]
 
 
 def potential_coefficients(c: Constitutive):
@@ -207,48 +214,76 @@ def entropy_form(thetainv: ScalarField, stress: tuple[ScalarField, ...],
     return OneForm(coords, tuple(ScalarField(e, coords) for e in coeffs))
 
 
+# The forcing channels in the order the rates read them; the thermoelastic point reads two.
+_CHANNELS = (("L", (3, 3)), ("divq", ()), ("poynting_term", ()), ("E_ext", (3,)),
+             ("div_e_tensor", (3,)), ("div_J_grad_u", (3, 3)), ("source_grad_u", (3, 3)))
+
+
+def _entries(value, shape: tuple[int, ...]):
+    """A channel's value as a flat list of floats; a scalar channel's as returned."""
+    return np.asarray(value, dtype=float).reshape(shape).ravel().tolist() if shape else value
+
+
+def _contract(w: float, a: list, b: list) -> float:
+    """(w a):b over 9 entries, summed in the order of numpy's pairwise .sum()."""
+    p = [w * s * v for s, v in zip(a, b)]
+    return ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7])) + p[8]
+
+
+def _rates(y: list, c: Constitutive, f: Forcing, t: float, read: dict) -> list:
+    """The rates at (t, y): dU and its checks, then the forcing at t, read once per t in ``read``.
+    L F is summed row by column, e_loc . u left to right, the rest in numpy's element-wise order."""
+    g = _gradient(c, y)
+    if t not in read:
+        channels = _CHANNELS if len(g) > len(BASE_COORDS) else _CHANNELS[:2]
+        read[t] = [_entries(getattr(f, name)(t), shape) for name, shape in channels]
+    (l0, l1, l2, l3, l4, l5, l6, l7, l8), divq, *electric = read[t]
+    f0, f1, f2, f3, f4, f5, f6, f7, f8 = y[_F]
+    F_dot = [l0 * f0 + l1 * f3 + l2 * f6, l0 * f1 + l1 * f4 + l2 * f7, l0 * f2 + l1 * f5 + l2 * f8,
+             l3 * f0 + l4 * f3 + l5 * f6, l3 * f1 + l4 * f4 + l5 * f7, l3 * f2 + l4 * f5 + l5 * f8,
+             l6 * f0 + l7 * f3 + l8 * f6, l6 * f1 + l7 * f4 + l8 * f7, l6 * f2 + l7 * f5 + l8 * f8]
+    rho, theta = c.rho, 1.0 / g[0]
+    # energy balance: rho eps-dot = sigma:L [- rho LE.u + LEt:grad u] - div q [+ div-P channel]
+    power = _contract(-rho * theta, g[_F], F_dot) / rho
+    r = rho / c.k
+    if not electric:
+        return [power - divq / rho, *F_dot, r * g[10], r * g[11], r * g[12]]
+    poynting, E, div_e, div_J, source = electric
+    e0, e1, e2 = theta * g[13], theta * g[14], theta * g[15]
+    eps_dot = (power - (e0 * y[25] + e1 * y[26] + e2 * y[27])
+               + _contract(-rho * theta, g[_GPI], y[_GU]) / rho - divq / rho + poynting)
+    u_dot = [((a + e) + d / rho) / c.inertia for a, e, d in zip(E, (e0, e1, e2), div_e)]
+    return [eps_dot, *F_dot, r * g[10], r * g[11], r * g[12], *y[25:37], *u_dot,
+            *[a + b for a, b in zip(div_J, source)]]
+
+
 def rhs(y: np.ndarray, c: Constitutive, f: Forcing, t: float) -> np.ndarray:
     """Right-hand side of the point's first-order system at (t, y), y a state vector."""
-    u_eps, stress_term, e_loc, e_tensor, beta = _constitutive(c, dict(zip(_POTENTIAL_NAMES, y.tolist())))
-    L = np.asarray(f.L(t), dtype=float).reshape(3, 3)
-    F_dot = L @ y[_F].reshape(3, 3)
-    H_dot = (c.rho / c.k) * beta
-    # energy balance: rho eps-dot = sigma:L [- rho LE.u + LEt:grad u] - div q [+ div-P channel]
-    power = float((stress_term * F_dot).sum()) / c.rho
-    if e_loc is None:
-        return np.concatenate(([power - f.divq(t) / c.rho], F_dot.ravel(), H_dot))
-    u, grad_u = y[_U], y[_GU]
-    eps_dot = (power - float(e_loc @ u) + float((e_tensor * grad_u.reshape(3, 3)).sum()) / c.rho
-               - f.divq(t) / c.rho + f.poynting_term(t))
-    u_dot = (np.asarray(f.E_ext(t), dtype=float).reshape(3) + e_loc
-             + np.asarray(f.div_e_tensor(t), dtype=float).reshape(3) / c.rho) / c.inertia
-    grad_u_dot = (np.asarray(f.div_J_grad_u(t), dtype=float).reshape(3, 3)
-                  + np.asarray(f.source_grad_u(t), dtype=float).reshape(3, 3))
-    return np.concatenate(([eps_dot], F_dot.ravel(), H_dot, u, grad_u, u_dot, grad_u_dot.ravel()))
+    return np.array(_rates(y.tolist(), c, f, t, {}))
 
 
-def _stage(n: int, y: np.ndarray, c: Constitutive, f: Forcing, t: float) -> np.ndarray:
+def _stage(n: int, y: list, c: Constitutive, f: Forcing, t: float, read: dict) -> list:
     """The rates of RK stage ``n`` at (t, y); a non-finite one is a ModelError naming it."""
-    k = rhs(y, c, f, t)
-    rates = k.tolist()
-    if not all(map(math.isfinite, rates)):  # a third of np.isfinite(k).all()'s cost on 13 entries
+    rates = _rates(y, c, f, t, read)
+    if not all(map(math.isfinite, rates)):
         i = next(i for i, v in enumerate(rates) if not math.isfinite(v))
         raise ModelError(f"non-finite d{STATE_NAMES[i]}/dt in RK stage {n} at t={t!r} "
                          f"(value {rates[i]!r})")
-    return k
+    return rates
 
 
 def rk4_step(x: ThermoelasticState, c: Constitutive, f: Forcing, t: float,
              dt: float) -> ThermoelasticState:
-    """One classical RK4 step on the state vector.  Each stage's rates are checked
-    to be finite before the next stage is formed; only the returned state is
-    checked for loss of orientation (det F <= 0)."""
+    """One classical RK4 step, combining the stages in numpy's element-wise order.  Each
+    stage's rates are checked to be finite before the next stage is formed; only the
+    returned state is checked for loss of orientation (det F <= 0)."""
     if dt <= 0:
         raise ModelError("dt must be positive")
-    y = x.vector()
-    with np.errstate(all="ignore"):  # an overflow shows as the non-finite rate _stage names
-        k1 = _stage(1, y, c, f, t)
-        k2 = _stage(2, y + 0.5 * dt * k1, c, f, t + 0.5 * dt)
-        k3 = _stage(3, y + 0.5 * dt * k2, c, f, t + 0.5 * dt)
-        k4 = _stage(4, y + dt * k3, c, f, t + dt)
-        return type(x).from_vector(y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    y, half, sixth, mid, read = x.vector().tolist(), 0.5 * dt, dt / 6.0, t + 0.5 * dt, {}
+    with np.errstate(all="ignore"):  # a forcing's numpy overflow shows as a non-finite rate
+        k1 = _stage(1, y, c, f, t, read)
+        k2 = _stage(2, [a + half * k for a, k in zip(y, k1)], c, f, mid, read)
+        k3 = _stage(3, [a + half * k for a, k in zip(y, k2)], c, f, mid, read)
+        k4 = _stage(4, [a + dt * k for a, k in zip(y, k3)], c, f, t + dt, read)
+        return type(x).from_vector([a + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
+                                    for a, p, q, r, s in zip(y, k1, k2, k3, k4)])

@@ -19,7 +19,8 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from thermoform.cli import EXIT_DOMAIN, EXIT_ERROR, EXIT_NOT_CLOSED, EXIT_OK, build_parser, main
+from thermoform.cli import _MODELS, EXIT_DOMAIN, EXIT_ERROR, EXIT_NOT_CLOSED, EXIT_OK, build_parser, main
+from thermoform.point import rk4_step
 
 
 def write(path, text):
@@ -292,6 +293,87 @@ def test_vdw_fuzz_ends_in_an_exit_code(argv):
         assert out.startswith("S,V,U,T,p\n")
 
 
+_SIM_NAMES = {"thermoelastic": ("eps", "F11", "F12", "H1"), "ferroelectric": ("eps", "F11", "pi1", "gpi12", "H1")}
+_SIM_OVER_CAP = [{"t1": 1e30, "dt": 1.0}, {"t1": 2_000_000, "dt": 1}, {"t0": -1e6, "t1": 1.0, "dt": 0.5}]
+
+
+def _seldom(draw, odds: int) -> bool:
+    """True about one time in ``odds``; shrinks to False."""
+    return draw(st.sampled_from([False] * (odds - 1) + [True]))
+
+
+@st.composite
+def _simulate_doc(draw):
+    """Mostly well-formed simulate configs of at most 50 steps, whose potentials and
+    forcing may have poles, ln of negatives or overflow; now and then a wrong type, a
+    non-finite number, a missing or an unknown key, an empty section or a step count
+    over the cap."""
+    def pick(good, bad, odds=12):
+        return draw(bad if _seldom(draw, odds) else good)
+
+    model = pick(st.sampled_from(sorted(_SIM_NAMES)), st.sampled_from(["bogus", 3, None]), odds=20)
+    names = _SIM_NAMES.get(model, ("eps",))
+    number = st.floats(-2.0, 2.0, allow_subnormal=False)
+    doc = {"model": model,
+           "potential": pick(_fuzz_expression(names).map("ln(eps) + {}".format),
+                             st.sampled_from([3, None, "eps+", "w"]))}
+    for param in ("rho", "k", "inertia") if model == "ferroelectric" else ("rho", "k"):
+        if _seldom(draw, 3):
+            doc[param] = pick(st.floats(0.1, 3.0), st.one_of(_FUZZ_FAULTS, st.sampled_from([0.0, -1.0])))
+    initial = {"eps": pick(st.floats(0.2, 2.0), _FUZZ_FAULTS)}
+    for key, size in (("F", 9), *_MODELS[model].initial) if model in _SIM_NAMES else ():
+        if draw(st.booleans()):
+            good = st.lists(number, min_size=size, max_size=size)
+            if key == "F":  # near the identity, so that det F > 0 mostly
+                good = st.lists(st.floats(-0.2, 0.2), min_size=9, max_size=9).map(
+                    lambda v: [x + (i % 4 == 0) for i, x in enumerate(v)])
+            initial[key] = pick(good, st.one_of(_FUZZ_FAULTS, st.lists(number, max_size=4),
+                                                st.lists(_FUZZ_FAULTS, min_size=size, max_size=size)))
+    doc["initial"] = pick(st.just(initial), st.sampled_from([{}, None, [], {"H": [0, 0, 0]}]), odds=20)
+    if draw(st.booleans()):
+        def channel(shape):
+            good = _fuzz_expression(["t"])
+            for n in reversed(shape):
+                good = st.lists(good, min_size=n, max_size=n)
+            return pick(good, st.sampled_from([3, "t+", ["t"], [["t"] * 3] * 2]))
+        channels = _MODELS[model].channels if model in _SIM_NAMES else ()
+        doc["forcing"] = pick(st.just({key: channel(shape) for key, _, shape in channels if draw(st.booleans())}),
+                              st.sampled_from([{}, None, [], {"bogus": "t"}]))
+    dt = draw(st.sampled_from([0.01, 0.05, 0.1]))
+    doc["integration"] = pick(
+        st.integers(1, 50).map(lambda n: {"t1": n * dt, "dt": dt}),
+        st.one_of(st.sampled_from(_SIM_OVER_CAP + [{}, None, {"t1": 1.0}, {"t1": 1.0, "dt": 0.3},
+                                                   {"t1": 0.0, "dt": 0.1}, {"t1": 1.0, "dt": -0.1}]),
+                  st.fixed_dictionaries({"t1": _FUZZ_FAULTS, "dt": st.just(0.1)}),
+                  st.fixed_dictionaries({"t1": st.just(1.0), "dt": _FUZZ_FAULTS})), odds=6)
+    if model == "thermoelastic" and _seldom(draw, 6):
+        doc["surface"] = {"sigma": pick(_fuzz_expression(names), st.sampled_from([3, "eps+"]), odds=8)}
+    for key in ("potential", "initial", "integration"):
+        if _seldom(draw, 30):
+            del doc[key]
+    if _seldom(draw, 20):
+        doc["bogus"] = 1
+    return doc
+
+
+@given(doc=_simulate_doc())
+@example(doc={"model": "thermoelastic", "potential": "ln(eps)", "initial": {"eps": 0.5},
+              "integration": {"t1": 1e30, "dt": 1.0}})
+@settings(max_examples=80, deadline=None)
+def test_simulate_fuzz_ends_in_an_exit_code(doc):
+    code, out, err = _run_cli(["simulate"], doc)
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_DOMAIN)
+    assert "Traceback" not in err
+    if code == EXIT_ERROR:
+        assert out == "" and err.startswith("error: ")
+    else:  # the trace, whole or up to a domain exit that one stderr line names
+        assert out.startswith("t,eps,") and out.endswith("\n")
+        if code == EXIT_OK:
+            assert err == ""
+        else:
+            assert err.startswith("domain exit at t=") and err.count("\n") == 1
+
+
 class TestSimulate:
     THERMO = """
 model: thermoelastic
@@ -406,6 +488,36 @@ forcing:
         assert capsys.readouterr().err == (
             "domain exit at t=0.0: non-finite deps/dt in RK stage 2 at t=0.005 (value nan)\n")
         assert len(read_csv(out)[1]) == 1
+
+    def test_rows_are_written_as_they_are_made(self, tmp_path, capsys, monkeypatch):
+        config = write(tmp_path / "c.yaml", self.THERMO.replace("t1: 1.0", "t1: 0.01"))
+        seen = []
+
+        def step(x, *args):  # what stdout holds when each step starts
+            seen.append(capsys.readouterr().out.count("\n"))
+            return rk4_step(x, *args)
+
+        monkeypatch.setattr("thermoform.cli.rk4_step", step)
+        assert main(["simulate", "--config", config]) == EXIT_OK
+        # the header and the first row are out before the first step; the writer
+        # is one row behind the steps, since a row is written when it is yielded
+        assert seen == [2, *[1] * 9]
+
+    def test_partial_trace_bytes_are_the_same_on_stdout_and_in_a_file(self, tmp_path, capsys):
+        config = write(tmp_path / "c.yaml", """
+model: thermoelastic
+potential: "ln(eps)"
+initial: {eps: 0.2}
+forcing: {divq: "1"}
+integration: {t1: 1.0, dt: 0.05}
+""")
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_DOMAIN
+        in_file = capsys.readouterr()
+        assert main(["simulate", "--config", config]) == EXIT_DOMAIN
+        on_stdout = capsys.readouterr()
+        assert on_stdout.out == out.read_text() and on_stdout.out.startswith("t,eps,")
+        assert on_stdout.err == in_file.err and in_file.err.startswith("domain exit at t=0.")
 
     def test_ferroelectric_harmonic(self, tmp_path, capsys):
         config = write(tmp_path / "c.yaml", """
@@ -795,6 +907,39 @@ curve: "{curve}"
         assert captured.out == ""
         assert captured.err == f"error: curve file {curve}, line 3: {detail}\n"
 
+    @pytest.mark.parametrize("sub", ["action", "admissible"])
+    @pytest.mark.parametrize("curve", ["0", "7", "1.5", "[a.csv]", "null"])
+    def test_curve_must_be_a_path_string(self, tmp_path, capsys, monkeypatch, sub, curve):
+        # curve 0 was opened as file descriptor 0: a curve piped to stdin gave exit 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO("t,q1,q2\n0.0,0.0,1.0\n1.0,1.0,1.0\n"))
+        config = write(tmp_path / "c.yaml", f"""
+coords: [q1, q2]
+potential: "q1*q2"
+curve: {curve}
+""")
+        assert main([sub, "--config", config]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        value = yaml.safe_load(curve)
+        assert captured.err == f"error: config.curve: expected a file path string, got {value!r}\n"
+
+    @pytest.mark.parametrize("integration, steps", [("{t1: 1.0e+30, dt: 1.0}", round(1e30)),
+                                                    ("{t1: 1000.001, dt: 0.001}", 1_000_001)])
+    def test_simulate_step_count_is_capped(self, tmp_path, capsys, integration, steps):
+        # 10^30 steps ran until killed, holding every row in memory
+        config = write(tmp_path / "c.yaml", self.SIM.format(integration=integration))
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: config.integration: at most 1000000 steps, got {steps}\n"
+        assert not out.exists()
+
+    def test_simulate_step_cap_is_inclusive(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("thermoform.cli.MAX_SAMPLES", 5)
+        config = write(tmp_path / "c.yaml", self.SIM.format(integration="{t1: 0.5, dt: 0.1}"))
+        assert _run_cli(["simulate", "--config", config])[0] == EXIT_OK
+        config = write(tmp_path / "c.yaml", self.SIM.format(integration="{t1: 0.6, dt: 0.1}"))
+        assert _run_cli(["simulate", "--config", config])[:2] == (EXIT_ERROR, "")
+
     @pytest.mark.parametrize("count", ["2.5", "0"])
     def test_surface_grid_count(self, tmp_path, capsys, count):
         # 2.5 used to give 2 points, 0 a header-only CSV with exit 0
@@ -1055,6 +1200,58 @@ integration: {t1: 1.0, dt: 0.01}
         for name in te:
             assert fe[name] == te[name], name
         assert set(fe["pi1"]) == {"0"}
+
+
+def _dynamic_openblas() -> bool:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+class TestCpuIndependentBytes:
+    """simulate's output path has no BLAS or LAPACK call, so the kernel that OpenBLAS
+    picks for this CPU cannot change a bit of it."""
+
+    CORE_TYPES = ("SkylakeX", "Haswell", "Nehalem", "Prescott")
+    FORCING = """
+forcing:
+  L: [["0.3*t+0.1", "0.7", "-0.45"], ["0.3", "-0.2+0.11*t", "0.9"], ["0.6", "0.13", "0.25-t"]]
+  divq: "0.1*t"
+integration: {t1: 0.5, dt: 0.01}
+"""
+    CONFIGS = {
+        "thermoelastic": """
+model: thermoelastic
+potential: "ln(eps) - 0.15*(H1^2+H2^2+H3^2) - 0.2*(F11^2+F22^2+F33^2) + 0.1*F12*F21 + 0.05*F13*F31*eps"
+initial: {eps: 0.7, H: [0.3, -0.2, 0.1]}
+""",
+        "ferroelectric": """
+model: ferroelectric
+potential: "ln(eps) - 0.3*(pi1^2+pi2^2+pi3^2) - 0.1*(gpi11^2+gpi12*gpi21+gpi33^2) - 0.2*(F11^2+F22^2)"
+initial:
+  eps: 0.9
+  pi: [0.3, -0.1, 0.2]
+  grad_pi: [0.1, 0.2, -0.3, 0.05, 0.1, 0.15, -0.2, 0.3, 0.12]
+  u: [0.7, -0.35, 0.4]
+  grad_u: [0.31, -0.17, 0.23, 0.41, 0.13, -0.29, 0.37, 0.19, -0.11]
+""",
+    }
+
+    @pytest.mark.skipif(not _dynamic_openblas(),
+                        reason="numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH, so no kernel can be forced")
+    def test_simulate_bytes_are_the_same_under_every_kernel(self, tmp_path):
+        # a general L and nonzero u, grad u: the products L F and LE . u went through BLAS
+        paths = [write(tmp_path / f"{name}.yaml", text + self.FORCING) for name, text in self.CONFIGS.items()]
+        script = ("import sys; from thermoform.cli import main\n"
+                  "sys.exit(max(main(['simulate', '--config', p, '--out', f'{p}.{sys.argv[1]}.csv'])"
+                  " for p in sys.argv[2:]))")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        children = [subprocess.Popen([sys.executable, "-W", "error::RuntimeWarning", "-c", script, core, *paths],
+                                     env=dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=core))
+                    for core in self.CORE_TYPES]
+        assert [child.wait(timeout=60) for child in children] == [EXIT_OK] * len(self.CORE_TYPES)
+        for path in paths:
+            outputs = {pathlib.Path(f"{path}.{core}.csv").read_bytes() for core in self.CORE_TYPES}
+            assert len(outputs) == 1, path
 
 
 class TestBenchmarkScenarios:
