@@ -40,7 +40,11 @@ def _fmt(x: float) -> str:
 
 def _write_csv(path: str | None, header: list[str], rows) -> None:
     """Write ``rows``, any iterable, as it yields them: to stdout when ``path`` is None."""
-    with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
+    try:
+        out = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
+    except OSError as exc:
+        raise cfg.ConfigError(f"--out: cannot write {path!r}: {exc.strerror}") from None
+    with out as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -290,6 +294,9 @@ def cmd_admissible(args) -> int:
     curve = _read_curve(cfg.need(doc, "curve", "config"), surface.chart.q_names)
     tol = args.tol if args.tol is not None else cfg.as_number(doc.get("tol", 1e-9), "config.tol")
     report = admissibility(surface, curve, tol=tol)
+    if args.out:  # before the JSON, so that a failed write leaves stdout empty
+        _write_csv(args.out, ["sample", "rate"],
+                   [[float(i + 1), float(r)] for i, r in enumerate(report.rates)])
     _print_json({
         "admissible": report.admissible,
         "violating_intervals": list(report.violating_intervals),
@@ -299,9 +306,6 @@ def cmd_admissible(args) -> int:
         "delta_s": report.delta_s,
         "tol": tol,
     })
-    if args.out:
-        _write_csv(args.out, ["sample", "rate"],
-                   [[float(i + 1), float(r)] for i, r in enumerate(report.rates)])
     return EXIT_OK
 
 

@@ -538,25 +538,6 @@ def lower(exprs) -> _Tape:
     return _lower(tuple(exprs))
 
 
-def _domain_error(tape: _Tape, vals: list, message: str, value: float) -> DomainError:
-    """Error for the instruction that would write the next slot."""
-    return DomainError(message, tape.nodes[len(vals) - tape.base], value)
-
-
-def _powc(tape: _Tape, vals: list, x: float, p: float) -> float:
-    """x^p for an exponent that carries no derivative, as every sweep forms it."""
-    if math.isnan(p):
-        raise _domain_error(tape, vals, "NaN exponent", p)
-    if p == round(p):
-        p = int(round(p))
-        if x == 0.0 and p < 0:
-            raise _domain_error(tape, vals, "zero raised to a negative power", x)
-        return float(x ** p)
-    if x <= 0.0:
-        raise _domain_error(tape, vals, "non-integer power of a non-positive base", x)
-    return x ** p
-
-
 def _dpow(x: float, p: float) -> float | None:
     """d(x^p)/dx for an exponent that carries no derivative, for the column sweep;
     None where the reverse sweeps add nothing (x = 0 and p != 1, where p x^(p-1)
@@ -742,20 +723,17 @@ def _slots(tape: _Tape, wrt: tuple[str, ...] | None, binding: dict[str, float]) 
 # them correctly, as float arithmetic does; exp, ln and the powers run element
 # by element through the float sweep's own operations, so libm's bits are
 # kept.  Every column entry is therefore bitwise the float sweep's value, and
-# a float operation that raises raises here too.  Nothing here picks the
-# failing binding or the message: evaluate_all and grad_columns re-run a
-# failed batch through the per-expression sweeps for that.
+# the sweep raises, with no message, wherever some binding's float sweep does:
+# grad_columns re-runs a failed batch through grad, whose kernels and _run
+# pick the failing binding and word the error.
 # ---------------------------------------------------------------------------
 
 def _column_forward(tape: _Tape, code: list[tuple], bindings: list[dict]) -> list[np.ndarray]:
     """Column of every slot over the bindings.  numpy does not raise at a zero
-    divisor or outside sqrt's domain, so those are checked; the element-wise
-    operations raise by themselves where the float sweep's checks do."""
+    divisor, outside sqrt's domain or at a bad constant exponent, so those are
+    checked; elsewhere (an unbound name included) Python raises where the kernels do."""
     n = len(bindings)
-    try:
-        coords = [[float(b[name]) for name in tape.names] for b in bindings]
-    except KeyError as exc:
-        raise BindError(f"unbound coordinate '{exc.args[0]}'") from None
+    coords = [[float(b[name]) for name in tape.names] for b in bindings]
     inputs = np.empty((tape.base, n))
     inputs[:len(tape.consts)] = np.array(tape.consts).reshape(-1, 1)
     inputs[len(tape.consts):] = np.array(coords).reshape(n, len(tape.names)).T
@@ -773,22 +751,23 @@ def _column_forward(tape: _Tape, code: list[tuple], bindings: list[dict]) -> lis
             push(-x)
         elif op == _RECIP:
             if not x.all():
-                raise _domain_error(tape, vals, "division by zero", 0.0)
+                raise ArithmeticError
             push(1.0 / x)
         elif op == _ABS:
             push(np.abs(x))
         elif op == _SQRT or op == _SQRT0:
-            if (x < 0.0).any():
-                raise _domain_error(tape, vals, "square root of a negative value", float(x[x < 0.0][0]))
-            if op == _SQRT and not x.all():
-                raise _domain_error(tape, vals, "square root not differentiable at zero", 0.0)
+            if (x < 0.0).any() or op == _SQRT and not x.all():
+                raise ArithmeticError
             push(np.sqrt(x))
         else:  # math.log raises at x <= 0, and 0.0 ** -n at a pole
             xs = x.tolist()
             if op == _POWI:
                 push(np.array([float(v ** b) for v in xs]))
-            elif op == _POWC:
-                push(np.array([_powc(tape, vals, v, p) for v, p in zip(xs, vals[b].tolist())]))
+            elif op == _POWC:  # round() raises at a NaN or infinite p; x ** p is x ** int(p) if p is whole
+                ps = vals[b].tolist()
+                if any(p != round(p) and v <= 0.0 for v, p in zip(xs, ps)):
+                    raise ArithmeticError
+                push(np.array([v ** p for v, p in zip(xs, ps)]))
             elif op == _POWV:
                 push(np.array([math.exp(p * math.log(v)) for v, p in zip(xs, vals[b].tolist())]))
             elif op == _EXP:

@@ -122,12 +122,12 @@ def d_residual(form: OneForm, x: dict[str, float] | list[dict[str, float]]) -> n
     return res[0] if isinstance(x, dict) else res
 
 
-def _finite_residual(form: OneForm, x: dict[str, float]) -> np.ndarray:
-    """|C| at x; a non-finite residual is no evidence either way: a DomainError."""
-    res = np.abs(d_residual(form, x))
+def _finite_residuals(form: OneForm, res: np.ndarray) -> np.ndarray:
+    """|C| for one sample (m, m) or for N (N, m, m), all finite; else a DomainError for
+    the first non-finite entry, by sample, then row-major: it is no evidence either way."""
     if not np.isfinite(res).all():
-        i, j = np.argwhere(~np.isfinite(res))[0]
-        raise DomainError(f"non-finite closeness residual {res[i, j]} in the pair "
+        *_, i, j = first = tuple(np.argwhere(~np.isfinite(res))[0])
+        raise DomainError(f"non-finite closeness residual {res[first]} in the pair "
                           f"({form.coords[i]}, {form.coords[j]})")
     return res
 
@@ -137,18 +137,18 @@ def worst_residual(form: OneForm, samples: list[dict[str, float]]) -> tuple[floa
 
     Ties go to the first sample, then the first pair in row-major order.  A
     non-finite residual is no evidence either way: it raises DomainError.
-    All samples go through one ``d_residual`` call; when it raises or a
-    residual is not finite, the samples are re-run one by one, so the error is
-    the first failing sample's, as a loop over the samples would raise it.
+    All samples go through one ``d_residual`` call, and a call that returns
+    is final.  Only when it raises are the samples re-run one by one, so that
+    the error, worded by the per-expression sweeps, is the first failing
+    sample's, as a loop over the samples would raise it.
     """
     if not samples:
         raise GeometryError("empty sample set")
     try:
         residuals = np.abs(d_residual(form, samples))
     except Exception:
-        residuals = None
-    if residuals is None or not np.isfinite(residuals).all():
-        residuals = np.array([_finite_residual(form, x) for x in samples])
+        residuals = np.array([_finite_residuals(form, np.abs(d_residual(form, x))) for x in samples])
+    _finite_residuals(form, residuals)
     k, i, j = np.unravel_index(int(residuals.argmax()), residuals.shape)
     return float(residuals[k, i, j]), (form.coords[i], form.coords[j])
 

@@ -36,7 +36,7 @@ class ProcessError(Exception):
 
 @dataclass(frozen=True)
 class ProcessCurve:
-    """Ordered samples (t_i, q_i) over fixed base coordinates; t strictly increasing."""
+    """Ordered samples (t_i, q_i) over fixed base coordinates; t finite and strictly increasing."""
 
     coords: tuple[str, ...]
     times: np.ndarray
@@ -49,8 +49,8 @@ class ProcessCurve:
         object.__setattr__(self, "points", q)
         if t.ndim != 1 or len(t) < 2:
             raise ProcessError("a curve needs at least 2 time samples")
-        if np.any(np.diff(t) <= 0):
-            raise ProcessError("times must be strictly increasing")
+        if not (np.isfinite(t).all() and (t[1:] > t[:-1]).all()):  # no subtraction to overflow
+            raise ProcessError("times must be finite and strictly increasing")
         if q.shape != (len(t), len(self.coords)):
             raise ProcessError("points must be (n_samples, n_coords)")
 
@@ -103,7 +103,7 @@ def admissibility(surface: ConstitutiveSurface, curve: ProcessCurve,
 
     Tangents use central differences on the grid (one-sided at endpoints);
     endpoint rates are excluded from the verdict by default because their
-    stencils are first-order.
+    stencils are first-order.  A curve with no sample left to judge is a ProcessError.
     """
     if set(curve.coords) != set(surface.chart.q_names):
         raise ProcessError("curve coordinates must match the surface's base coordinates")
@@ -111,25 +111,29 @@ def admissibility(surface: ConstitutiveSurface, curve: ProcessCurve,
     pts = curve.points[:, col]
     t = curve.times
     n = len(t)
-
-    tangents = np.empty_like(pts)
-    tangents[0] = (pts[1] - pts[0]) / (t[1] - t[0])
-    tangents[-1] = (pts[-1] - pts[-2]) / (t[-1] - t[-2])
-    tangents[1:-1] = (pts[2:] - pts[:-2]) / (t[2:] - t[:-2])[:, None]
+    offset = 0 if include_endpoints else 1
+    if n <= 2 * offset:
+        raise ProcessError(f"no production rate to judge: a curve of {n} samples has no interior sample")
 
     points = [dict(zip(surface.chart.q_names, map(float, q))) for q in pts]
     labels = tuple(f"dsigma/d{name}" for name in surface.chart.q_names)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite rate is raised below
+        tangents = np.empty_like(pts)
+        tangents[0] = (pts[1] - pts[0]) / (t[1] - t[0])
+        tangents[-1] = (pts[-1] - pts[-2]) / (t[-1] - t[-2])
+        tangents[1:-1] = (pts[2:] - pts[:-2]) / (t[2:] - t[:-2])[:, None]
         all_rates = np.array([float(surface.production.finite_grad(b, labels) @ tangent)
                               for b, tangent in zip(points, tangents)])
 
-    offset = 0 if include_endpoints else 1
     rates = all_rates[offset:n - offset]
     _check_finite(rates, offset, "production rate")
     bad = tuple(int(i + offset) for i in np.nonzero(rates < -tol)[0])
 
     d_sigma = surface.production.value(points[-1]) - surface.production.value(points[0])
     d_u = surface.potential.value(points[-1]) - surface.potential.value(points[0])
+    for name, change in (("delta_sigma", d_sigma), ("delta_U", d_u), ("delta_s", d_u + d_sigma)):
+        if not math.isfinite(change):
+            raise DomainError(f"non-finite {name} {change!r} between the curve's end samples")
     return AdmissibilityReport(
         rates=rates,
         admissible=len(bad) == 0,

@@ -4,6 +4,7 @@ import contextlib
 import importlib
 import inspect
 import io
+import itertools
 import json
 import math
 import os
@@ -291,6 +292,155 @@ def test_vdw_fuzz_ends_in_an_exit_code(argv):
     _assert_exit_code(code, out, err)
     if code == EXIT_OK:
         assert out.startswith("S,V,U,T,p\n")
+
+
+_Q_NAMES = ("q1", "q2", "q3")
+_CURVE_CELLS = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-300", "abc", ""])
+
+
+def _pick(draw, good, bad, odds: int = 12):
+    """good, or exactly one time in ``odds`` bad (shrinking to good)."""
+    return draw(bad if _seldom(draw, odds) else good)
+
+
+@st.composite
+def _curve(draw, names):
+    """A curve file's text, mostly 3-6 samples at increasing times in the config's
+    coordinates; now and then fewer samples, a missing or extra column, a bad cell,
+    a repeated time. Now and then a value that is no curve text."""
+    if _seldom(draw, 12):
+        return draw(st.sampled_from([0, 1.5, None, ["a"], True, "/missing/curve.csv"]))
+    cols = _pick(draw, st.just(list(names)), st.lists(st.sampled_from(_Q_NAMES), max_size=3))
+    n = _pick(draw, st.integers(2, 5), st.integers(0, 1))  # time steps: one fewer than samples
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    rows = [[repr(t)] + [repr(draw(st.floats(-2.0, 2.0, allow_subnormal=False))) for _ in cols]
+            for t in itertools.accumulate(steps, initial=draw(st.floats(-2.0, 2.0)))]
+    if _seldom(draw, 6):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_CURVE_CELLS)
+    if _seldom(draw, 20):
+        draw(st.sampled_from(rows)).append("0")
+    if len(rows) > 1 and _seldom(draw, 12):
+        rows.insert(1, rows[0])  # a repeated time
+    return "\n".join(["t," + ",".join(cols)] + [",".join(row) for row in rows]) + "\n"
+
+
+def _run_with_curve(argv, doc, curve):
+    """_run_cli with config.curve set to ``curve``, or to a file holding it when it is a curve's text."""
+    with tempfile.TemporaryDirectory() as directory:
+        if isinstance(curve, str) and curve.startswith("t,"):
+            path = os.path.join(directory, "curve.csv")
+            with open(path, "w") as fh:
+                fh.write(curve)
+            curve = path
+        return _run_cli(argv, {**doc, "curve": curve})
+
+
+def _assert_json_exit(code, out, err):
+    """_assert_exit_code, and at exit 0 JSON with no NaN or Infinity in it."""
+    _assert_exit_code(code, out, err)
+    if code == EXIT_OK:
+        assert "NaN" not in out and "Infinity" not in out
+        json.loads(out)
+
+
+def _names(draw):
+    return tuple(draw(st.lists(st.sampled_from(_Q_NAMES), min_size=1, max_size=3, unique=True)))
+
+
+def _finish(draw, doc, keys):
+    """``doc`` with, now and then, one of ``keys`` missing or an unknown key."""
+    for key in keys:
+        if _seldom(draw, 30):
+            doc.pop(key, None)
+    if _seldom(draw, 20):
+        doc["bogus"] = 1
+    return doc
+
+
+def _point(draw, names):
+    """config.point: mostly a finite number per name; now and then a non-finite or
+    wrong-typed number, a missing or an unknown name, or no mapping."""
+    keys = _pick(draw, st.just(names), st.lists(st.sampled_from(_Q_NAMES + ("s",)), unique=True))
+    point = {k: _pick(draw, st.floats(-2.0, 2.0, allow_subnormal=False), _FUZZ_FAULTS) for k in keys}
+    return _pick(draw, st.just(point), st.sampled_from([None, [], 5]), odds=30)
+
+
+_BAD_COORDS = st.sampled_from([[], ["q1", "q1"], "q1", [1], None])
+_BAD_TEXT = st.sampled_from([3, None, "q1+", "w"])
+
+
+@st.composite
+def _admissible_doc(draw):
+    names = _names(draw)
+    doc = {"coords": _pick(draw, st.just(list(names)), st.one_of(_BAD_COORDS, st.just(["s"]))),
+           "potential": _pick(draw, _fuzz_expression(names), _BAD_TEXT),
+           "sigma": _pick(draw, _fuzz_expression(names), _BAD_TEXT)}
+    if _seldom(draw, 5):
+        doc["tol"] = _pick(draw, st.floats(0.0, 1.0), _FUZZ_FAULTS, odds=4)
+    return _finish(draw, doc, ("coords", "potential")), draw(_curve(names))
+
+
+@given(case=_admissible_doc())
+@settings(max_examples=50, deadline=None)
+def test_admissible_fuzz_ends_in_an_exit_code(case):
+    code, out, err = _run_with_curve(["admissible"], *case)
+    _assert_json_exit(code, out, err)
+    if code == EXIT_OK:
+        assert json.loads(out)["rates"]  # a verdict needs at least one judged rate
+
+
+@st.composite
+def _action_doc(draw):
+    names = _names(draw)
+    doc = {"coords": _pick(draw, st.just(list(names)), _BAD_COORDS)}
+    if draw(st.booleans()):
+        doc["potential"] = _pick(draw, _fuzz_expression(names), _BAD_TEXT)
+    else:
+        keys = _pick(draw, st.just(names), st.lists(st.sampled_from(_Q_NAMES), unique=True))
+        doc["coefficients"] = {k: _pick(draw, _fuzz_expression(names), _BAD_TEXT) for k in keys}
+    return _finish(draw, doc, ("coords",)), draw(_curve(names))
+
+
+@given(case=_action_doc())
+@settings(max_examples=50, deadline=None)
+def test_action_fuzz_ends_in_an_exit_code(case):
+    _assert_json_exit(*_run_with_curve(["action"], *case))
+
+
+@st.composite
+def _metric_doc(draw):
+    names = _names(draw)
+    doc = {"coords": _pick(draw, st.just(list(names)), _BAD_COORDS),
+           "potential": _pick(draw, _fuzz_expression(names), _BAD_TEXT),
+           "point": _point(draw, names)}
+    return _finish(draw, doc, ("coords", "potential", "point"))
+
+
+@given(doc=_metric_doc())
+@settings(max_examples=50, deadline=None)
+def test_metric_fuzz_ends_in_an_exit_code(doc):
+    _assert_json_exit(*_run_cli(["metric"], doc))
+
+
+@st.composite
+def _curvature_doc(draw):
+    names = _names(draw)
+    s_name = _pick(draw, st.sampled_from(["s", "u"]), st.sampled_from([3, None, "q1", ["s"]]))
+    full = (s_name if isinstance(s_name, str) else "s",) + names
+    doc = {"coords": _pick(draw, st.just(list(names)), _BAD_COORDS),
+           "coefficients": _pick(draw, st.fixed_dictionaries({k: _fuzz_expression(full) for k in names}),
+                                 st.sampled_from([None, [], {"q9": "1"}, {k: 3 for k in names}])),
+           "point": _point(draw, full)}
+    if s_name != "s" or draw(st.booleans()):
+        doc["s"] = s_name
+    return _finish(draw, doc, ("coords", "coefficients", "point"))
+
+
+@given(doc=_curvature_doc())
+@settings(max_examples=50, deadline=None)
+def test_curvature_fuzz_ends_in_an_exit_code(doc):
+    _assert_json_exit(*_run_cli(["curvature"], doc))
 
 
 _SIM_NAMES = {"thermoelastic": ("eps", "F11", "F12", "H1"), "ferroelectric": ("eps", "F11", "pi1", "gpi12", "H1")}
@@ -1107,6 +1257,51 @@ integration: {{t1: 0.1, dt: 0.01}}
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("sub", ["simulate", "surface", "admissible", "vdw"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_1(self, tmp_path, sub, where):
+        # open() raised FileNotFoundError or IsADirectoryError: a traceback, and
+        # admissible had printed its JSON before it tried the CSV
+        out = str(tmp_path / "missing" / "x.csv") if where == "missing-directory" else str(tmp_path)
+        curve = write(tmp_path / "curve.csv", "t,q1\n0,0\n0.5,0.5\n1,1\n")
+        doc = {"simulate": {"model": "thermoelastic", "potential": "ln(eps)", "initial": {"eps": 0.5},
+                            "integration": {"t1": 0.1, "dt": 0.05}},
+               "surface": {"coords": ["q1"], "potential": "q1^2", "grid": {"q1": [0.0, 1.0, 3]}},
+               "admissible": {"coords": ["q1"], "potential": "q1^2", "sigma": "q1", "curve": curve},
+               "vdw": None}[sub]
+        code, stdout, stderr = _run_cli([sub, "--out", out], doc)
+        assert (code, stdout) == (EXIT_ERROR, "")
+        assert stderr.startswith(f"error: --out: cannot write {out!r}: ") and stderr.count("\n") == 1
+
+    @staticmethod
+    def curve_doc(tmp_path, sub, text, coords=("q1", "q2"), potential="q1*q2"):
+        doc = {"coords": list(coords), "potential": potential, "curve": write(tmp_path / "curve.csv", text)}
+        if sub == "admissible":
+            doc["sigma"] = "q1"
+        return doc
+
+    @pytest.mark.parametrize("sub", ["admissible", "action"])
+    @pytest.mark.parametrize("times", [["0", "nan", "1"], ["0", "inf"], ["-inf", "0", "1"]],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_curve_times_must_be_finite(self, tmp_path, sub, times):
+        # NaN passed the strictly-increasing test (every comparison with it is False),
+        # and so did inf: each exited 0
+        text = "t,q1,q2\n" + "".join(f"{t},{i},1\n" for i, t in enumerate(times))
+        assert _run_cli([sub], self.curve_doc(tmp_path, sub, text)) == (
+            EXIT_ERROR, "", "error: times must be finite and strictly increasing\n")
+
+    def test_admissible_needs_an_interior_sample(self, tmp_path):
+        # printed "rates": [], "delta_sigma": -5.0 and "admissible": true, with exit 0
+        doc = self.curve_doc(tmp_path, "admissible", "t,q1,q2\n0,0,1\n1,-5,1\n")
+        assert _run_cli(["admissible"], doc) == (
+            EXIT_ERROR, "", "error: no production rate to judge: a curve of 2 samples has no interior sample\n")
+
+    def test_admissible_overflowing_curve_exits_1(self, tmp_path):
+        # two RuntimeWarnings from the endpoint tangents, then "delta_s": -Infinity with exit 0
+        doc = self.curve_doc(tmp_path, "admissible", "t,q1\n0,0\n0.5,1e308\n1,-1e308\n", ("q1",), "q1")
+        assert _run_cli(["admissible"], doc) == (
+            EXIT_ERROR, "", "error: non-finite delta_s -inf between the curve's end samples\n")
 
 
 def subcommand_parsers():

@@ -2,6 +2,7 @@ import math
 import re
 import struct
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -496,6 +497,66 @@ def test_joint_tape_error_is_the_first_failing_binding_and_output():
     with pytest.raises(DomainError, match=r"^division by zero in '1/\(y-1\)' \(value 0\.0\)$"):
         grad_columns(lower(roots), bindings, ("x", "y"))
     check_joint_against_per_expression(roots, bindings, ("x", "y"))
+
+
+def test_grad_columns_unbound_name_is_grads_bind_error():
+    # the column sweep's KeyError is no message: the re-run through grad words it
+    e = parse("x*y")
+    bindings = [{"x": 1.0, "y": 2.0}, {"x": 1.0}]
+    with pytest.raises(BindError, match=r"^unbound coordinate 'y'$"):
+        grad(e, bindings[1], ("x",))
+    with pytest.raises(BindError, match=r"^unbound coordinate 'y'$"):
+        grad_columns(lower([e]), bindings, ("x",))
+
+
+@pytest.mark.parametrize("text, binding, message", [
+    ("1/(x-1)", {"x": 1.0}, r"^division by zero in '1/\(x-1\)' \(value 0\.0\)$"),
+    ("sqrt(x)", {"x": -1.0}, r"^square root of a negative value in 'sqrt\(x\)' \(value -1\.0\)$"),
+    ("sqrt(x)", {"x": 0.0}, r"^square root not differentiable at zero in 'sqrt\(x\)' \(value 0\.0\)$"),
+    ("x^(1e308*10-1e308*10)", {"x": 2.0}, r"^NaN exponent in 'x\^\(1e\+308\*10-1e\+308\*10\)' \(value nan\)$"),
+    ("x^0.5", {"x": -1.0}, r"^non-integer power of a non-positive base in 'x\^0\.5' \(value -1\.0\)$"),
+    ("x^(0.5+0*y)", {"x": 0.0, "y": 1.0},
+     r"^non-integer power of a non-positive base in 'x\^\(0\.5\+0\*y\)' \(value 0\.0\)$"),
+    ("(x-1)^-2", {"x": 1.0}, r"^zero raised to a negative power in '\(x-1\)\^-2' \(value 0\.0\)$"),
+    ("x^(1e308*10)", {"x": 2.0}, r"^floating-point overflow in 'x\^\(1e\+308\*10\)' \(value 3\.0\)$"),
+], ids=["pole", "sqrt-negative", "sqrt-zero", "nan-exponent", "negative-base", "zero-base", "power-pole",
+        "infinite-exponent"])
+def test_grad_columns_domain_errors_are_grads(text, binding, message):
+    # each check of the column forward fails at binding 1 (at binding 0 too for an
+    # inf exponent, whose round() overflows): the column sweep only raises, and
+    # the re-run through grad gives the first failing binding's error
+    e = parse(text)
+    bindings = [{"x": 3.0, "y": 1.0}, {"y": 1.0, **binding}]
+    with pytest.raises(DomainError, match=message):
+        grad_columns(lower([e]), bindings, ("x",))
+    check_joint_against_per_expression([e], bindings, ("x",))
+
+
+_EDGE_VALUES = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0, 1e-300, 5e-324, 1e300])
+
+
+@given(roots=_joint_roots(), bindings=st.lists(st.fixed_dictionaries(
+           {name: st.one_of(_EDGE_VALUES, st.floats(-3.0, 3.0)) for name in _ALL}), min_size=1, max_size=8),
+       wrt=st.sampled_from([_ALL, ("y", "S"), ()]))
+@settings(max_examples=40, deadline=None)
+def test_column_sweep_raises_iff_some_binding_raises(roots, bindings, wrt):
+    """The column forward raises iff some binding's forward kernel does, and
+    grad_columns re-runs the batch through grad iff some binding's grad raises."""
+    tape = lower(roots)
+
+    def raises(fn):
+        try:
+            fn()
+        except Exception:
+            return True
+        return False
+
+    with np.errstate(all="ignore"):
+        batch = raises(lambda: _expr._column_forward(tape, tape.plan(wrt)[0], bindings))
+    assert batch == any(raises(lambda: _slots(tape, wrt, b)) for b in bindings)
+    with mock.patch.object(_expr, "grad", wraps=_expr.grad) as rerun:
+        raises(lambda: grad_columns(tape, bindings, wrt))
+    assert rerun.called == any(raises(lambda: grad(e, b, wrt)) for b in bindings for e in roots)
 
 
 def test_adjoints_sum_in_each_outputs_own_order():

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -289,6 +290,21 @@ class TestArrayBuildersMatchLoops:
         # without the failing samples, the same form gets a verdict from the batch
         fine = self.ERROR_SAMPLES[:1]
         assert worst_residual(form, fine) == loop_worst_residual(form, fine)
+
+    def test_returned_batch_with_non_finite_entry_is_final(self):
+        # da_y/dy = 2y*1e308 overflows at y = 1 (sample 1: C_yy is NaN), da_x/dx at
+        # x = 1 (sample 2: C_xx). The batch returns: its first non-finite entry, by
+        # sample and then row-major, is the error, and no sample is run again
+        form = form_xy("x^2*1e308", "y^2*1e308")
+        samples = [{"x": 0.5, "y": 0.5}, {"x": 0.5, "y": 1.0}, {"x": 1.0, "y": 0.5}]
+        assert np.isnan(d_residual(form, samples)[1:].diagonal(axis1=1, axis2=2)).tolist() == [
+            [False, True], [True, False]]
+        with mock.patch("thermoform.geometry.d_residual", wraps=d_residual) as sweep:
+            with pytest.raises(DomainError, match=r"^non-finite closeness residual nan in the pair \(y, y\)$"):
+                worst_residual(form, samples)
+        assert sweep.call_count == 1
+        assert outcome(lambda: worst_residual(form, samples)) == outcome(
+            lambda: loop_worst_residual(form, samples))
 
     def test_worst_residual_all_zero(self):
         form = form_xy("1", "2")

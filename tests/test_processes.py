@@ -40,6 +40,18 @@ class TestProcessCurve:
         with pytest.raises(ProcessError):
             curve_xy([[0, 0], [1, 1]], times=[1.0, 0.0])
 
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0], [np.nan, np.nan]])
+    def test_times_must_be_finite(self, times):
+        # NaN passed the old np.diff(t) <= 0 test, since every comparison with NaN is False
+        with pytest.raises(ProcessError, match="^times must be finite and strictly increasing$"):
+            curve_xy(np.zeros((len(times), 2)), times=times)
+
+    def test_far_apart_times_do_not_overflow(self):
+        # np.diff(t) overflowed to inf with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert curve_xy([[0, 0], [1, 1]], times=[-1.7e308, 1.7e308]).times[1] == 1.7e308
+
     def test_shape_guard(self):
         with pytest.raises(ProcessError):
             ProcessCurve(("x",), np.array([0.0, 1.0]), np.zeros((3, 1)))
@@ -152,6 +164,26 @@ class TestAdmissibility:
         c = self.monotone_curve(+1.0, n=5)
         assert len(admissibility(surface_q2("q1"), c).rates) == 3
         assert len(admissibility(surface_q2("q1"), c, include_endpoints=True).rates) == 5
+
+    def test_no_rate_to_judge_is_an_error(self):
+        # a 2-sample curve has no interior sample: its "rates" were [] and its verdict "admissible"
+        c = ProcessCurve(("q1", "q2"), np.array([0.0, 1.0]), np.array([[0.0, 1.0], [-5.0, 1.0]]))
+        with pytest.raises(ProcessError, match="^no production rate to judge: a curve of 2 samples"):
+            admissibility(surface_q2("q1"), c)
+        assert admissibility(surface_q2("q1"), c, include_endpoints=True).rates.tolist() == [-5.0, -5.0]
+
+    @pytest.mark.parametrize("sigma, potential, q1, name", [
+        ("q1", "q1", [0.0, 1e308, -1e308], "delta_s"),  # each change is -1e308
+        ("q1", "0", [1e308, 0.0, 0.0, -1e308], "delta_sigma"),  # ends 2e308 apart
+        ("0", "q1", [1e308, 0.0, 0.0, -1e308], "delta_U"),
+    ])
+    def test_overflowing_change_is_a_domain_error(self, sigma, potential, q1, name):
+        # the endpoint tangents overflowed with RuntimeWarnings, and the change was -inf
+        c = ProcessCurve(("q1", "q2"), 0.5 * np.arange(len(q1)), np.column_stack([q1, np.ones(len(q1))]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"^non-finite {name} -inf between the curve's end samples$"):
+                admissibility(surface_q2(sigma, potential), c)
 
 
 class TestMetric:
