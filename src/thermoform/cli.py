@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import math
@@ -434,8 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's parser, built once: parsing leaves no state on it
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (cfg.ConfigError, ModelError, DomainError, ProcessError) as exc:

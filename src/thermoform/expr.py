@@ -21,11 +21,11 @@ instruction through a line table built with the source.
 A tuple of expressions lowers to one tape with one output per expression
 (``lower``), merged across them; a single expression is the 1-tuple case.
 ``evaluate_all`` takes every output's value from one float sweep;
-``grad_columns`` sweeps a batch of bindings as (N,) columns, then runs one
-reverse sweep per output in that output's own order.  Both are bitwise the
-per-expression ``evaluate`` and ``grad``; when a joint or batched sweep
-fails, they re-run the outputs (and bindings) one by one through those, so
-the error is the first failing one's, with its own message.
+``grad_columns`` stacks the slot kernel's values at a batch of bindings as
+(N,) columns, then runs one reverse sweep per output in its own order.  Both
+are bitwise the per-expression ``evaluate`` and ``grad``; when a joint or
+batched sweep fails, they re-run the outputs (and bindings) one by one
+through those, so the error is the first failing one's, with its own message.
 """
 from __future__ import annotations
 
@@ -561,10 +561,10 @@ def _dpow(x: float, p: float) -> float | None:
 # operation, and a memo keyed on the text compiles each shape once per
 # process.  Each instruction's lines do the float operations of its rule in
 # the rule's order, and each adjoint starts at 0.0 and accumulates in the
-# output's own reverse order, so every value and derivative is bitwise the
-# column sweeps' (which keep the same rules).  Kinds of kernel:
+# output's own reverse order, so every derivative is bitwise the column
+# reverse sweep's (which keeps the same rules).  Kinds of kernel:
 #   _VALUES  the domain checks and instructions in order, then the outputs;
-#   _SLOTS   the same, then every slot (for the second-order sweep);
+#   _SLOTS   the same, then every slot (for the second-order and column sweeps);
 #   _GRAD    the same, then the one output's reverse sweep, then its
 #            adjoint at the slot of each wrt entry.
 # A failed domain check raises _Fault(instruction, message, value).  An
@@ -718,66 +718,17 @@ def _slots(tape: _Tape, wrt: tuple[str, ...] | None, binding: dict[str, float]) 
 
 
 # ---------------------------------------------------------------------------
-# Column sweeps: the same instructions over a batch of N bindings, each slot
-# an (N,) array.  + - * /, negation, abs and sqrt run in numpy, which rounds
-# them correctly, as float arithmetic does; exp, ln and the powers run element
-# by element through the float sweep's own operations, so libm's bits are
-# kept.  Every column entry is therefore bitwise the float sweep's value, and
-# the sweep raises, with no message, wherever some binding's float sweep does:
-# grad_columns re-runs a failed batch through grad, whose kernels and _run
-# pick the failing binding and word the error.
+# Column sweeps: the slot kernel's values at N bindings, stacked so that each
+# slot is an (N,) column, then one reverse sweep per output over the columns.
+# Its + - * / and negation run in numpy, which rounds them correctly, as float
+# arithmetic does; logs and the power rule (_dpow) run element by element
+# on Python floats, as in the gradient kernels, so every adjoint is bitwise
+# theirs.  A batch raises wherever some binding's slot kernel does, and
+# grad_columns then re-runs it through grad, whose kernels and _run pick the
+# failing binding and word the error.
 # ---------------------------------------------------------------------------
 
-def _column_forward(tape: _Tape, code: list[tuple], bindings: list[dict]) -> list[np.ndarray]:
-    """Column of every slot over the bindings.  numpy does not raise at a zero
-    divisor, outside sqrt's domain or at a bad constant exponent, so those are
-    checked; elsewhere (an unbound name included) Python raises where the kernels do."""
-    n = len(bindings)
-    coords = [[float(b[name]) for name in tape.names] for b in bindings]
-    inputs = np.empty((tape.base, n))
-    inputs[:len(tape.consts)] = np.array(tape.consts).reshape(-1, 1)
-    inputs[len(tape.consts):] = np.array(coords).reshape(n, len(tape.names)).T
-    vals = list(inputs)
-    push = vals.append
-    for op, a, b in code:
-        x = vals[a]
-        if op == _MUL:
-            push(x * vals[b])
-        elif op == _ADD:
-            push(x + vals[b])
-        elif op == _SUB:
-            push(x - vals[b])
-        elif op == _NEG:
-            push(-x)
-        elif op == _RECIP:
-            if not x.all():
-                raise ArithmeticError
-            push(1.0 / x)
-        elif op == _ABS:
-            push(np.abs(x))
-        elif op == _SQRT or op == _SQRT0:
-            if (x < 0.0).any() or op == _SQRT and not x.all():
-                raise ArithmeticError
-            push(np.sqrt(x))
-        else:  # math.log raises at x <= 0, and 0.0 ** -n at a pole
-            xs = x.tolist()
-            if op == _POWI:
-                push(np.array([float(v ** b) for v in xs]))
-            elif op == _POWC:  # round() raises at a NaN or infinite p; x ** p is x ** int(p) if p is whole
-                ps = vals[b].tolist()
-                if any(p != round(p) and v <= 0.0 for v, p in zip(xs, ps)):
-                    raise ArithmeticError
-                push(np.array([v ** p for v, p in zip(xs, ps)]))
-            elif op == _POWV:
-                push(np.array([math.exp(p * math.log(v)) for v, p in zip(xs, vals[b].tolist())]))
-            elif op == _EXP:
-                push(np.array([math.exp(v) for v in xs]))
-            else:  # _LN
-                push(np.array([math.log(v) for v in xs]))
-    return vals
-
-
-def _column_reverse(rev: list[tuple], out: int, vals: list[np.ndarray], dep: list[bool],
+def _column_reverse(rev: list[tuple], out: int, vals: np.ndarray, dep: list[bool],
                     adj: np.ndarray) -> None:
     """Fill the zeroed ``adj`` (one row per slot and a spare) with d out / d slot per
     column.  A slot that depends on no differentiated name gets no adjoint: none is read."""
@@ -846,17 +797,17 @@ def grad_columns(tape: _Tape, bindings: list[dict[str, float]],
                  wrt: list[str] | tuple[str, ...]) -> np.ndarray:
     """Every output's gradient at every binding, shape (bindings, outputs, len(wrt)).
 
-    One forward sweep over columns of the bindings, then one reverse sweep per
-    output; each entry is bitwise that output's ``grad`` at that binding.
+    The slot kernel at each binding, stacked into columns, then one reverse
+    sweep per output; each entry is bitwise that output's ``grad`` at that binding.
     When a sweep raises, the bindings are re-run one by one, and at each the
     outputs one by one, through ``grad``: the error is the first failing
     binding's, and there the first failing output's, with its own message.
     """
     wrt = tuple(wrt)
-    code, revs, slots, dep = tape.plan(wrt)
+    _, revs, slots, dep = tape.plan(wrt)
     try:
+        vals = np.array([_slots(tape, wrt, b) for b in bindings]).reshape(len(bindings), len(dep)).T
         with np.errstate(all="ignore"):  # inf and NaN are the float sweeps' values too
-            vals = _column_forward(tape, code, bindings)
             adj = np.empty((len(vals) + 1, len(bindings)))
             jac = np.empty((len(revs), len(slots), len(bindings)))
             rows = np.array(slots, dtype=np.intp)

@@ -20,6 +20,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
+from thermoform import cli
 from thermoform.cli import _MODELS, EXIT_DOMAIN, EXIT_ERROR, EXIT_NOT_CLOSED, EXIT_OK, build_parser, main
 from thermoform.point import rk4_step
 
@@ -1291,6 +1292,38 @@ integration: {{t1: 0.1, dt: 0.01}}
         assert _run_cli([sub], self.curve_doc(tmp_path, sub, text)) == (
             EXIT_ERROR, "", "error: times must be finite and strictly increasing\n")
 
+    def test_curve_header_must_start_with_t(self, tmp_path):
+        doc = self.curve_doc(tmp_path, "action", "q1,t,q2\n0,0,1\n1,1,1\n")
+        assert _run_cli(["action"], doc) == (
+            EXIT_ERROR, "", f"error: curve file {doc['curve']}: first column must be 't'\n")
+
+    def test_blank_curve_line_is_skipped(self, tmp_path):
+        with_blank = _run_cli(["action"], self.curve_doc(tmp_path, "action", "t,q1,q2\n0,0,1\n\n0.5,1,1\n1,2,1\n"))
+        without = _run_cli(["action"], self.curve_doc(tmp_path, "action", "t,q1,q2\n0,0,1\n0.5,1,1\n1,2,1\n"))
+        assert with_blank == without == (EXIT_OK, '{\n  "action": 2.0\n}\n', "")
+
+    def test_curve_path_that_is_a_directory(self, tmp_path):
+        doc = {"coords": ["q1"], "potential": "q1", "curve": str(tmp_path)}
+        assert _run_cli(["action"], doc) == (
+            EXIT_ERROR, "", f"error: cannot read curve file: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+
+    def test_box_entry_must_be_a_pair(self):
+        doc = {"coords": ["x", "y"], "potential": "x*y", "box": {"x": [1], "y": [0, 1]}}
+        assert _run_cli(["check-closed"], doc) == (EXIT_ERROR, "", "error: config.box.x: expected [lo, hi]\n")
+
+    def test_initial_vector_must_be_numbers(self):
+        doc = {"model": "thermoelastic", "potential": "ln(eps)", "initial": {"eps": 0.5, "H": ["a", "b", "c"]},
+               "integration": {"t1": 1.0, "dt": 0.1}}
+        assert _run_cli(["simulate"], doc) == (
+            EXIT_ERROR, "", "error: config.initial.H: expected 3 finite numbers\n")
+
+    @pytest.mark.parametrize("t0", [1.0, 2.0], ids=["equal", "reversed"])
+    def test_t1_must_exceed_t0(self, t0):
+        doc = {"model": "thermoelastic", "potential": "ln(eps)", "initial": {"eps": 0.5},
+               "integration": {"t0": t0, "t1": 1.0, "dt": 0.1}}
+        assert _run_cli(["simulate"], doc) == (
+            EXIT_ERROR, "", "error: config.integration: need dt > 0 and t1 > t0\n")
+
     def test_admissible_needs_an_interior_sample(self, tmp_path):
         # printed "rates": [], "delta_sigma": -5.0 and "admissible": true, with exit 0
         doc = self.curve_doc(tmp_path, "admissible", "t,q1,q2\n0,0,1\n1,-5,1\n")
@@ -1355,6 +1388,22 @@ class TestFlags:
         assert message in captured.err
         assert "Traceback" not in captured.err
 
+    def test_consecutive_calls_print_what_separate_calls_print(self, tmp_path):
+        # main keeps one parser per process: no flag of one call may leak into the next
+        form = {"coords": ["x", "y"], "coefficients": {"x": "y", "y": "-x*x"},
+                "box": {"x": [0.0, 1.0], "y": [0.0, 1.0]}, "count": 8}
+        metric = {"coords": ["x", "y"], "potential": "x^2*y + y^3", "point": {"x": 0.5, "y": 1.5}}
+        argvs = [(["check-closed", "--tol", "0.5", "--seed", "3"], form), (["metric"], metric),
+                 (["check-closed"], form), (["vdw", "--sn", "2", "--vn", "3", "--a", "2"], None),
+                 (["vdw", "--sn", "2", "--vn", "3"], None)]
+        together = [_run_cli(*argv) for argv in argvs]
+        alone = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            alone.append(_run_cli(*argv))
+        assert together == alone
+        assert together[0] != together[2] and together[3] != together[4]
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["check-closed", "--help"])
@@ -1402,9 +1451,12 @@ def _dynamic_openblas() -> bool:
     return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
+NO_KERNEL_TO_FORCE = "numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH, so no kernel can be forced"
+
+
 class TestCpuIndependentBytes:
-    """simulate's output path has no BLAS or LAPACK call, so the kernel that OpenBLAS
-    picks for this CPU cannot change a bit of it."""
+    """simulate's and check-closed's output paths have no BLAS or LAPACK call, so the
+    kernel that OpenBLAS picks for this CPU cannot change a bit of them."""
 
     CORE_TYPES = ("SkylakeX", "Haswell", "Nehalem", "Prescott")
     FORCING = """
@@ -1431,22 +1483,41 @@ initial:
 """,
     }
 
-    @pytest.mark.skipif(not _dynamic_openblas(),
-                        reason="numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH, so no kernel can be forced")
+    def run_under_every_kernel(self, script, args):
+        """(stdout, exit code) of ``script`` run with ``args``, per forced kernel."""
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        children = [subprocess.Popen([sys.executable, "-W", "error::RuntimeWarning", "-c", script, core, *args],
+                                     stdout=subprocess.PIPE,
+                                     env=dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=core))
+                    for core in self.CORE_TYPES]
+        return [(child.communicate(timeout=60)[0], child.returncode) for child in children]
+
+    @pytest.mark.skipif(not _dynamic_openblas(), reason=NO_KERNEL_TO_FORCE)
     def test_simulate_bytes_are_the_same_under_every_kernel(self, tmp_path):
         # a general L and nonzero u, grad u: the products L F and LE . u went through BLAS
         paths = [write(tmp_path / f"{name}.yaml", text + self.FORCING) for name, text in self.CONFIGS.items()]
         script = ("import sys; from thermoform.cli import main\n"
                   "sys.exit(max(main(['simulate', '--config', p, '--out', f'{p}.{sys.argv[1]}.csv'])"
                   " for p in sys.argv[2:]))")
-        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        children = [subprocess.Popen([sys.executable, "-W", "error::RuntimeWarning", "-c", script, core, *paths],
-                                     env=dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=core))
-                    for core in self.CORE_TYPES]
-        assert [child.wait(timeout=60) for child in children] == [EXIT_OK] * len(self.CORE_TYPES)
+        runs = self.run_under_every_kernel(script, paths)
+        assert [code for _, code in runs] == [EXIT_OK] * len(self.CORE_TYPES)
         for path in paths:
             outputs = {pathlib.Path(f"{path}.{core}.csv").read_bytes() for core in self.CORE_TYPES}
             assert len(outputs) == 1, path
+
+    @pytest.mark.skipif(not _dynamic_openblas(), reason=NO_KERNEL_TO_FORCE)
+    def test_check_closed_bytes_are_the_same_under_every_kernel(self, tmp_path):
+        config = write(tmp_path / "c.yaml", """
+coords: [x, y, z]
+coefficients: {x: "exp(0.3*y*z) + x", y: "ln(1 + x^2)*sqrt(z + 2)", z: "sqrt(x*y + 1)*exp(-z)"}
+box: {x: [0.1, 1.3], y: [-0.7, 0.9], z: [0.2, 1.1]}
+count: 64
+""")
+        script = "import sys; from thermoform.cli import main; sys.exit(main(sys.argv[2:]))"
+        runs = self.run_under_every_kernel(script, ["check-closed", "--config", config])
+        assert {code for _, code in runs} == {EXIT_NOT_CLOSED}
+        assert len({out for out, _ in runs}) == 1
+        assert json.loads(runs[0][0])["samples"] == 64
 
 
 class TestBenchmarkScenarios:

@@ -115,3 +115,20 @@ class TestTimeFn:
             cfg.time_fn_matrix(texts, "config.forcing.L")(0.5)
         assert str(err.value) == self.loop_error([v for row in texts for v in row], 0.5)
         assert str(err.value).startswith("non-finite result in 'exp(t*800)*1e+300*10'")
+
+
+class TestLoadYaml:
+    def test_invalid_yaml(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("coords: [x, y\n")
+        with pytest.raises(cfg.ConfigError) as err:
+            cfg.load_yaml(str(path))
+        assert str(err.value).startswith("config is not valid YAML: while parsing a flow sequence")
+
+    @pytest.mark.parametrize("text", ["- x\n- y\n", "3\n", ""], ids=["list", "scalar", "empty"])
+    def test_root_must_be_a_mapping(self, tmp_path, text):
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        with pytest.raises(cfg.ConfigError) as err:
+            cfg.load_yaml(str(path))
+        assert str(err.value) == "config root must be a mapping"

@@ -42,6 +42,22 @@ class TestContactChart:
         chart = ContactChart(n=2)
         assert chart.coords == ("s", "q1", "q2", "p1", "p2")
 
+    @pytest.mark.parametrize("names", [{"q_names": ("a",)}, {"p_names": ("a", "b", "c")}],
+                             ids=["q", "p"])
+    def test_rejects_a_wrong_name_count(self, names):
+        with pytest.raises(GeometryError, match="^need exactly n extensive and n intensive names$"):
+            ContactChart(n=2, **names)
+
+
+class TestOneForm:
+    def test_one_coefficient_per_coordinate(self):
+        with pytest.raises(GeometryError, match="^coefficient count must equal coordinate count$"):
+            OneForm(("x", "y"), (ScalarField.from_text("x", ("x", "y")),))
+
+    def test_coefficients_share_the_coordinates(self):
+        with pytest.raises(GeometryError, match="^all coefficients must live on the form's coordinate space$"):
+            OneForm(("x", "y"), (ScalarField.from_text("x", ("x", "y")), ScalarField.from_text("y", ("y", "x"))))
+
 
 class TestContactEval:
     chart = ContactChart(n=1, q_names=("q",), p_names=("p",))
@@ -339,6 +355,13 @@ class TestReconstructPotential:
             expected = u.value(target) - u.value(base)
             assert val == pytest.approx(expected, rel=1e-9, abs=1e-9)
             assert res <= 1e-9
+
+    def test_zero_length_leg_adds_nothing(self):
+        # the y legs have zero length at y = 0, a pole of a_y: they are skipped, not evaluated
+        form = form_xy("y + 1", "x + 1/y")
+        u, res = reconstruct_potential(form, {"x": 0.0, "y": 0.0}, {"x": 2.0, "y": 0.0})
+        assert u == pytest.approx(2.0, abs=1e-12)
+        assert res == 0.0  # both orders integrate the same x leg
 
     def test_non_exact_detected(self):
         # staircase hand-integral: x-leg then y-leg gives -1, reversed gives +1

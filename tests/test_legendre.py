@@ -66,6 +66,12 @@ class TestConstitutiveSurface:
     def make(self, sigma_text="q1^2"):
         return ConstitutiveSurface(chart2(), field2("q1*q2"), field2(sigma_text))
 
+    @pytest.mark.parametrize("wrong", ["potential", "production"])
+    def test_fields_must_live_on_the_chart(self, wrong):
+        fields = {"potential": field2("q1"), "production": field2("q1"), wrong: ScalarField.from_text("x", ("x",))}
+        with pytest.raises(GeometryError, match=f"^{wrong} must be a field over the chart's extensive coordinates$"):
+            ConstitutiveSurface(chart2(), **fields)
+
     def test_embed_is_reeb_shift(self):
         surf = self.make()
         q = {"q1": 2.0, "q2": 3.0}
@@ -153,6 +159,10 @@ class TestConnectionCurvature:
         for _ in range(5):
             x = {n: float(rng.uniform(-1, 1)) for n in space}
             assert np.abs(connection_curvature(conn, x)).max() <= 1e-9
+
+    def test_coefficients_must_live_on_s_and_q(self):
+        with pytest.raises(GeometryError, match=r"^coefficients must live on \(s,\) \+ q coordinates$"):
+            GibbsConnection("s", ("q1",), (ScalarField.from_text("q1", ("q1",)),))
 
     def test_hand_curvature_s_dependence(self):
         # p1 = s, p2 = 0: Omega_12 = p_{2,s} p1 - p_{1,s} p2 + (p_{2,q1} - p_{1,q2}) = 0

@@ -52,6 +52,11 @@ class TestProcessCurve:
             warnings.simplefilter("error")
             assert curve_xy([[0, 0], [1, 1]], times=[-1.7e308, 1.7e308]).times[1] == 1.7e308
 
+    @pytest.mark.parametrize("times", [[0.0], [[0.0, 1.0]]], ids=["one-sample", "2d"])
+    def test_needs_two_time_samples(self, times):
+        with pytest.raises(ProcessError, match="^a curve needs at least 2 time samples$"):
+            ProcessCurve(("x",), np.array(times), np.zeros((1, 1)))
+
     def test_shape_guard(self):
         with pytest.raises(ProcessError):
             ProcessCurve(("x",), np.array([0.0, 1.0]), np.zeros((3, 1)))
@@ -165,6 +170,11 @@ class TestAdmissibility:
         assert len(admissibility(surface_q2("q1"), c).rates) == 3
         assert len(admissibility(surface_q2("q1"), c, include_endpoints=True).rates) == 5
 
+    def test_curve_must_be_over_the_surface_coordinates(self):
+        curve = ProcessCurve(("q1", "x"), np.arange(3.0), np.zeros((3, 2)))
+        with pytest.raises(ProcessError, match="^curve coordinates must match the surface's base coordinates$"):
+            admissibility(surface_q2("q1"), curve)
+
     def test_no_rate_to_judge_is_an_error(self):
         # a 2-sample curve has no interior sample: its "rates" were [] and its verdict "admissible"
         c = ProcessCurve(("q1", "q2"), np.array([0.0, 1.0]), np.array([[0.0, 1.0], [-5.0, 1.0]]))
@@ -225,6 +235,11 @@ class TestSpinodal:
     def test_no_root_for_convex_potential(self):
         u = ScalarField.from_text("q1^2+q2^2", ("q1", "q2"))
         assert spinodal_scan(u, "q1", -1.0, 1.0, {"q2": 0.0}) == []
+
+    def test_sample_with_zero_det_is_a_root(self):
+        # det = 12 q1 is exactly 0 at the middle of the 3 samples -1, 0, 1: no bisection
+        u = ScalarField.from_text("q1^3 + q2^2", ("q1", "q2"))
+        assert spinodal_scan(u, "q1", -1.0, 1.0, {"q2": 0.0}, samples=3) == [0.0]
 
     def test_cubic_root_at_origin(self):
         u = ScalarField.from_text("q1^3 + q2^2", ("q1", "q2"))

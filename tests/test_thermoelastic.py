@@ -277,3 +277,7 @@ class TestTimeExtendedCloseness:
                 ScalarField.from_text("0", BASE_COORDS),
                 tuple(self.ext("0") for _ in F_NAMES),
                 self.ext("0"), {})
+
+    def test_stress_component_count(self):
+        with pytest.raises(ModelError, match="^need 9 components of sigma:F\\^-1/theta$"):
+            self.residual_at(self.ext("0"), tuple(self.ext("0") for _ in F_NAMES[:8]), self.ext("0"))
