@@ -59,7 +59,7 @@ def _read_curve(path: str, coords: tuple[str, ...]) -> ProcessCurve:
     if not isinstance(path, str):  # an int would be opened as a file descriptor
         raise cfg.ConfigError(f"config.curve: expected a file path string, got {path!r}")
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if not header or header[0] != "t":
@@ -83,6 +83,8 @@ def _read_curve(path: str, coords: tuple[str, ...]) -> ProcessCurve:
                 rows.append(values[1:])
     except OSError as exc:
         raise cfg.ConfigError(f"cannot read curve file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise cfg.ConfigError(f"curve file {path}: {exc}") from None
     pts = np.array(rows).reshape(-1, len(cols))[:, [cols.index(name) for name in coords]]
     return ProcessCurve(coords, np.array(times), pts)
 

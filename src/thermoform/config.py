@@ -23,10 +23,14 @@ class ConfigError(Exception):
     pass
 
 
+# libyaml's parser where PyYAML is built with it; the constructor is the same Python class
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_yaml(path: str) -> dict:
     try:
-        with open(path) as fh:
-            doc = yaml.safe_load(fh)
+        with open(path, "rb") as fh:  # the YAML reader decodes, and names a byte that is not UTF-8
+            doc = yaml.load(fh, Loader=_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -11,10 +11,10 @@ curl/closeness residuals are limited only by round-off, not by finite
 difference noise.  Leaving a function's real domain, overflow included,
 raises DomainError naming the subexpression.
 
-The value and gradient sweeps run as kernels: per plan, straight-line Python
-generated from the tape's opcodes and slot numbers, compiled once per tape
-shape (a memo keyed on the source text) and kept on the tape.  Constants and
-coordinate values are arguments, not text.  A domain check raises in
+The value, gradient and column sweeps run as kernels: per plan, straight-line
+Python generated from the tape's opcodes and slot numbers, compiled once per
+tape shape (a memo keyed on the source text) and kept on the tape.  Constants
+and coordinate values are arguments, not text.  A domain check raises in
 instruction order with its message; an overflow maps back to its
 instruction through a line table built with the source.
 
@@ -22,13 +22,16 @@ A tuple of expressions lowers to one tape with one output per expression
 (``lower``), merged across them; a single expression is the 1-tuple case.
 ``evaluate_all`` takes every output's value from one float sweep;
 ``grad_columns`` stacks the slot kernel's values at a batch of bindings as
-(N,) columns, then runs one reverse sweep per output in its own order.  Both
-are bitwise the per-expression ``evaluate`` and ``grad``; when a joint or
-batched sweep fails, they re-run the outputs (and bindings) one by one
-through those, so the error is the first failing one's, with its own message.
+(N,) columns, then the column kernel (``_COLUMNS``), generated from the
+gradient kernel's reverse rules, sweeps every output over them in its own
+order.  Both are bitwise the per-expression ``evaluate`` and ``grad``; when a
+joint or batched sweep fails, they re-run the outputs (and bindings) one by
+one through those, so the error is the first failing one's, with its own
+message.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -538,18 +541,6 @@ def lower(exprs) -> _Tape:
     return _lower(tuple(exprs))
 
 
-def _dpow(x: float, p: float) -> float | None:
-    """d(x^p)/dx for an exponent that carries no derivative, for the column sweep;
-    None where the reverse sweeps add nothing (x = 0 and p != 1, where p x^(p-1)
-    would be 0 or a pole).  The gradient kernels' _POWI and _POWC lines hold the same rule."""
-    if p == round(p):
-        p = int(round(p))
-        if x != 0.0:
-            return p * x ** (p - 1)
-        return 1.0 if p == 1 else None
-    return p * x ** (p - 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Kernels.  Each plan is compiled, on first use, into a straight-line Python
 # function (source transformation; Griewank & Walther, Evaluating
@@ -561,18 +552,20 @@ def _dpow(x: float, p: float) -> float | None:
 # operation, and a memo keyed on the text compiles each shape once per
 # process.  Each instruction's lines do the float operations of its rule in
 # the rule's order, and each adjoint starts at 0.0 and accumulates in the
-# output's own reverse order, so every derivative is bitwise the column
-# reverse sweep's (which keeps the same rules).  Kinds of kernel:
-#   _VALUES  the domain checks and instructions in order, then the outputs;
-#   _SLOTS   the same, then every slot (for the second-order and column sweeps);
-#   _GRAD    the same, then the one output's reverse sweep, then its
-#            adjoint at the slot of each wrt entry.
+# output's own reverse order.  Kinds of kernel:
+#   _VALUES   the domain checks and instructions in order, then the outputs;
+#   _SLOTS    the same, then every slot (for the second-order and column sweeps);
+#   _GRAD     the same, then the one output's reverse sweep, then its
+#             adjoint at the slot of each wrt entry;
+#   _COLUMNS  given every slot as an (N,) column (v) and a zeroed array of
+#             shape (outputs, wrt, N) (jac), each output's reverse sweep over
+#             the columns, storing its adjoint at the slot of each wrt entry.
 # A failed domain check raises _Fault(instruction, message, value).  An
 # ArithmeticError (overflow in ** or exp, round(inf)) is traced to the line
 # it came from, which the line table maps to (instruction, first operand).
 # ---------------------------------------------------------------------------
 
-_VALUES, _SLOTS, _GRAD = range(3)
+_VALUES, _SLOTS, _GRAD, _COLUMNS = range(4)
 
 
 class _Fault(Exception):
@@ -635,6 +628,17 @@ _REVERSE = {
 }
 
 
+# The column kernel's own lines, only where a line above branches on a value:
+# np.where for _ABS, and per entry on Python floats the power rule
+# (_dpow_columns) and _POWV's log, so each term is bitwise the float line's.
+_COLUMN_REVERSE = {
+    _ABS: ((0, ("a{a} = where(v{a} > 0.0, a{a} + a{i}, where(v{a} < 0.0, a{a} - a{i}, a{a}))",)),),
+    _POWI: ((0, ("a{a} = dpow(a{a}, a{i}, v{a}, repeat({b}))",)),),
+    _POWC: ((0, ("a{a} = dpow(a{a}, a{i}, v{a}, v{b}.tolist())",)),),
+    _POWV: (_REVERSE[_POWV][0], (1, ("a{b} += a{i} * v{i} * array([log(u) for u in v{a}.tolist()])",))),
+}
+
+
 def _chunk(lines: tuple[str, ...]) -> tuple[str, int]:
     """One rule's lines as one format string, indented into the kernel's body."""
     return "\n".join(" " + line for line in lines), len(lines)
@@ -642,8 +646,9 @@ def _chunk(lines: tuple[str, ...]) -> tuple[str, int]:
 
 _FORWARD_CHUNKS = {op: _chunk(lines) for op, lines in _FORWARD.items()}
 _POLE_CHUNK = _chunk(_POLE + _FORWARD[_POWI])
-_REVERSE_CHUNKS = {op: tuple((operand, _chunk(lines)) for operand, lines in updates)
-                   for op, updates in _REVERSE.items()}
+_REVERSE_CHUNKS, _COLUMN_CHUNKS = ({op: tuple((operand, _chunk(lines)) for operand, lines in updates)
+                                    for op, updates in rules.items()}
+                                   for rules in (_REVERSE, {**_REVERSE, **_COLUMN_REVERSE}))
 _UNIT_CHUNK = ((0, _chunk(("else: a{a} += a{i}",))),)  # d(x^1) at x = 0, after _POWI's line
 
 
@@ -652,35 +657,43 @@ def _source(tape: _Tape, wrt: tuple[str, ...] | None, kind: int) -> tuple[str, l
     the (instruction, first operand slot) it computes, or None."""
     code, revs, slots, dep = tape.plan(wrt)
     base, ncon = tape.base, len(tape.consts)
-    text = ["def kernel(c, b, n):"]
-    if ncon:
-        text.append(" " + "".join(f"v{j}, " for j in range(ncon)) + "= c")
-    text += [f" v{ncon + j} = float(b[n[{j}]])" for j in range(base - ncon)]
+    if kind == _COLUMNS:  # the slots come in as columns: no forward lines
+        text = ["def kernel(v, jac):", " " + "".join(f"v{j}, " for j in range(len(dep))) + "= v"]
+    else:
+        text = ["def kernel(c, b, n):"]
+        if ncon:
+            text.append(" " + "".join(f"v{j}, " for j in range(ncon)) + "= c")
+        text += [f" v{ncon + j} = float(b[n[{j}]])" for j in range(base - ncon)]
     where = [None] * (len(text) + 1)
-    for k, (op, a, b) in enumerate(code):
+    for k, (op, a, b) in enumerate(code if kind != _COLUMNS else ()):
         chunk, count = _POLE_CHUNK if op == _POWI and b < 0 else _FORWARD_CHUNKS[op]
         text.append(chunk.format(k=k, a=a, b=b, s=base + k))
         where += [(k, a)] * count
     if kind == _VALUES:
-        result = [f"v{j}" for j in tape.outs]
+        text.append(" return [" + ", ".join(f"v{j}" for j in tape.outs) + "]")
     elif kind == _SLOTS:
-        result = [f"v{j}" for j in range(len(dep))]
+        text.append(" return [" + ", ".join(f"v{j}" for j in range(len(dep))) + "]")
     else:
-        ((out, rev),) = revs
-        zero = [j for j in range(len(dep)) if dep[j] and j != out]
-        if zero:
-            text.append(" " + "".join(f"a{j} = " for j in zero) + "0.0")
+        rules = _REVERSE_CHUNKS if kind == _GRAD else _COLUMN_CHUNKS
+        for k, (out, rev) in enumerate(revs):
+            # the adjoints this output's sweep writes, the only ones it reads
+            held = {out, *((a, b)[operand] for op, a, b, _ in rev for operand, _ in rules[op]
+                           if dep[(a, b)[operand]])}
+            if len(held) > 1:
+                text.append(" " + "".join(f"a{j} = " for j in sorted(held - {out})) + "0.0")
+                where.append(None)
+            text.append(f" a{out} = 1.0")
             where.append(None)
-        text.append(f" a{out} = 1.0")
-        where.append(None)
-        for op, a, b, i in rev:
-            updates = _REVERSE_CHUNKS[op] + (_UNIT_CHUNK if op == _POWI and b == 1 else ())
-            for operand, (chunk, count) in updates:
-                if dep[(a, b)[operand]]:
-                    text.append(chunk.format(a=a, b=b, c=b - 1 if op == _POWI else None, i=i))
-                    where += [(i - base, a)] * count
-        result = [f"a{j}" if j < len(dep) else "0.0" for j in slots]
-    text.append(" return [" + ", ".join(result) + "]")
+            for op, a, b, i in rev:
+                updates = rules[op] + (_UNIT_CHUNK if kind == _GRAD and op == _POWI and b == 1 else ())
+                for operand, (chunk, count) in updates:
+                    if dep[(a, b)[operand]]:
+                        text.append(chunk.format(a=a, b=b, c=b - 1 if op == _POWI else None, i=i))
+                        where += [(i - base, a)] * count
+            if kind == _GRAD:
+                text.append(" return [" + ", ".join(f"a{j}" if j in held else "0.0" for j in slots) + "]")
+            else:
+                text += [f" jac[{k}, {r}] = a{j}" for r, j in enumerate(slots) if j in held]
     return "\n".join(text) + "\n", where
 
 
@@ -688,7 +701,8 @@ def _source(tape: _Tape, wrt: tuple[str, ...] | None, kind: int) -> tuple[str, l
 def _compiled(source: str):
     """The function ``source`` defines; tapes of one shape share it."""
     namespace = {"_Fault": _Fault, "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
-                 "isnan": math.isnan}
+                 "isnan": math.isnan, "array": np.array, "where": np.where,
+                 "repeat": itertools.repeat, "dpow": _dpow_columns}
     exec(compile(source, "<tape kernel>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -719,62 +733,29 @@ def _slots(tape: _Tape, wrt: tuple[str, ...] | None, binding: dict[str, float]) 
 
 # ---------------------------------------------------------------------------
 # Column sweeps: the slot kernel's values at N bindings, stacked so that each
-# slot is an (N,) column, then one reverse sweep per output over the columns.
-# Its + - * / and negation run in numpy, which rounds them correctly, as float
-# arithmetic does; logs and the power rule (_dpow) run element by element
-# on Python floats, as in the gradient kernels, so every adjoint is bitwise
-# theirs.  A batch raises wherever some binding's slot kernel does, and
-# grad_columns then re-runs it through grad, whose kernels and _run pick the
-# failing binding and word the error.
+# slot is an (N,) column, then the column kernel: every output's reverse sweep
+# over the columns, from the gradient kernels' rules.  Its + - * / and
+# negation run in numpy, which rounds them correctly, as float arithmetic
+# does; logs and the power rule run element by element on Python floats, so
+# every adjoint is bitwise the gradient kernel's.  A batch raises wherever
+# some binding's slot kernel does, and grad_columns then re-runs it through
+# grad, whose kernels and _run pick the failing binding and word the error.
 # ---------------------------------------------------------------------------
 
-def _column_reverse(rev: list[tuple], out: int, vals: np.ndarray, dep: list[bool],
-                    adj: np.ndarray) -> None:
-    """Fill the zeroed ``adj`` (one row per slot and a spare) with d out / d slot per
-    column.  A slot that depends on no differentiated name gets no adjoint: none is read."""
-    adj[out] = 1.0
-    for op, a, b, i in rev:
-        g = adj[i]
-        if op == _MUL:
-            if dep[a]:
-                adj[a] += g * vals[b]
-            if dep[b]:
-                adj[b] += g * vals[a]
-        elif op == _ADD:
-            if dep[a]:
-                adj[a] += g
-            if dep[b]:
-                adj[b] += g
-        elif op == _SUB:
-            if dep[a]:
-                adj[a] += g
-            if dep[b]:
-                adj[b] -= g
-        elif op == _NEG:
-            adj[a] -= g
-        elif op == _RECIP:
-            v = vals[i]
-            adj[a] -= g * v * v
-        elif op == _EXP:
-            adj[a] += g * vals[i]
-        elif op == _LN:
-            adj[a] += g * (1.0 / vals[a])
-        elif op == _SQRT:
-            adj[a] += g * (0.5 / vals[i])
-        elif op == _ABS:  # at x = 0 (or NaN) the row is left as it is, as in the float sweep
-            x, row = vals[a], adj[a]
-            adj[a] = np.where(x > 0.0, row + g, np.where(x < 0.0, row - g, row))
-        elif op == _POWV:
-            x, v = vals[a], vals[i]
-            if dep[a]:
-                adj[a] += g * v * (vals[b] * (1.0 / x))
-            adj[b] += g * v * np.array([math.log(u) for u in x.tolist()])
-        else:  # _POWI, _POWC; where _dpow adds nothing the row is left as it is
-            ps = [b] * len(g) if op == _POWI else vals[b].tolist()
-            fs = [_dpow(u, p) for u, p in zip(vals[a].tolist(), ps)]
-            row = adj[a]
-            term = row + g * np.array([0.0 if f is None else f for f in fs])
-            adj[a] = np.where([f is None for f in fs], row, term)
+def _dpow_columns(row, g, x: np.ndarray, ps) -> np.ndarray:
+    """``row`` plus ``g`` times d(x^p)/dx per entry of ``x``, its exponent from ``ps``:
+    the rule of the gradient kernels' _POWI and _POWC lines, on Python floats.  Where
+    they add nothing (x = 0 and p != 1, where p x^(p-1) would be 0 or a pole) the row
+    is left as it is."""
+    fs = []
+    for u, p in zip(x.tolist(), ps):
+        if p == round(p):
+            p = int(round(p))
+            fs.append(p * u ** (p - 1) if u != 0.0 else 1.0 if p == 1 else None)
+        else:
+            fs.append(p * u ** (p - 1.0))
+    term = row + g * np.array([0.0 if f is None else f for f in fs])
+    return np.where([f is None for f in fs], row, term)
 
 
 def evaluate_all(tape: _Tape, binding: dict[str, float]) -> list[float]:
@@ -797,24 +778,20 @@ def grad_columns(tape: _Tape, bindings: list[dict[str, float]],
                  wrt: list[str] | tuple[str, ...]) -> np.ndarray:
     """Every output's gradient at every binding, shape (bindings, outputs, len(wrt)).
 
-    The slot kernel at each binding, stacked into columns, then one reverse
-    sweep per output; each entry is bitwise that output's ``grad`` at that binding.
-    When a sweep raises, the bindings are re-run one by one, and at each the
-    outputs one by one, through ``grad``: the error is the first failing
-    binding's, and there the first failing output's, with its own message.
+    The slot kernel at each binding, stacked into columns, then the column
+    kernel's reverse sweep per output; each entry is bitwise that output's
+    ``grad`` at that binding.  When a sweep raises, the bindings are re-run one
+    by one, and at each the outputs one by one, through ``grad``: the error is
+    the first failing binding's, and there the first failing output's, with
+    its own message.
     """
     wrt = tuple(wrt)
     _, revs, slots, dep = tape.plan(wrt)
     try:
         vals = np.array([_slots(tape, wrt, b) for b in bindings]).reshape(len(bindings), len(dep)).T
+        jac = np.zeros((len(revs), len(slots), len(bindings)))
         with np.errstate(all="ignore"):  # inf and NaN are the float sweeps' values too
-            adj = np.empty((len(vals) + 1, len(bindings)))
-            jac = np.empty((len(revs), len(slots), len(bindings)))
-            rows = np.array(slots, dtype=np.intp)
-            for k, (out, rev) in enumerate(revs):
-                adj.fill(0.0)
-                _column_reverse(rev, out, vals, dep, adj)
-                jac[k] = adj[rows]
+            tape.kernel(wrt, _COLUMNS)[0](vals, jac)
         return jac.transpose(2, 0, 1)
     except Exception:
         per_binding = [[grad(e, b, wrt) for e in tape.roots] for b in bindings]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import point
-from .expr import ScalarField, const, div, mul, neg
+from .expr import DomainError, ScalarField, const, div, mul, neg
 from .geometry import OneForm
 from .point import (BASE_COORDS, EPS_NAME, F_NAMES, H_NAMES, Constitutive, Forcing, ModelError,
                     TemperatureSingularity, ThermoelasticState)
@@ -37,6 +37,14 @@ __all__ = [
 
 BETA_NAMES = ("beta1", "beta2", "beta3")
 ETA_PRIME_COORDS = (EPS_NAME,) + F_NAMES + BETA_NAMES + ("t",)
+
+# closeness_system_residual's conditions: name, and the coordinates of its block's rows and columns
+_CONDITIONS = (("(eps,F) curl", (EPS_NAME,), F_NAMES),
+               ("d(theta^-1)/d(beta)", (EPS_NAME,), BETA_NAMES),
+               ("d(sigma:F^-1/theta)/d(beta)", F_NAMES, BETA_NAMES),
+               ("d(q.beta)/d(beta)", ("t",), BETA_NAMES),
+               ("(F,t) curl", F_NAMES, ("t",)),
+               ("(eps,t) curl", (EPS_NAME,), ("t",)))
 
 ThermoelasticConstitutive = Constitutive
 ThermoelasticForcing = Forcing
@@ -87,7 +95,9 @@ def closeness_system_residual(thetainv: ScalarField, stress_over_theta: tuple[Sc
     Coefficient fields live over (eps, F, beta, t).  Conditions in order:
     (eps,F) curl; d(theta^-1)/d(beta); d(sigma:F^-1/theta)/d(beta);
     d(q.beta)/d(beta); (F,t) curl; (eps,t) curl.  Each entry is the max-abs
-    residual of its block.
+    residual of its block.  A non-finite entry is no evidence either way: it
+    raises DomainError naming its condition and coordinate pair, the first by
+    condition, then row-major.
     """
     for fld in (thetainv, q_dot_beta, *stress_over_theta):
         if fld.coords != ETA_PRIME_COORDS:
@@ -101,4 +111,10 @@ def closeness_system_residual(thetainv: ScalarField, stress_over_theta: tuple[Sc
     f, beta = slice(1, 10), slice(10, 13)  # eps is slot 0, t slot 13
     blocks = (g_thetainv[f] + g_stress[:, 0], g_thetainv[beta], g_stress[:, beta], g_qb[beta],
               g_stress[:, 13] + g_qb[f], g_thetainv[13] - g_qb[0])
+    for b, (name, rows, cols) in zip(blocks, _CONDITIONS):
+        b = np.reshape(b, (len(rows), len(cols)))
+        if not np.isfinite(b).all():
+            i, j = np.argwhere(~np.isfinite(b))[0]
+            raise DomainError(f"non-finite closeness residual {b[i, j]} in the condition {name}, "
+                              f"pair ({rows[i]}, {cols[j]})")
     return np.array([np.abs(b).max() for b in blocks])

@@ -1059,6 +1059,22 @@ curve: "{curve}"
         assert captured.err == f"error: curve file {curve}, line 3: {detail}\n"
 
     @pytest.mark.parametrize("sub", ["action", "admissible"])
+    def test_curve_file_not_utf8(self, tmp_path, capsys, sub):
+        # a byte that is not UTF-8 ended in a UnicodeDecodeError traceback
+        curve = tmp_path / "curve.csv"
+        curve.write_bytes(b"t,q1,q2\n0.0,0.0,1.0\n0.1,\xff,1.0\n")
+        config = write(tmp_path / "c.yaml", f"""
+coords: [q1, q2]
+potential: "q1*q2"
+curve: "{curve}"
+""")
+        assert main([sub, "--config", config]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: curve file {curve}: 'utf-8' codec can't decode byte 0xff"
+                                " in position 24: invalid start byte\n")
+
+    @pytest.mark.parametrize("sub", ["action", "admissible"])
     @pytest.mark.parametrize("curve", ["0", "7", "1.5", "[a.csv]", "null"])
     def test_curve_must_be_a_path_string(self, tmp_path, capsys, monkeypatch, sub, curve):
         # curve 0 was opened as file descriptor 0: a curve piped to stdin gave exit 0

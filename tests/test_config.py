@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import yaml
 
 from thermoform import config as cfg
+from thermoform.cli import EXIT_ERROR, main
 from thermoform.expr import DomainError, evaluate, parse
 
 
@@ -124,6 +126,24 @@ class TestLoadYaml:
         with pytest.raises(cfg.ConfigError) as err:
             cfg.load_yaml(str(path))
         assert str(err.value).startswith("config is not valid YAML: while parsing a flow sequence")
+
+    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+    @pytest.mark.parametrize("data, prefix", [
+        (b"coords: [x, y\n", "while parsing a flow sequence\n"),
+        # a byte that is not UTF-8 ended in a UnicodeDecodeError traceback
+        (b"coords: [x, \xff]\n", "unacceptable character #x00ff: "),
+    ], ids=["flow-sequence", "not-utf8"])
+    def test_invalid_yaml_under_both_loaders(self, tmp_path, monkeypatch, capsys, loader, data, prefix):
+        if not hasattr(yaml, loader):
+            pytest.skip("PyYAML is built without libyaml")
+        monkeypatch.setattr(cfg, "_LOADER", getattr(yaml, loader))
+        path = tmp_path / "c.yaml"
+        path.write_bytes(data)
+        with pytest.raises(cfg.ConfigError) as err:
+            cfg.load_yaml(str(path))
+        assert str(err.value).startswith("config is not valid YAML: " + prefix)
+        assert main(["metric", "--config", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {err.value}\n"
 
     @pytest.mark.parametrize("text", ["- x\n- y\n", "3\n", ""], ids=["list", "scalar", "empty"])
     def test_root_must_be_a_mapping(self, tmp_path, text):

@@ -694,13 +694,17 @@ class TestKernels:
         kernels = _lowered(first).kernels, _lowered(second).kernels
         assert kernels[0][None, _expr._VALUES][0] is kernels[1][None, _expr._VALUES][0]
         assert kernels[0][("x",), _expr._GRAD][0] is kernels[1][("y",), _expr._GRAD][0]
+        grad_columns(_lowered(first), [{"x": 2.0}], ("x",))
+        grad_columns(_lowered(second), [{"y": 2.0}], ("y",))
+        assert kernels[0][("x",), _expr._COLUMNS][0] is kernels[1][("y",), _expr._COLUMNS][0]
 
     def test_no_constant_or_name_is_in_the_source(self):
         e = parse("2.718281828*theta_long + ln(theta_long)*1234.5 - sqrt(0.1*mu_other)^2.5"
                   " + pow(theta_long, mu_other) + mu_other^-7")
         names = ("theta_long", "mu_other")
         tape = _lowered(e)
-        for wrt, kind in ((None, _expr._VALUES), (names, _expr._SLOTS), (names, _expr._GRAD)):
+        for wrt, kind in ((None, _expr._VALUES), (names, _expr._SLOTS), (names, _expr._GRAD),
+                          (names, _expr._COLUMNS)):
             source = _expr._source(tape, wrt, kind)[0]
             for name in names:
                 assert name not in source

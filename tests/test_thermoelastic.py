@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from thermoform.expr import ScalarField
+from thermoform.expr import DomainError, ScalarField
 from thermoform.geometry import d_residual, is_closed, low_discrepancy_samples
 from thermoform.thermoelastic import (
     BASE_COORDS,
@@ -270,6 +270,17 @@ class TestTimeExtendedCloseness:
         res = self.residual_at(thetainv, sot, qb)
         assert res[5] == pytest.approx(1.0)
         assert res[[0, 1, 2, 3, 4]].max() <= 1e-14
+
+    @pytest.mark.parametrize("thetainv, sot_f12, qb, message", [
+        ("1e200*F11*1e200", "0", "0", r"the condition \(eps,F\) curl, pair \(eps, F11\)$"),
+        ("0", "1e200*t*1e200", "0", r"the condition \(F,t\) curl, pair \(F12, t\)$"),
+        ("0", "0", "1e200*beta2*1e200", r"the condition d\(q\.beta\)/d\(beta\), pair \(t, beta2\)$"),
+    ], ids=["eps-F", "F-t", "q-beta"])
+    def test_non_finite_residual_names_its_condition_and_pair(self, thetainv, sot_f12, qb, message):
+        # an overflowing gradient gave [inf, 0, ...] silently: no evidence either way
+        sot = tuple(self.ext(sot_f12 if name == "F12" else "0") for name in F_NAMES)
+        with pytest.raises(DomainError, match=r"^non-finite closeness residual inf in " + message):
+            self.residual_at(self.ext(thetainv), sot, self.ext(qb))
 
     def test_coordinate_guard(self):
         with pytest.raises(ModelError):
