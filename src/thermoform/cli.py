@@ -22,10 +22,10 @@ from . import config as cfg
 from .expr import DomainError
 from .geometry import ContactChart, GeometryError, OneForm, low_discrepancy_samples, potential_form, worst_residual
 from .legendre import ConstitutiveSurface, GibbsConnection, connection_curvature, pullback_contact, surface_embed
-from .processes import (ProcessCurve, ProcessError, admissibility, entropy_action, godograph_det,
+from .processes import (ProcessCurve, ProcessError, _metric_det, admissibility, entropy_action,
                         spinodal_scan, thermo_metric)
 from .point import (BASE_COORDS, FE_COORDS, STATE_NAMES, Constitutive, FerroelectricState, Forcing,
-                    ModelError, ThermoelasticState, constitutive_from_potential, rk4_step)
+                    ModelError, ThermoelasticState, _gradient, rk4_step)
 from .vdw import vdw_potential
 
 EXIT_OK = 0
@@ -236,7 +236,7 @@ def cmd_simulate(args) -> int:
 
     def row(t: float, x) -> list[float]:
         b = x.binding()
-        out = [t, *x.vector(), 1.0 / constitutive_from_potential(constitutive, x)[0], u.value(b)]
+        out = [t, *x.vector(), 1.0 / _gradient(constitutive, x.vector().tolist())[0], u.value(b)]
         if sigma is not None:
             sv = sigma.value(b)
             out += [sv, out[-1] + sv]
@@ -318,10 +318,8 @@ def cmd_metric(args) -> int:
     coords = cfg.as_name_list(cfg.need(doc, "coords", "config"), "config.coords")
     u = cfg.field_from(cfg.need(doc, "potential", "config"), coords, "config.potential")
     point = cfg.per_name(cfg.need(doc, "point", "config"), coords, "config.point", cfg.as_number)
-    _print_json({
-        "metric": [[float(v) for v in row] for row in thermo_metric(u, point)],
-        "det": godograph_det(u, point),
-    })
+    hess = thermo_metric(u, point)
+    _print_json({"metric": [[float(v) for v in row] for row in hess], "det": _metric_det(u, hess)})
     return EXIT_OK
 
 

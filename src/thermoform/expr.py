@@ -5,13 +5,14 @@ built from these expressions.  Each expression is lowered once, on its first
 evaluation, to a flat instruction tape with common subexpressions merged.
 Values come from one sweep over plain floats.  Gradients add one reverse
 (adjoint) sweep, whose cost does not grow with the number of variables.
-Hessians come from one forward second-order sweep on floats that keeps each
-slot's gradient and its Hessian's upper triangle.  Derivatives are exact, so
-curl/closeness residuals are limited only by round-off, not by finite
-difference noise.  Leaving a function's real domain, overflow included,
-raises DomainError naming the subexpression.
+Hessians add, per instruction, the second-order rule on each slot's gradient
+and its Hessian's upper triangle.  Derivatives are exact, so curl/closeness
+residuals are limited only by round-off, not by finite difference noise.
+Leaving a function's real domain, overflow included, raises DomainError
+naming the subexpression.
 
-The value, gradient and column sweeps run as kernels: per plan, straight-line
+The value, gradient, column and Hessian sweeps run as kernels (``_VALUES``,
+``_SLOTS``, ``_GRAD``, ``_COLUMNS`` and ``_HESSIAN``): per plan, straight-line
 Python generated from the tape's opcodes and slot numbers, compiled once per
 tape shape (a memo keyed on the source text) and kept on the tape.  Constants
 and coordinate values are arguments, not text.  A domain check raises in
@@ -559,13 +560,17 @@ def lower(exprs) -> _Tape:
 #             adjoint at the slot of each wrt entry;
 #   _COLUMNS  given every slot as an (N,) column (v) and a zeroed array of
 #             shape (outputs, wrt, N) (jac), each output's reverse sweep over
-#             the columns, storing its adjoint at the slot of each wrt entry.
+#             the columns, storing its adjoint at the slot of each wrt entry;
+#   _HESSIAN  the domain checks and instructions in order, then per instruction
+#             its second-order rule, then the one output's value, gradient and
+#             Hessian upper triangle.
 # A failed domain check raises _Fault(instruction, message, value).  An
-# ArithmeticError (overflow in ** or exp, round(inf)) is traced to the line
-# it came from, which the line table maps to (instruction, first operand).
+# ArithmeticError (overflow in ** or exp, round(inf), a division by an
+# underflowed zero) is traced to the line it came from, which the line table
+# maps to (instruction, first operand).
 # ---------------------------------------------------------------------------
 
-_VALUES, _SLOTS, _GRAD, _COLUMNS = range(4)
+_VALUES, _SLOTS, _GRAD, _COLUMNS, _HESSIAN = range(5)
 
 
 class _Fault(Exception):
@@ -639,6 +644,41 @@ _COLUMN_REVERSE = {
 }
 
 
+# per op, its second-order rule (Griewank & Walther, ch. 13): a line in {i} runs per
+# gradient index, one in {i} and {j} per triangle pair i <= j (row by row), any other
+# once, so an instruction costs O(n^2); g<s>_<i> and h<s>_<i>_<j> are slot s's
+# gradient and upper-triangle entries.  Each entry is summed in the order of
+# second-order dual-number arithmetic: for u*w, h_ij w + g_i w_j + g_j w_i + u w_ij,
+# and for f(u), f' h_ij + f'' g_i g_j, with f' and f'' in f and ff.  Every line runs
+# on every jet, a constant's zero one too.
+_CHAIN = ("g{s}_{i} = f * g{a}_{i}", "h{s}_{i}_{j} = f * h{a}_{i}_{j} + ff * (g{a}_{i} * g{a}_{j})")
+_DPOW = ("if v{a} == 0.0: f, ff = (1.0 if p == 1 else 0.0), (2.0 if p == 2 else 0.0)",
+         "else: f, ff = p * v{a} ** (p - 1), p * (p - 1) * v{a} ** (p - 2)")
+_SECOND = {
+    _MUL: ("g{s}_{i} = g{a}_{i} * v{b} + v{a} * g{b}_{i}",
+           "h{s}_{i}_{j} = ((h{a}_{i}_{j} * v{b} + g{a}_{i} * g{b}_{j}) + g{a}_{j} * g{b}_{i})"
+           " + v{a} * h{b}_{i}_{j}"),
+    _ADD: ("g{s}_{i} = g{a}_{i} + g{b}_{i}", "h{s}_{i}_{j} = h{a}_{i}_{j} + h{b}_{i}_{j}"),
+    _SUB: ("g{s}_{i} = g{a}_{i} - g{b}_{i}", "h{s}_{i}_{j} = h{a}_{i}_{j} - h{b}_{i}_{j}"),
+    _NEG: ("g{s}_{i} = -g{a}_{i}", "h{s}_{i}_{j} = -h{a}_{i}_{j}"),
+    _RECIP: ("w = v{s} ** 3", "g{s}_{i} = -g{a}_{i} * v{s} * v{s}",
+             "h{s}_{i}_{j} = -h{a}_{i}_{j} * v{s} * v{s} + 2.0 * (g{a}_{i} * g{a}_{j}) * w"),
+    _POWI: ("p = {b}", *_DPOW, *_CHAIN),
+    _POWC: ("p = v{b}", "if p == round(p):", " p = int(round(p))", *(" " + line for line in _DPOW),
+            "else: f, ff = p * v{a} ** (p - 1.0), p * (p - 1.0) * v{a} ** (p - 2.0)", *_CHAIN),
+    _EXP: ("f = ff = v{s}", *_CHAIN),
+    _LN: ("f, ff = 1.0 / v{a}, -1.0 / v{a} ** 2", *_CHAIN),
+    _SQRT: ("f, ff = 0.5 / v{s}, -0.25 / (v{s} * v{a})", *_CHAIN),
+    _ABS: ("f, ff = (1.0 if v{a} > 0.0 else -1.0 if v{a} < 0.0 else 0.0), 0.0", *_CHAIN),
+    # exp(expo ln x): the chain through ln, the product with the exponent, the chain through exp
+    _POWV: ("f, ff = 1.0 / v{a}, -1.0 / v{a} ** 2", "t{i} = f * g{a}_{i}",
+            "t{i}_{j} = f * h{a}_{i}_{j} + ff * (g{a}_{i} * g{a}_{j})", "w = log(v{a})",
+            "u{i} = g{b}_{i} * w + v{b} * t{i}",
+            "u{i}_{j} = ((h{b}_{i}_{j} * w + g{b}_{i} * t{j}) + g{b}_{j} * t{i}) + v{b} * t{i}_{j}",
+            "g{s}_{i} = v{s} * u{i}", "h{s}_{i}_{j} = v{s} * u{i}_{j} + v{s} * (u{i} * u{j})"),
+}
+
+
 def _chunk(lines: tuple[str, ...]) -> tuple[str, int]:
     """One rule's lines as one format string, indented into the kernel's body."""
     return "\n".join(" " + line for line in lines), len(lines)
@@ -650,6 +690,26 @@ _REVERSE_CHUNKS, _COLUMN_CHUNKS = ({op: tuple((operand, _chunk(lines)) for opera
                                     for op, updates in rules.items()}
                                    for rules in (_REVERSE, {**_REVERSE, **_COLUMN_REVERSE}))
 _UNIT_CHUNK = ((0, _chunk(("else: a{a} += a{i}",))),)  # d(x^1) at x = 0, after _POWI's line
+
+
+@lru_cache(maxsize=None)
+def _triangle(n: int):
+    """(i, j) pairs of the upper triangle row by row, and the (n, n) index of its mirror."""
+    pairs = tuple((i, j) for i in range(n) for j in range(i, n))
+    mirror = [[pairs.index((min(i, j), max(i, j))) for j in range(n)] for i in range(n)]
+    return pairs, np.array(mirror, dtype=np.intp).reshape(n, n)
+
+
+@lru_cache(maxsize=None)
+def _second_chunks(n: int) -> tuple[dict, tuple[str, ...]]:
+    """Per op, its second-order rule for n wrt entries as one format string in {s}, {a}
+    and {b} with its line count; and a slot's jet entries, as format strings in {0}."""
+    pairs = _triangle(n)[0]
+    at = ((0, 0),), tuple((i, 0) for i in range(n)), pairs  # by the count of {i} and {j} in a line
+    rules = {op: _chunk(tuple(line.format(s="{s}", a="{a}", b="{b}", i=i, j=j) for line in lines
+                              for i, j in at[("{i}" in line) + ("{j}" in line)]))
+             for op, lines in _SECOND.items()}
+    return rules, tuple(f"g{{0}}_{i}" for i in range(n)) + tuple(f"h{{0}}_{i}_{j}" for i, j in pairs)
 
 
 def _source(tape: _Tape, wrt: tuple[str, ...] | None, kind: int) -> tuple[str, list]:
@@ -673,6 +733,19 @@ def _source(tape: _Tape, wrt: tuple[str, ...] | None, kind: int) -> tuple[str, l
         text.append(" return [" + ", ".join(f"v{j}" for j in tape.outs) + "]")
     elif kind == _SLOTS:
         text.append(" return [" + ", ".join(f"v{j}" for j in range(len(dep))) + "]")
+    elif kind == _HESSIAN:
+        rules, jet = _second_chunks(len(slots))
+        # the constants' and coordinates' jets are zero, but for the seed of each wrt entry
+        init = [" " + " = ".join(jet).format(j) + " = 0.0" for j in range(base) if jet]
+        init += [f" g{j}_{i} = 1.0" for i, j in enumerate(slots) if j < len(dep)]
+        text += init
+        where += [None] * len(init)
+        for k, (op, a, b) in enumerate(code):
+            chunk, count = rules[op]
+            if count:  # with no wrt entry, + - * and negation have no lines
+                text.append(chunk.format(s=base + k, a=a, b=b))
+                where += [(k, a)] * count
+        text.append(" return [" + ", ".join((f"v{tape.outs[0]}",) + jet).format(tape.outs[0]) + "]")
     else:
         rules = _REVERSE_CHUNKS if kind == _GRAD else _COLUMN_CHUNKS
         for k, (out, rev) in enumerate(revs):
@@ -798,91 +871,14 @@ def grad_columns(tape: _Tape, bindings: list[dict[str, float]],
         return np.array(per_binding).reshape(len(bindings), len(tape.roots), len(wrt))
 
 
-# ---------------------------------------------------------------------------
-# Second-order forward sweep for Hessians, on plain floats.  Per slot it keeps
-# the gradient as n floats and the Hessian's upper triangle, row by row, as
-# n(n+1)/2 floats, so an instruction costs O(n^2) (Griewank & Walther,
-# Evaluating Derivatives, 2nd ed., ch. 13).  Each entry is summed in the order
-# of second-order dual-number arithmetic: for u*w, h_ij w + g_i w_j + g_j w_i
-# + u w_ij, and for f(u), f' h_ij + f'' g_i g_j.
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _triangle(n: int):
-    """(i, j) pairs of the upper triangle row by row, and the (n, n) index of its mirror."""
-    pairs = tuple((i, j) for i in range(n) for j in range(i, n))
-    mirror = [[pairs.index((min(i, j), max(i, j))) for j in range(n)] for i in range(n)]
-    return pairs, np.array(mirror, dtype=np.intp).reshape(n, n)
-
-
-def _chain(fp: float, fpp: float, g: list, h: list, pairs) -> tuple:
-    """Gradient and triangle of f(u) from those of u, with f' = fp and f'' = fpp."""
-    return [fp * p for p in g], [fp * q + fpp * (g[i] * g[j]) for q, (i, j) in zip(h, pairs)]
-
-
-def _product(u: float, gu: list, hu: list, w: float, gw: list, hw: list, pairs) -> tuple:
-    """Gradient and triangle of u*w."""
-    return ([p * w + u * q for p, q in zip(gu, gw)],
-            [((q * w + gu[i] * gw[j]) + gu[j] * gw[i]) + u * r
-             for q, r, (i, j) in zip(hu, hw, pairs)])
-
-
 def _second_order(e: Expression, binding: dict[str, float], wrt: tuple[str, ...]) -> tuple:
-    """Value, gradient and Hessian upper triangle of ``e`` by one forward sweep over its tape."""
+    """Value, gradient and Hessian upper triangle of ``e`` from its second-order kernel."""
     tape = _lowered(e)
-    code = tape.plan(wrt)[0]
-    vals = _slots(tape, wrt, binding)  # the values and the domain checks, as in the other sweeps
-    pairs = _triangle(len(wrt))[0]
-    zero = [0.0] * len(wrt), [0.0] * len(pairs)  # (gradient, triangle) of a constant
-    seed = {name: ([float(j == i) for j in range(len(wrt))], zero[1]) for i, name in enumerate(wrt)}
-    jets = [zero] * len(tape.consts) + [seed.get(name, zero) for name in tape.names]
-    try:
-        for k, (op, a, b) in enumerate(code):
-            x, v, (g, h) = vals[a], vals[tape.base + k], jets[a]
-            if op == _MUL:
-                g, h = _product(x, g, h, vals[b], *jets[b], pairs)
-            elif op == _ADD:
-                g, h = ([p + q for p, q in zip(u, w)] for u, w in zip(jets[a], jets[b]))
-            elif op == _SUB:
-                g, h = ([p - q for p, q in zip(u, w)] for u, w in zip(jets[a], jets[b]))
-            elif op == _NEG:
-                g, h = ([-p for p in u] for u in jets[a])
-            elif op == _RECIP:
-                v3 = v ** 3
-                g, h = ([-p * v * v for p in g],
-                        [-q * v * v + 2.0 * (g[i] * g[j]) * v3 for q, (i, j) in zip(h, pairs)])
-            elif op == _POWV:  # exp(expo ln x)
-                g, h = _chain(1.0 / x, -1.0 / x ** 2, g, h, pairs)
-                g, h = _product(vals[b], *jets[b], math.log(x), g, h, pairs)
-                g, h = _chain(v, v, g, h, pairs)
-            else:
-                if op == _POWI or op == _POWC:
-                    p = b if op == _POWI else vals[b]
-                    if p == round(p):
-                        p = int(round(p))
-                        if x == 0.0:
-                            fp, fpp = (1.0 if p == 1 else 0.0), (2.0 if p == 2 else 0.0)
-                        else:
-                            fp, fpp = p * x ** (p - 1), p * (p - 1) * x ** (p - 2)
-                    else:
-                        fp, fpp = p * x ** (p - 1.0), p * (p - 1.0) * x ** (p - 2.0)
-                elif op == _EXP:
-                    fp = fpp = v
-                elif op == _LN:
-                    fp, fpp = 1.0 / x, -1.0 / x ** 2
-                elif op == _SQRT:
-                    fp, fpp = 0.5 / v, -0.25 / (v * x)
-                else:  # _ABS
-                    fp, fpp = (1.0 if x > 0.0 else -1.0 if x < 0.0 else 0.0), 0.0
-                g, h = _chain(fp, fpp, g, h, pairs)
-            jets.append((g, h))
-    except ArithmeticError:
-        raise DomainError("floating-point overflow", tape.nodes[k], x) from None
-    v, (g, h) = vals[tape.outs[0]], jets[tape.outs[0]]
+    out = _run(tape, tape.kernel(wrt, _HESSIAN), binding)
     # a float product or sum overflows to inf silently; from finite inputs only an overflow gives inf/NaN
-    if not (math.isfinite(v) and all(map(math.isfinite, g)) and all(map(math.isfinite, h))):
-        raise DomainError("floating-point overflow", e, v)
-    return v, g, h
+    if not all(map(math.isfinite, out)):
+        raise DomainError("floating-point overflow", e, out[0])
+    return out[0], out[1:len(wrt) + 1], out[len(wrt) + 1:]
 
 
 def evaluate(e: Expression, binding: dict[str, float]) -> float:

@@ -2,8 +2,8 @@
 
 The canonical contact form theta = ds - sum_i p_i dq^i is implied by a chart,
 never stored.  Closeness of 1-forms is certified on finite sample sets; the
-residual matrix is the pointwise exterior derivative evaluated with exact
-forward-mode derivatives.
+residual matrix is the pointwise exterior derivative, evaluated with exact
+reverse-mode derivatives of the coefficients (``expr.grad_columns``).
 """
 from __future__ import annotations
 
@@ -112,9 +112,10 @@ def d_residual(form: OneForm, x: dict[str, float] | list[dict[str, float]]) -> n
     """C_ij = da_i/dx^j - da_j/dx^i; exactly antisymmetric, zero iff closed at x.
 
     At one binding C is (m, m); at a list of N bindings it is (N, m, m), from
-    one forward sweep over the form's joint tape with a column per binding and
-    one reverse sweep per coefficient.  Either is bitwise the Jacobian of the
-    coefficients' own gradients, and raises what they raise, binding by binding.
+    the joint tape's slot kernel at each binding, stacked into (N,) columns,
+    then one reverse sweep per coefficient over the columns.  Either is bitwise
+    the Jacobian of the coefficients' own gradients, and raises what they
+    raise, binding by binding.
     """
     jac = grad_columns(form.tape, [x] if isinstance(x, dict) else x, form.coords)
     with np.errstate(over="ignore", invalid="ignore"):  # worst_residual reports inf and NaN

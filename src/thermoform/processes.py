@@ -154,7 +154,11 @@ def godograph_det(potential: ScalarField, q: dict[str, float]) -> float:
 
     The Hessian is finite, but its determinant can overflow: a DomainError.
     """
-    hess = thermo_metric(potential, q)
+    return _metric_det(potential, thermo_metric(potential, q))
+
+
+def _metric_det(potential: ScalarField, hess: np.ndarray) -> float:
+    """det of the potential's Hessian ``hess``; a non-finite one is a DomainError."""
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite det is raised below
         det = float(np.linalg.det(hess))
     if not math.isfinite(det):

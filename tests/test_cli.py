@@ -21,6 +21,7 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from thermoform import cli
+from thermoform.expr import ScalarField
 from thermoform.cli import _MODELS, EXIT_DOMAIN, EXIT_ERROR, EXIT_NOT_CLOSED, EXIT_OK, build_parser, main
 from thermoform.point import rk4_step
 
@@ -823,14 +824,18 @@ curve: "{curve}"
 
 
 class TestMetricAction:
-    def test_metric(self, tmp_path, capsys):
+    def test_metric(self, tmp_path, capsys, monkeypatch):
         config = write(tmp_path / "c.yaml", """
 coords: [q1, q2]
 potential: "q1^2 + q2^2"
 point: {q1: 1.0, q2: 2.0}
 """)
+        calls = []
+        hessian = ScalarField.hessian
+        monkeypatch.setattr(ScalarField, "hessian", lambda f, *args: calls.append(f) or hessian(f, *args))
         code, doc = run_json(capsys, ["metric", "--config", config])
         assert code == EXIT_OK
+        assert len(calls) == 1  # the det is taken from the printed matrix, not a second Hessian
         assert doc["metric"] == [[2.0, 0.0], [0.0, 2.0]]
         assert doc["det"] == pytest.approx(4.0)
 

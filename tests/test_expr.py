@@ -428,6 +428,137 @@ def test_sweeps_match_dual_on_random_trees(e, x, y, z, wrt):
     check_sweeps_against_forward_mode(e, {"x": x, "y": y, "z": z, "V": -x, "S": z + 1.0}, wrt)
 
 
+# --- the Hessian kernel against values frozen from the interpreted sweep ------
+
+# Value, gradient and upper triangle as float.hex, or the error as (type, message),
+# recorded from the per-instruction interpreter that the _HESSIAN kernel replaced.
+# The cases: the composite corpus and the vdW potential at fixed points, _POWI at
+# a zero base for p = 1, 2, 3 and -2, _POWC with integral and non-integral
+# exponents, abs at 0, a repeated wrt name, a wrt name the form lacks, wrt = (),
+# and factors that overflow only in the second-order rule.
+HESSIAN_GOLDEN = [
+    ('exp(x*y) - sqrt(x+2)', {'x': 0.7, 'y': 1.3}, ('x', 'y'),
+     ('0x1.aeabd9949c3ccp-1', ('0x1.76712e1d767fap+1', '0x1.bd30cb0785c66p+0'), ('0x1.104f8bed90e67p+2', '0x1.2faeff860bb5fp+2', '0x1.37a227b8773e0p+0'))),
+    ('exp(x*y) - sqrt(x+2)', {'x': -1.5, 'y': 0.25}, ('x', 'y'),
+     ('-0x1.44b0a12b5a7c0p-6', ('-0x1.1210ce104d828p-1', '-0x1.07eb4906f2aebp+0'), ('0x1.80082c7ddd4b5p-1', '0x1.b7dd79b63f233p-2', '0x1.8be0ed8a6c061p+0'))),
+    ('exp(x*y) - sqrt(x+2)', {'x': -2.0, 'y': -5.0}, ('x', 'y'),
+     ('DomainError', "square root not differentiable at zero in 'sqrt(x+2)' (value 0.0)")),
+    ('ln(1+x^2) * y', {'x': 0.7, 'y': 1.3}, ('x', 'y'),
+     ('0x1.096ce60f788f4p-1', ('0x1.38b2af3f920a5p+0', '0x1.9858c46692177p-2'), ('0x1.31cd6ccb8ba12p-1', '0x1.e112e63a6a860p-1', '0x0.0p+0'))),
+    ('ln(1+x^2) * y', {'x': -1.5, 'y': 0.25}, ('x', 'y'),
+     ('0x1.2dbc55768deb3p-2', ('-0x1.d89d89d89d89ep-3', '0x1.2dbc55768deb3p+0'), ('-0x1.e4bbd595f6e94p-5', '-0x1.d89d89d89d89ep-1', '0x0.0p+0'))),
+    ('ln(1+x^2) * y', {'x': -2.0, 'y': -5.0}, ('x', 'y'),
+     ('-0x1.018293af47840p+3', ('0x1.0000000000000p+2', '0x1.9c041f7ed8d33p+0'), ('0x1.3333333333333p+0', '-0x1.999999999999ap-1', '0x0.0p+0'))),
+    ('x^3 - 2*x*y + y^2/(1+x^2)', {'x': 0.7, 'y': 1.3}, ('x', 'y'),
+     ('-0x1.5eff92eb81998p-2', ('-0x1.190d479236b4cp+1', '0x1.613ee21acd7d0p-2'), ('0x1.2b89016628cc2p+2', '-0x1.d1dd4aa9ce416p+1', '0x1.579fc90527845p+0'))),
+    ('x^3 - 2*x*y + y^2/(1+x^2)', {'x': -1.5, 'y': 0.25}, ('x', 'y'),
+     ('-0x1.4d89d89d89d8ap+1', ('0x1.9122d719c060fp+2', '0x1.93b13b13b13b1p+1'), ('-0x1.1f547a94ea718p+3', '-0x1.dba51cc7f3e1bp+0', '0x1.3b13b13b13b14p-1'))),
+    ('x^3 - 2*x*y + y^2/(1+x^2)', {'x': -2.0, 'y': -5.0}, ('x', 'y'),
+     ('-0x1.7000000000000p+4', ('0x1.a000000000000p+4', '0x1.0000000000000p+1'), ('-0x1.e666666666665p+2', '-0x1.ccccccccccccep+1', '0x1.999999999999ap-2'))),
+    ('pow(x+2, 3) + abs(y+5)', {'x': 0.7, 'y': 1.3}, ('x', 'y'),
+     ('0x1.9fba5e353f7d0p+4', ('0x1.5deb851eb8520p+4', '0x1.0000000000000p+0'), ('0x1.0333333333334p+4', '0x0.0p+0', '0x0.0p+0'))),
+    ('pow(x+2, 3) + abs(y+5)', {'x': -1.5, 'y': 0.25}, ('x', 'y'),
+     ('0x1.5800000000000p+2', ('0x1.8000000000000p-1', '0x1.0000000000000p+0'), ('0x1.8000000000000p+1', '0x0.0p+0', '0x0.0p+0'))),
+    ('pow(x+2, 3) + abs(y+5)', {'x': -2.0, 'y': -5.0}, ('x', 'y'),
+     ('0x0.0p+0', ('0x0.0p+0', '0x0.0p+0'), ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0'))),
+    ('(x+1)^(y+2)', {'x': 0.7, 'y': 1.3}, ('x', 'y'),
+     ('0x1.70b0a6f6eccfbp+2', ('0x1.65d8a20dc7ba8p+3', '0x1.8746536b24255p+1'), ('0x1.e425177c0e38ap+3', '0x1.2a52520f718b7p+3', '0x1.9f3e2a239ef89p+0'))),
+    ('(x+1)^(y+2)', {'x': -1.5, 'y': 0.25}, ('x', 'y'),
+     ('DomainError', "variable power of a non-positive base in '(x+1)^(y+2)' (value -0.5)")),
+    ('(x+1)^(y+2)', {'x': -2.0, 'y': -5.0}, ('x', 'y'),
+     ('DomainError', "variable power of a non-positive base in '(x+1)^(y+2)' (value -1.0)")),
+    ('1/(1+x^2+y^2)', {'x': 0.7, 'y': 1.3}, ('x', 'y'),
+     ('0x1.4203385a29dc9p-2', ('-0x1.1b88787607e0cp-3', '-0x1.0747dd922be31p-2'), ('-0x1.36ca7e0fc0df7p-4', '0x1.cfa39649dc948p-3', '0x1.c7ff21e08e652p-3'))),
+    ('1/(1+x^2+y^2)', {'x': -1.5, 'y': 0.25}, ('x', 'y'),
+     ('0x1.3521cfb2b78c1p-2', ('0x1.17f7fae57ac28p-2', '-0x1.754aa3dca3adfp-5'), ('0x1.40779ffe9fd68p-2', '-0x1.52134bf34bc90p-4', '-0x1.591e5d885d5d3p-3'))),
+    ('1/(1+x^2+y^2)', {'x': -2.0, 'y': -5.0}, ('x', 'y'),
+     ('0x1.1111111111111p-5', ('0x1.23456789abcdfp-8', '0x1.6c16c16c16c16p-7'), ('-0x1.0fda60a2a059dp-10', '0x1.845c8a0ce5129p-9', '0x1.53d0f8cb48704p-8'))),
+    ('(V-0.1)^(2/3)*exp(S/1.5) - 1/V', {'S': 0.0, 'V': 1.0}, ('S', 'V'),
+     ('-0x1.15d52b9c20d48p-4', ('0x1.3e2e3c5da7ee4p-1', '0x1.b0c45a6ceb846p+0'), ('0x1.a83da5d2353dbp-2', '0x1.d760f122740bap-2', '-0x1.20bc10bed647fp+1'))),
+    ('(V-0.1)^(2/3)*exp(S/1.5) - 1/V', {'S': 0.3, 'V': 0.5}, ('S', 'V'),
+     ('-0x1.56406d21b9972p+0', ('0x1.c4a987a611179p-2', '0x1.46ba7d31f2abbp+2'), ('0x1.2dc65a6eb60fcp-2', '0x1.7937f10a6393ap-1', '-0x1.0ebc2f6a67e3cp+4'))),
+    ('(V-0.1)^(2/3)*exp(S/1.5) - 1/V', {'S': -1.0, 'V': 0.1}, ('S', 'V'),
+     ('DomainError', "non-integer power of a non-positive base in '(V-0.1)^(2/3)' (value 0.0)")),
+    ('x^1*y', {'x': 0.0, 'y': 1.5}, ('x', 'y'),
+     ('0x0.0p+0', ('0x1.8000000000000p+0', '0x0.0p+0'), ('0x0.0p+0', '0x1.0000000000000p+0', '0x0.0p+0'))),
+    ('x^(1)', {'x': -0.0}, ('x',),
+     ('-0x0.0p+0', ('0x1.0000000000000p+0',), ('0x0.0p+0',))),
+    ('x^2*y', {'x': 0.0, 'y': 1.5}, ('x', 'y'),
+     ('0x0.0p+0', ('0x0.0p+0', '0x0.0p+0'), ('0x1.8000000000000p+1', '0x0.0p+0', '0x0.0p+0'))),
+    ('x^(2)', {'x': -0.0}, ('x',),
+     ('0x0.0p+0', ('0x0.0p+0',), ('0x1.0000000000000p+1',))),
+    ('x^3*y', {'x': 0.0, 'y': 1.5}, ('x', 'y'),
+     ('0x0.0p+0', ('0x0.0p+0', '0x0.0p+0'), ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0'))),
+    ('x^(3)', {'x': -0.0}, ('x',),
+     ('-0x0.0p+0', ('0x0.0p+0',), ('0x0.0p+0',))),
+    ('x^-2*y', {'x': 0.0, 'y': 1.5}, ('x', 'y'),
+     ('DomainError', "zero raised to a negative power in 'x^-2' (value 0.0)")),
+    ('x^(-2)', {'x': -0.0}, ('x',),
+     ('DomainError', "zero raised to a negative power in 'x^-2' (value -0.0)")),
+    ('pow(x, y)*x', {'x': 0.0, 'y': 2.0}, ('x',),
+     ('0x0.0p+0', ('0x0.0p+0',), ('0x0.0p+0',))),
+    ('pow(x, y)*x', {'x': 0.0, 'y': 1.0}, ('x',),
+     ('0x0.0p+0', ('0x0.0p+0',), ('0x1.0000000000000p+1',))),
+    ('pow(x, y)*x', {'x': -2.0, 'y': 3.0}, ('x',),
+     ('0x1.0000000000000p+4', ('-0x1.0000000000000p+5',), ('0x1.8000000000000p+5',))),
+    ('pow(x, y)*x', {'x': 1.5, 'y': 2.5}, ('x',),
+     ('0x1.088b7e0e7b3ffp+2', ('0x1.34a2bdbb8fcaap+3',), ('0x1.013248c6f7d38p+4',))),
+    ('pow(x, y)*x', {'x': -2.0, 'y': 0.5}, ('x',),
+     ('DomainError', "non-integer power of a non-positive base in 'pow(x, y)' (value -2.0)")),
+    ('pow(x, y)*x', {'x': 0.0, 'y': -1.0}, ('x',),
+     ('DomainError', "zero raised to a negative power in 'pow(x, y)' (value 0.0)")),
+    ('abs(x)*y + abs(x*y)', {'x': 0.0, 'y': 2.0}, ('x', 'y'),
+     ('0x0.0p+0', ('0x0.0p+0', '0x0.0p+0'), ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0'))),
+    ('abs(x-y)^3', {'x': 1.0, 'y': 1.0}, ('x', 'y'),
+     ('0x0.0p+0', ('0x0.0p+0', '-0x0.0p+0'), ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0'))),
+    ('x*y^2 + exp(y)', {'x': 0.5, 'y': 0.25}, ('y', 'x', 'y'),
+     ('0x1.50b5e3c3e8186p+0', ('0x0.0p+0', '0x1.0000000000000p-4', '0x1.88b5e3c3e8186p+0'), ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p-1', '0x1.245af1e1f40c3p+1'))),
+    ('x*y^2 + exp(y)', {'x': 0.5, 'y': 0.25, 'z': 3.0}, ('z', 'x'),
+     ('0x1.50b5e3c3e8186p+0', ('0x0.0p+0', '0x1.0000000000000p-4'), ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0'))),
+    ('x*y^2 + exp(y)', {'x': 0.5, 'y': 0.25}, (),
+     ('0x1.50b5e3c3e8186p+0', (), ())),
+    ('1/x', {'x': 1e-200}, ('x',),
+     ('DomainError', "floating-point overflow in '1/x' (value 1e-200)")),
+    ('1/x', {'x': 1e-200}, (),
+     ('DomainError', "floating-point overflow in '1/x' (value 1e-200)")),
+    ('ln(x)*y', {'x': 1e+200, 'y': 1.0}, ('x', 'y'),
+     ('DomainError', "floating-point overflow in 'ln(x)' (value 1e+200)")),
+    ('sqrt(x)*y', {'x': 5e-324, 'y': 1.0}, ('x', 'y'),
+     ('DomainError', "floating-point overflow in 'sqrt(x)' (value 5e-324)")),
+    ('x^-2', {'x': 1e-120}, ('x',),
+     ('DomainError', "floating-point overflow in 'x^-2' (value 1e-120)")),
+    ('-0*x + 0*(-x)', {'x': -3.0}, ('x',),
+     ('0x0.0p+0', ('0x0.0p+0',), ('0x0.0p+0',))),
+    ('x^y', {'x': 2.0, 'y': 1e+300}, ('x', 'y'),
+     ('DomainError', "floating-point overflow in 'x^y' (value 2.0)")),
+    ('sqrt(x+y)', {'x': 0.0, 'y': 0.0}, ('x', 'y'),
+     ('DomainError', "square root not differentiable at zero in 'sqrt(x+y)' (value 0.0)")),
+    ('x^y', {'x': -1.0, 'y': 2.0}, ('x', 'y'),
+     ('DomainError', "variable power of a non-positive base in 'x^y' (value -1.0)")),
+    ('x*x*1e300*1e10', {'x': 1.0}, ('x',),
+     ('DomainError', "floating-point overflow in 'x*x*1e+300*10000000000' (value inf)")),
+    ('1/x', {'x': 5e-324}, ('x',),
+     ('DomainError', "floating-point overflow in '1/x' (value inf)")),
+    ('(x*y+z)*(x*z+y)*(y*z+x)', {'x': 0.3, 'y': -1.1, 'z': 2.0}, ('x', 'y', 'z'),
+     ('0x1.9624dd2f1a9fep+0', ('-0x1.073b645a1cac1p+3', '-0x1.23b645a1cac09p+2', '0x1.d54c985f06f6ep-1'), ('0x1.023d70a3d70a4p+4', '0x1.6666666666666p+3', '-0x1.53f7ced916873p+3', '0x1.3c28f5c28f5c2p+2', '-0x1.24dd2f1a9fbe8p+2', '-0x1.2467381d7dbf4p+0'))),
+    ('(x+z)^(y*z) / (1 + exp(-x*y))', {'x': 0.3, 'y': -1.1, 'z': 2.0}, ('z', 'x', 'y'),
+     ('0x1.1225dcb354f9ep-4', ('-0x1.00b38cf8be6f7p-3', '-0x1.b5aa542ca92d2p-4', '0x1.f886e9d0f2dc6p-4'), ('0x1.969f49423f976p-3', '0x1.91430461b4744p-3', '-0x1.de1be3d533628p-4', '0x1.6e01c95484f8dp-3', '-0x1.8190ceb260f10p-4', '0x1.cd401d227913bp-3'))),
+]
+
+
+def _second_order_hex(text, binding, wrt):
+    try:
+        v, g, h = _second_order(parse(text), binding, wrt)
+    except ExprError as exc:
+        return type(exc).__name__, str(exc)
+    return v.hex(), tuple(map(float.hex, g)), tuple(map(float.hex, h))
+
+
+@pytest.mark.parametrize("text, binding, wrt, expected", HESSIAN_GOLDEN)
+def test_hessian_kernel_matches_the_frozen_sweep(text, binding, wrt, expected):
+    assert _second_order_hex(text, binding, wrt) == expected
+
+
 # --- the joint tape and its column sweep against the per-expression sweeps ----
 
 def _hex(v) -> str:
@@ -704,14 +835,25 @@ class TestKernels:
         names = ("theta_long", "mu_other")
         tape = _lowered(e)
         for wrt, kind in ((None, _expr._VALUES), (names, _expr._SLOTS), (names, _expr._GRAD),
-                          (names, _expr._COLUMNS)):
+                          (names, _expr._COLUMNS), (names, _expr._HESSIAN)):
             source = _expr._source(tape, wrt, kind)[0]
             for name in names:
                 assert name not in source
             for c in tape.consts:
                 assert repr(c) not in source and str(c) not in source
             # the only numbers in the text are the rules' own and _POWI's integer exponent
-            assert set(re.findall(r"(?<![\w.])\d+\.\d+", source)) <= {"0.0", "0.5", "1.0"}
+            rules = {"0.0", "0.5", "1.0"} | ({"0.25", "2.0"} if kind == _expr._HESSIAN else set())
+            assert set(re.findall(r"(?<![\w.])\d+\.\d+", source)) <= rules
+
+    def test_a_config_parsed_again_reuses_the_hessian_kernel(self):
+        # the kernel's text holds no constant or name: a second parse compiles nothing
+        text = "ln(q_a^2 + 3.5) * pow(q_b, 1.75) - q_a / (q_b - 0.125)"
+        binding, wrt = {"q_a": 0.5, "q_b": 1.5}, ("q_a", "q_b")
+        misses = _expr._compiled.cache_info().misses
+        first = hessian(parse(text), binding, wrt)
+        second = hessian(parse(text), binding, wrt)
+        assert _expr._compiled.cache_info().misses == misses + 1
+        assert first.tobytes() == second.tobytes()
 
     @pytest.mark.parametrize("e, binding", [
         (parse("x^1"), {"x": 0.0, "y": 1.0}),  # _POWI
