@@ -15,9 +15,9 @@ The value, gradient, column and Hessian sweeps run as kernels (``_VALUES``,
 ``_SLOTS``, ``_GRAD``, ``_COLUMNS`` and ``_HESSIAN``): per plan, straight-line
 Python generated from the tape's opcodes and slot numbers, compiled once per
 tape shape (a memo keyed on the source text) and kept on the tape.  Constants
-and coordinate values are arguments, not text.  A domain check raises in
-instruction order with its message; an overflow maps back to its
-instruction through a line table built with the source.
+and coordinate values are arguments, not text.  Every failure raises from its
+instruction's own lines, in instruction order: a domain check with its
+message, an overflow from the try around a rule that can overflow.
 
 A tuple of expressions lowers to one tape with one output per expression
 (``lower``), merged across them; a single expression is the 1-tuple case.
@@ -308,7 +308,7 @@ def _prec(e: Expression) -> int:
 
 
 def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
@@ -412,7 +412,7 @@ class _Tape:
         self.outs = outs                # slot per root
         self.orders = orders            # per root, its instructions in its own post-order
         self.plans: dict = {}
-        self.kernels: dict = {}         # (wrt, kind) -> (compiled kernel, its line table)
+        self.kernels: dict = {}         # (wrt, kind) -> compiled kernel
 
     def plan(self, wrt: tuple[str, ...] | None):
         """(forward code, (output slot, reverse code) per root, gradient slot per wrt
@@ -445,13 +445,12 @@ class _Tape:
         plan = self.plans[wrt] = (self.code if code == self.code else code), revs, slots, dep
         return plan
 
-    def kernel(self, wrt: tuple[str, ...] | None, kind: int) -> tuple:
-        """plan(wrt)'s compiled kernel of ``kind`` and its line table, built on first use."""
+    def kernel(self, wrt: tuple[str, ...] | None, kind: int):
+        """plan(wrt)'s compiled kernel of ``kind``, built on first use."""
         key = wrt, kind
         kernel = self.kernels.get(key)
         if kernel is None:
-            source, where = _source(self, wrt, kind)
-            kernel = self.kernels[key] = _compiled(source), where
+            kernel = self.kernels[key] = _compiled(_source(self, wrt, kind))
         return kernel
 
 
@@ -564,17 +563,17 @@ def lower(exprs) -> _Tape:
 #   _HESSIAN  the domain checks and instructions in order, then per instruction
 #             its second-order rule, then the one output's value, gradient and
 #             Hessian upper triangle.
-# A failed domain check raises _Fault(instruction, message, value).  An
-# ArithmeticError (overflow in ** or exp, round(inf), a division by an
-# underflowed zero) is traced to the line it came from, which the line table
-# maps to (instruction, first operand).
+# Every failure raises _Fault(instruction, message, value): a domain check from
+# its line, and an ArithmeticError (overflow in ** or exp, round(inf), a division
+# by an underflowed zero) from the try around the lines of a rule that holds one
+# of those operations, with the instruction's first operand as the value.
 # ---------------------------------------------------------------------------
 
 _VALUES, _SLOTS, _GRAD, _COLUMNS, _HESSIAN = range(5)
 
 
 class _Fault(Exception):
-    """A kernel's domain check failed: (instruction, message, value)."""
+    """A kernel's domain check failed or its rule overflowed: (instruction, message, value)."""
 
 
 # per op, its forward lines; {s} is the slot written, {k} the instruction,
@@ -610,7 +609,8 @@ _FORWARD = {
 # per op, (operand written: 0 for a, 1 for b; its lines) for each adjoint update;
 # {i} is the slot whose adjoint is passed back, {c} _POWI's exponent less one.
 # An update to an operand that depends on no wrt name is never read, so it is
-# left out (none of those can raise).  At x = 0 with p != 1, d(x^p) adds nothing.
+# left out (none of those can raise).  At x = 0 with p != 1, d(x^p) adds nothing;
+# a _POWI of exponent 1 reverses with _ADD's first update, a{a} += a{i}.
 _REVERSE = {
     _MUL: ((0, ("a{a} += a{i} * v{b}",)), (1, ("a{b} += a{i} * v{a}",))),
     _ADD: ((0, ("a{a} += a{i}",)), (1, ("a{b} += a{i}",))),
@@ -679,9 +679,13 @@ _SECOND = {
 }
 
 
-def _chunk(lines: tuple[str, ...]) -> tuple[str, int]:
-    """One rule's lines as one format string, indented into the kernel's body."""
-    return "\n".join(" " + line for line in lines), len(lines)
+def _chunk(lines: tuple[str, ...]) -> str:
+    """One rule's lines as one format string, indented into the kernel's body; if they
+    hold **, /, exp or round, in a try that raises an ArithmeticError as {k}'s _Fault."""
+    if not any(op in line for line in lines for op in ("**", "/", "exp(", "round(")):
+        return "\n".join(" " + line for line in lines)
+    return "\n".join((" try:", *("  " + line for line in lines),
+                      " except ArithmeticError: raise _Fault({k}, 'floating-point overflow', v{a})"))
 
 
 _FORWARD_CHUNKS = {op: _chunk(lines) for op, lines in _FORWARD.items()}
@@ -689,7 +693,6 @@ _POLE_CHUNK = _chunk(_POLE + _FORWARD[_POWI])
 _REVERSE_CHUNKS, _COLUMN_CHUNKS = ({op: tuple((operand, _chunk(lines)) for operand, lines in updates)
                                     for op, updates in rules.items()}
                                    for rules in (_REVERSE, {**_REVERSE, **_COLUMN_REVERSE}))
-_UNIT_CHUNK = ((0, _chunk(("else: a{a} += a{i}",))),)  # d(x^1) at x = 0, after _POWI's line
 
 
 @lru_cache(maxsize=None)
@@ -702,8 +705,8 @@ def _triangle(n: int):
 
 @lru_cache(maxsize=None)
 def _second_chunks(n: int) -> tuple[dict, tuple[str, ...]]:
-    """Per op, its second-order rule for n wrt entries as one format string in {s}, {a}
-    and {b} with its line count; and a slot's jet entries, as format strings in {0}."""
+    """Per op, its second-order rule for n wrt entries as one format string in {k}, {s},
+    {a} and {b}; and a slot's jet entries, as format strings in {0}."""
     pairs = _triangle(n)[0]
     at = ((0, 0),), tuple((i, 0) for i in range(n)), pairs  # by the count of {i} and {j} in a line
     rules = {op: _chunk(tuple(line.format(s="{s}", a="{a}", b="{b}", i=i, j=j) for line in lines
@@ -712,9 +715,8 @@ def _second_chunks(n: int) -> tuple[dict, tuple[str, ...]]:
     return rules, tuple(f"g{{0}}_{i}" for i in range(n)) + tuple(f"h{{0}}_{i}_{j}" for i, j in pairs)
 
 
-def _source(tape: _Tape, wrt: tuple[str, ...] | None, kind: int) -> tuple[str, list]:
-    """Text of plan(wrt)'s kernel of ``kind``, and per line of it (from line 1)
-    the (instruction, first operand slot) it computes, or None."""
+def _source(tape: _Tape, wrt: tuple[str, ...] | None, kind: int) -> str:
+    """Text of plan(wrt)'s kernel of ``kind``."""
     code, revs, slots, dep = tape.plan(wrt)
     base, ncon = tape.base, len(tape.consts)
     if kind == _COLUMNS:  # the slots come in as columns: no forward lines
@@ -724,11 +726,9 @@ def _source(tape: _Tape, wrt: tuple[str, ...] | None, kind: int) -> tuple[str, l
         if ncon:
             text.append(" " + "".join(f"v{j}, " for j in range(ncon)) + "= c")
         text += [f" v{ncon + j} = float(b[n[{j}]])" for j in range(base - ncon)]
-    where = [None] * (len(text) + 1)
     for k, (op, a, b) in enumerate(code if kind != _COLUMNS else ()):
-        chunk, count = _POLE_CHUNK if op == _POWI and b < 0 else _FORWARD_CHUNKS[op]
+        chunk = _POLE_CHUNK if op == _POWI and b < 0 else _FORWARD_CHUNKS[op]
         text.append(chunk.format(k=k, a=a, b=b, s=base + k))
-        where += [(k, a)] * count
     if kind == _VALUES:
         text.append(" return [" + ", ".join(f"v{j}" for j in tape.outs) + "]")
     elif kind == _SLOTS:
@@ -736,15 +736,11 @@ def _source(tape: _Tape, wrt: tuple[str, ...] | None, kind: int) -> tuple[str, l
     elif kind == _HESSIAN:
         rules, jet = _second_chunks(len(slots))
         # the constants' and coordinates' jets are zero, but for the seed of each wrt entry
-        init = [" " + " = ".join(jet).format(j) + " = 0.0" for j in range(base) if jet]
-        init += [f" g{j}_{i} = 1.0" for i, j in enumerate(slots) if j < len(dep)]
-        text += init
-        where += [None] * len(init)
+        text += [" " + " = ".join(jet).format(j) + " = 0.0" for j in range(base) if jet]
+        text += [f" g{j}_{i} = 1.0" for i, j in enumerate(slots) if j < len(dep)]
         for k, (op, a, b) in enumerate(code):
-            chunk, count = rules[op]
-            if count:  # with no wrt entry, + - * and negation have no lines
-                text.append(chunk.format(s=base + k, a=a, b=b))
-                where += [(k, a)] * count
+            if rules[op]:  # with no wrt entry, + - * and negation have no lines
+                text.append(rules[op].format(k=k, s=base + k, a=a, b=b))
         text.append(" return [" + ", ".join((f"v{tape.outs[0]}",) + jet).format(tape.outs[0]) + "]")
     else:
         rules = _REVERSE_CHUNKS if kind == _GRAD else _COLUMN_CHUNKS
@@ -754,20 +750,16 @@ def _source(tape: _Tape, wrt: tuple[str, ...] | None, kind: int) -> tuple[str, l
                            if dep[(a, b)[operand]])}
             if len(held) > 1:
                 text.append(" " + "".join(f"a{j} = " for j in sorted(held - {out})) + "0.0")
-                where.append(None)
             text.append(f" a{out} = 1.0")
-            where.append(None)
             for op, a, b, i in rev:
-                updates = rules[op] + (_UNIT_CHUNK if kind == _GRAD and op == _POWI and b == 1 else ())
-                for operand, (chunk, count) in updates:
+                for operand, chunk in rules[_ADD][:1] if op == _POWI and b == 1 else rules[op]:
                     if dep[(a, b)[operand]]:
-                        text.append(chunk.format(a=a, b=b, c=b - 1 if op == _POWI else None, i=i))
-                        where += [(i - base, a)] * count
+                        text.append(chunk.format(k=i - base, a=a, b=b, c=b - 1 if op == _POWI else None, i=i))
             if kind == _GRAD:
                 text.append(" return [" + ", ".join(f"a{j}" if j in held else "0.0" for j in slots) + "]")
             else:
                 text += [f" jac[{k}, {r}] = a{j}" for r, j in enumerate(slots) if j in held]
-    return "\n".join(text) + "\n", where
+    return "\n".join(text) + "\n"
 
 
 @lru_cache(maxsize=256)
@@ -780,23 +772,23 @@ def _compiled(source: str):
     return namespace["kernel"]
 
 
-def _run(tape: _Tape, kernel: tuple, binding: dict[str, float]) -> list[float]:
-    """A kernel's result at a binding; an unbound name is a BindError, and a failed
-    check or an overflow a DomainError naming its instruction's subexpression."""
-    fn, where = kernel
+def _run(tape: _Tape, kernel, binding: dict[str, float]) -> list[float]:
+    """A kernel's result at a binding; an unbound name or a number too large for a float
+    is a BindError, and a fault a DomainError naming its instruction's subexpression."""
     try:
-        return fn(tape.consts, binding, tape.names)
+        return kernel(tape.consts, binding, tape.names)
     except KeyError as exc:  # only the reads of the binding, before any instruction, can raise it
         raise BindError(f"unbound coordinate '{exc.args[0]}'") from None
+    except OverflowError:  # likewise only those reads: each rule's own overflow is a _Fault
+        for name in tape.names:
+            try:
+                float(binding[name])
+            except OverflowError:
+                raise BindError(f"coordinate '{name}' is too large for a float") from None
+        raise
     except _Fault as fault:
         k, message, value = fault.args
         raise DomainError(message, tape.nodes[k], value) from None
-    except ArithmeticError as exc:
-        tb = exc.__traceback__
-        while tb.tb_next is not None:  # down to the kernel's frame
-            tb = tb.tb_next
-        k, a = where[tb.tb_lineno]
-        raise DomainError("floating-point overflow", tape.nodes[k], tb.tb_frame.f_locals[f"v{a}"]) from None
 
 
 def _slots(tape: _Tape, wrt: tuple[str, ...] | None, binding: dict[str, float]) -> list[float]:
@@ -864,7 +856,7 @@ def grad_columns(tape: _Tape, bindings: list[dict[str, float]],
         vals = np.array([_slots(tape, wrt, b) for b in bindings]).reshape(len(bindings), len(dep)).T
         jac = np.zeros((len(revs), len(slots), len(bindings)))
         with np.errstate(all="ignore"):  # inf and NaN are the float sweeps' values too
-            tape.kernel(wrt, _COLUMNS)[0](vals, jac)
+            tape.kernel(wrt, _COLUMNS)(vals, jac)
         return jac.transpose(2, 0, 1)
     except Exception:
         per_binding = [[grad(e, b, wrt) for e in tape.roots] for b in bindings]

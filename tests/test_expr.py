@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 import struct
@@ -35,7 +36,8 @@ from thermoform.expr import (
     sub,
 )
 from thermoform import expr as _expr
-from thermoform.geometry import OneForm, d_residual, is_closed, low_discrepancy_samples, potential_form
+from thermoform.geometry import (OneForm, d_residual, is_closed, low_discrepancy_samples, potential_form,
+                                 worst_residual)
 from thermoform.point import (BASE_COORDS, FE_COORDS, Constitutive, entropy_form,
                               potential_coefficients)
 from thermoform.expr import _lowered, _second_order, _slots
@@ -816,6 +818,99 @@ class TestKernels:
             with pytest.raises(BindError, match=r"^unbound coordinate 'y'$"):
                 run()
 
+    # Overflow sites no other test reaches, each with its message as frozen from the
+    # lookup in a table of the kernel's lines that the kernels' own faults replaced.
+    @pytest.mark.parametrize("call, e, binding, wrt, message", [
+        # forward _POWI, negative exponent: (1e-120)^-3
+        ("evaluate", Bin("^", Var("x"), Num(-3.0)), {"x": 1e-120}, None,
+         "floating-point overflow in 'x^-3' (value 1e-120)"),
+        ("hessian", Bin("^", Var("x"), Num(-3.0)), {"x": 1e-120}, ("x",),
+         "floating-point overflow in 'x^-3' (value 1e-120)"),
+        # reverse _POWC, non-integral exponent: -0.5 * (1e-320)^-1.5
+        ("grad", parse("pow(x, y)"), {"x": 1e-320, "y": -0.5}, ("x",),
+         "floating-point overflow in 'pow(x, y)' (value 1e-320)"),
+        ("grad_columns", parse("pow(x, y)"), {"x": 1e-320, "y": -0.5}, ("x",),
+         "floating-point overflow in 'pow(x, y)' (value 1e-320)"),
+        # second order, -1/x^2 of _LN and _POWV with x^2 underflowed to zero
+        ("hessian", parse("ln(x)"), {"x": 1e-200}, ("x",),
+         "floating-point overflow in 'ln(x)' (value 1e-200)"),
+        ("hessian", parse("x^y"), {"x": 1e-200, "y": 0.5}, ("x", "y"),
+         "floating-point overflow in 'x^y' (value 1e-200)"),
+        # second order _POWC, non-integral exponent: (1e-150)^-2.5
+        ("hessian", parse("pow(x, y)"), {"x": 1e-150, "y": -0.5}, ("x",),
+         "floating-point overflow in 'pow(x, y)' (value 1e-150)"),
+    ], ids=["powi-negative", "powi-negative-hessian", "powc-reverse", "powc-reverse-columns",
+            "ln-second", "powv-second", "powc-second"])
+    def test_overflow_site_keeps_its_message(self, call, e, binding, wrt, message):
+        run = {"evaluate": lambda: evaluate(e, binding), "grad": lambda: grad(e, binding, wrt),
+               "hessian": lambda: hessian(e, binding, wrt),
+               "grad_columns": lambda: grad_columns(lower([e]), [{"x": 1.0, "y": -0.5}, binding], wrt)}[call]
+        with pytest.raises(DomainError) as err:
+            run()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("call", ["evaluate", "grad", "hessian", "grad_columns", "worst_residual"])
+    def test_a_number_too_large_for_a_float_is_a_bind_error(self, call):
+        # the handler of an overflow looked up the binding's line in a table that held None for it
+        e = parse("x^2*y")
+        run = {"evaluate": lambda b: evaluate(e, b), "grad": lambda b: grad(e, b, ("x", "y")),
+               "hessian": lambda b: hessian(e, b, ("x", "y")),
+               "grad_columns": lambda b: grad_columns(lower([e]), [{"x": 1.0, "y": 1.0}, b], ("x", "y")),
+               "worst_residual": lambda b: worst_residual(potential_form(ScalarField(e, ("x", "y"))),
+                                                          [{"x": 1.0, "y": 1.0}, b])}[call]
+        for binding, name in (({"x": 10 ** 400, "y": 1.0}, "x"), ({"x": 1.0, "y": -10 ** 400}, "y"),
+                              ({"x": 10 ** 400}, "x")):
+            with pytest.raises(BindError, match=rf"^coordinate '{name}' is too large for a float$"):
+                run(binding)
+        # the binding is read in order: a name missing before the large number is unbound
+        with pytest.raises(BindError, match=r"^unbound coordinate 'x'$"):
+            run({"y": 10 ** 400})
+        with pytest.raises(TypeError):
+            run({"x": None, "y": 1.0})
+        with pytest.raises(ValueError):
+            run({"x": "abc", "y": 1.0})
+
+    @pytest.mark.parametrize("value, text", [(math.inf, "inf"), (math.nan, "nan")])
+    def test_non_finite_constant_is_printed_in_the_domain_error(self, value, text):
+        # int(inf) and int(nan) raised while the DomainError was being worded
+        e = add(Var("x"), Num(value))
+        assert serialize(e) == f"x+{text}"
+        with pytest.raises(DomainError, match=rf"^non-finite result in 'x\+{text}' \(value {text}\)$"):
+            evaluate(e, {"x": 1.0})
+
+    def test_every_raising_operation_runs_in_a_faulting_try(self):
+        # every failure of a kernel is a _Fault: an ArithmeticError can come only from
+        # **, / and the calls exp and round, so each must lie in a try whose handler
+        # raises _Fault, and no other call may be made that could raise one
+        tape = lower(JOINT_CORPUS + [parse("x^1*y")])
+        code = tape.plan(None)[0] + tape.plan(("x", "y"))[0]
+        assert {op for op, _, _ in code} == set(range(14)) - {_expr._POW}  # _POW becomes _POWC or _POWV
+        assert {b for op, _, b in code if op == _expr._POWI} >= {-2, 1}
+
+        def unguarded(node, guarded=False):
+            if isinstance(node, ast.Try):
+                faulting = node.handlers and all(isinstance(h.type, ast.Name) and h.type.id == "ArithmeticError"
+                                                 and isinstance(h.body[0], ast.Raise)
+                                                 and h.body[0].exc.func.id == "_Fault" for h in node.handlers)
+                return [*(u for child in node.body for u in unguarded(child, guarded or faulting)),
+                        *(u for h in node.handlers for u in unguarded(h, guarded))]
+            raising = (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Pow, ast.Div))
+                       or isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("exp", "round"))
+            return [ast.unparse(node)] * (raising and not guarded) + [
+                u for child in ast.iter_child_nodes(node) for u in unguarded(child, guarded)]
+
+        for wrt, kind in ((None, _expr._VALUES), (None, _expr._SLOTS), (("x", "y"), _expr._SLOTS),
+                          (("x", "y"), _expr._GRAD), (("x", "y"), _expr._COLUMNS),
+                          (("x", "y"), _expr._HESSIAN), (("y",), _expr._HESSIAN)):
+            source = _expr._source(tape, wrt, kind)
+            tree = ast.parse(source)
+            assert unguarded(tree) == []
+            allowed = set(tape.kernel(wrt, kind).__globals__) | {"float", "int", "abs", "round"}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    assert (node.func.id in allowed if isinstance(node.func, ast.Name)
+                            else node.func.attr == "tolist"), ast.unparse(node)
+
     def test_a_tape_of_the_same_shape_reuses_the_compiled_code(self):
         first, second = parse("2*x + exp(x)"), parse("5*y + exp(y)")
         assert evaluate(first, {"x": 1.0}) == 2.0 + math.exp(1.0)
@@ -823,11 +918,11 @@ class TestKernels:
         assert grad(second, {"y": 2.0}, ("y",)).tolist() == [5.0 + math.exp(2.0)]
         grad(first, {"x": 2.0}, ("x",))
         kernels = _lowered(first).kernels, _lowered(second).kernels
-        assert kernels[0][None, _expr._VALUES][0] is kernels[1][None, _expr._VALUES][0]
-        assert kernels[0][("x",), _expr._GRAD][0] is kernels[1][("y",), _expr._GRAD][0]
+        assert kernels[0][None, _expr._VALUES] is kernels[1][None, _expr._VALUES]
+        assert kernels[0][("x",), _expr._GRAD] is kernels[1][("y",), _expr._GRAD]
         grad_columns(_lowered(first), [{"x": 2.0}], ("x",))
         grad_columns(_lowered(second), [{"y": 2.0}], ("y",))
-        assert kernels[0][("x",), _expr._COLUMNS][0] is kernels[1][("y",), _expr._COLUMNS][0]
+        assert kernels[0][("x",), _expr._COLUMNS] is kernels[1][("y",), _expr._COLUMNS]
 
     def test_no_constant_or_name_is_in_the_source(self):
         e = parse("2.718281828*theta_long + ln(theta_long)*1234.5 - sqrt(0.1*mu_other)^2.5"
@@ -836,7 +931,7 @@ class TestKernels:
         tape = _lowered(e)
         for wrt, kind in ((None, _expr._VALUES), (names, _expr._SLOTS), (names, _expr._GRAD),
                           (names, _expr._COLUMNS), (names, _expr._HESSIAN)):
-            source = _expr._source(tape, wrt, kind)[0]
+            source = _expr._source(tape, wrt, kind)
             for name in names:
                 assert name not in source
             for c in tape.consts:
@@ -874,7 +969,7 @@ class TestKernels:
         a, b = Bin("*", Num(-0.0), Var("x")), Bin("*", Num(5e-324), Var("x"))
         assert _bits(evaluate(a, {"x": 1.0})) == _bits(-0.0)
         assert evaluate(b, {"x": 2.0}) == 1e-323
-        assert _lowered(a).kernels[None, _expr._VALUES][0] is _lowered(b).kernels[None, _expr._VALUES][0]
+        assert _lowered(a).kernels[None, _expr._VALUES] is _lowered(b).kernels[None, _expr._VALUES]
 
 
 class TestDifferentiate:
