@@ -442,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (cfg.ConfigError, ModelError, DomainError, ProcessError) as exc:
+    except (cfg.ConfigError, ModelError, DomainError, GeometryError, ProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -110,6 +110,10 @@ class DomainError(ExprError):
 class Num:
     value: float
 
+    def __post_init__(self):  # no literal prints inf or NaN, so serialize round-trips
+        if not math.isfinite(self.value):
+            raise ExprError(f"a constant must be finite, got {self.value!r}")
+
 
 @dataclass(frozen=True)
 class Var:
@@ -308,7 +312,7 @@ def _prec(e: Expression) -> int:
 
 
 def _fmt_num(v: float) -> str:
-    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
+    if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 

@@ -123,14 +123,13 @@ def d_residual(form: OneForm, x: dict[str, float] | list[dict[str, float]]) -> n
     return res[0] if isinstance(x, dict) else res
 
 
-def _finite_residuals(form: OneForm, res: np.ndarray) -> np.ndarray:
-    """|C| for one sample (m, m) or for N (N, m, m), all finite; else a DomainError for
-    the first non-finite entry, by sample, then row-major: it is no evidence either way."""
-    if not np.isfinite(res).all():
-        *_, i, j = first = tuple(np.argwhere(~np.isfinite(res))[0])
-        raise DomainError(f"non-finite closeness residual {res[first]} in the pair "
-                          f"({form.coords[i]}, {form.coords[j]})")
-    return res
+def _first_non_finite(values: np.ndarray, rows, cols, what: str, where: str = "the pair") -> np.ndarray:
+    """``values``, (..., len(rows), len(cols)), if all finite; else a DomainError for the first
+    non-finite entry, by leading index, then row-major: it is no evidence either way."""
+    if not np.isfinite(values).all():
+        *_, i, j = first = tuple(np.argwhere(~np.isfinite(values))[0])
+        raise DomainError(f"non-finite {what} {values[first]} in {where} ({rows[i]}, {cols[j]})")
+    return values
 
 
 def worst_residual(form: OneForm, samples: list[dict[str, float]]) -> tuple[float, tuple[str, str]]:
@@ -145,11 +144,12 @@ def worst_residual(form: OneForm, samples: list[dict[str, float]]) -> tuple[floa
     """
     if not samples:
         raise GeometryError("empty sample set")
+    finite = lambda res: _first_non_finite(res, form.coords, form.coords, "closeness residual")
     try:
         residuals = np.abs(d_residual(form, samples))
     except Exception:
-        residuals = np.array([_finite_residuals(form, np.abs(d_residual(form, x))) for x in samples])
-    _finite_residuals(form, residuals)
+        residuals = np.array([finite(np.abs(d_residual(form, x))) for x in samples])
+    finite(residuals)
     k, i, j = np.unravel_index(int(residuals.argmax()), residuals.shape)
     return float(residuals[k, i, j]), (form.coords[i], form.coords[j])
 
@@ -160,30 +160,21 @@ def is_closed(form: OneForm, samples: list[dict[str, float]], tol: float = 1e-8)
     return worst <= tol, worst
 
 
-def _leg_integral(form: OneForm, axis: int, start: float, stop: float,
-                  fixed: dict[str, float], nodes: int) -> float:
-    """Gauss-Legendre integral of a_i dx^i along one axis-parallel leg."""
-    if start == stop:
-        return 0.0
-    xs, ws = leggauss(nodes)
-    mid, half = 0.5 * (start + stop), 0.5 * (stop - start)
-    name = form.coords[axis]
-    total = 0.0
-    point = dict(fixed)
-    for xi, wi in zip(xs, ws):
-        point[name] = mid + half * xi
-        total += wi * form.coefficients[axis].value(point)
-    return half * total
-
-
 def _staircase(form: OneForm, base: dict[str, float], target: dict[str, float],
-               order: list[int], nodes: int) -> float:
-    current = {name: base[name] for name in form.coords}
+               order: list[int], rule: tuple[np.ndarray, np.ndarray]) -> float:
+    """Gauss-Legendre integrals of a_i dx^i summed over the legs; a zero-length one evaluates nothing."""
+    point = {name: base[name] for name in form.coords}
     total = 0.0
     for axis in order:
         name = form.coords[axis]
-        total += _leg_integral(form, axis, current[name], target[name], current, nodes)
-        current[name] = target[name]
+        start, stop = point[name], target[name]
+        if start != stop:
+            mid, half, leg = 0.5 * (start + stop), 0.5 * (stop - start), 0.0
+            for xi, wi in zip(*rule):
+                point[name] = mid + half * xi
+                leg += wi * form.coefficients[axis].value(point)
+            total += half * leg
+        point[name] = stop
     return total
 
 
@@ -194,14 +185,17 @@ def reconstruct_potential(form: OneForm, base: dict[str, float], target: dict[st
     Integrates along the axis-ordered staircase path; the residual compares
     against the reversed axis order and is nonzero for non-exact forms.
     """
-    order = list(range(len(form.coords)))
-    u_fwd = _staircase(form, base, target, order, nodes)
-    u_rev = _staircase(form, base, target, order[::-1], nodes)
+    if not isinstance(nodes, (int, np.integer)) or nodes < 1:
+        raise GeometryError(f"quadrature nodes must be an integer >= 1, got {nodes!r}")
+    order, rule = list(range(len(form.coords))), leggauss(nodes)
+    u_fwd = _staircase(form, base, target, order, rule)
+    u_rev = _staircase(form, base, target, order[::-1], rule)
     return u_fwd, abs(u_fwd - u_rev)
 
 
 def contact_nondegeneracy(chart: ContactChart, x: dict[str, float]) -> float:
-    """det of d(theta) on the computed basis of D = ker theta; nonzero certifies contact."""
+    """det of d(theta) on the computed basis of D = ker theta; nonzero certifies contact.  On
+    that basis d(theta) is [[0, -I], [I, 0]] everywhere, so it is 1.0 for any chart and x."""
     n = chart.n
     # rows: the vertical directions d_{p_i}, then the horizontal lifts d_{q^i} + p_i d_s
     basis = np.zeros((2 * n, 2 * n + 1))
@@ -228,6 +222,8 @@ def low_discrepancy_samples(box: dict[str, tuple[float, float]], count: int,
 
     Coordinate j is the radical inverse of the point index in the j-th prime.
     """
+    if seed < 0:
+        raise GeometryError(f"the sample seed must be >= 0, got {seed!r}")
     names = list(box)
     unit = np.empty((count, len(names)))
     for j, base in enumerate(_primes(len(names))):

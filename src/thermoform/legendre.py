@@ -12,8 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import Bin, DomainError, ScalarField
-from .geometry import ContactChart, GeometryError, reeb_flow
+from .expr import Bin, ScalarField
+from .geometry import ContactChart, GeometryError, _first_non_finite, reeb_flow
 
 __all__ = [
     "LegendreSurface",
@@ -135,7 +135,4 @@ def connection_curvature(connection: GibbsConnection, x: dict[str, float]) -> np
     out = np.triu(omega, 1)
     lower = np.tril_indices(len(p), -1)
     out[lower] = -omega.T[lower]
-    if not np.isfinite(out).all():  # the first one in row-major order is in the upper triangle
-        i, j = np.argwhere(~np.isfinite(out))[0]
-        raise DomainError(f"non-finite curvature {out[i, j]} in the pair ({q_names[i]}, {q_names[j]})")
-    return out
+    return _first_non_finite(out, q_names, q_names, "curvature")  # the first is in the upper triangle

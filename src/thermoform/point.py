@@ -124,6 +124,8 @@ class Constitutive:
             raise ModelError("potential must be a field over the 13 or the 25 base coordinates")
         if self.rho <= 0 or self.k <= 0 or self.inertia == 0:
             raise ModelError("rho, k must be positive and inertia nonzero")
+        if not all(map(math.isfinite, (self.rho, self.k, self.inertia))):
+            raise ModelError(f"rho, k and inertia must be finite: {self.rho!r}, {self.k!r}, {self.inertia!r}")
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -82,7 +82,9 @@ def entropy_action(curve: ProcessCurve, form: OneForm, nodes: int = 4) -> float:
     col = [curve.coords.index(name) for name in form.coords]
     pts = curve.points[:, col]  # reorder to the form's coordinate order
 
-    xs, ws = leggauss(max(nodes, 4))
+    if not isinstance(nodes, (int, np.integer)) or nodes < 1:
+        raise ProcessError(f"quadrature nodes must be an integer >= 1, got {nodes!r}")
+    xs, ws = leggauss(nodes)
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is raised below
         for i in range(len(curve.times) - 1):
@@ -226,10 +228,10 @@ def spinodal_scan(potential: ScalarField, scan_name: str, lo: float, hi: float,
     xs = np.linspace(lo, hi, samples)
     ds = [det_at(v) for v in xs]
     roots = []
-    for i in range(len(xs) - 1):
-        if ds[i] == 0.0:
+    for i in range(len(xs)):
+        if ds[i] == 0.0:  # the last sample too
             roots.append(float(xs[i]))
-        elif ds[i] * ds[i + 1] < 0.0:
+        elif i + 1 < len(xs) and ds[i] * ds[i + 1] < 0.0:
             a, b = float(xs[i]), float(xs[i + 1])
             fa = ds[i]
             while b - a > xtol:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import point
-from .expr import DomainError, ScalarField, const, div, mul, neg
-from .geometry import OneForm
+from .expr import ScalarField, const, div, mul, neg
+from .geometry import OneForm, _first_non_finite
 from .point import (BASE_COORDS, EPS_NAME, F_NAMES, H_NAMES, Constitutive, Forcing, ModelError,
                     TemperatureSingularity, ThermoelasticState)
 
@@ -92,12 +92,13 @@ def closeness_system_residual(thetainv: ScalarField, stress_over_theta: tuple[Sc
                               q_dot_beta: ScalarField, x: dict[str, float]) -> np.ndarray:
     """Residuals of the six closeness conditions for the time-extended form eta'.
 
-    Coefficient fields live over (eps, F, beta, t).  Conditions in order:
+    Coefficient fields live over (eps, F, beta, t).  The conditions are the six
+    off-diagonal block pairs of d(eta') over {eps}, {F}, {beta}, {t}, in order:
     (eps,F) curl; d(theta^-1)/d(beta); d(sigma:F^-1/theta)/d(beta);
-    d(q.beta)/d(beta); (F,t) curl; (eps,t) curl.  Each entry is the max-abs
-    residual of its block.  A non-finite entry is no evidence either way: it
-    raises DomainError naming its condition and coordinate pair, the first by
-    condition, then row-major.
+    d(q.beta)/d(beta); (F,t) curl; (eps,t) curl.  The (F,F) block is not one of
+    them: it is neither reported nor gated.  Each entry is the max-abs residual
+    of its block.  A non-finite entry is no evidence either way: it raises
+    DomainError naming its condition and pair, the first by condition, then row-major.
     """
     for fld in (thetainv, q_dot_beta, *stress_over_theta):
         if fld.coords != ETA_PRIME_COORDS:
@@ -112,9 +113,6 @@ def closeness_system_residual(thetainv: ScalarField, stress_over_theta: tuple[Sc
     blocks = (g_thetainv[f] + g_stress[:, 0], g_thetainv[beta], g_stress[:, beta], g_qb[beta],
               g_stress[:, 13] + g_qb[f], g_thetainv[13] - g_qb[0])
     for b, (name, rows, cols) in zip(blocks, _CONDITIONS):
-        b = np.reshape(b, (len(rows), len(cols)))
-        if not np.isfinite(b).all():
-            i, j = np.argwhere(~np.isfinite(b))[0]
-            raise DomainError(f"non-finite closeness residual {b[i, j]} in the condition {name}, "
-                              f"pair ({rows[i]}, {cols[j]})")
+        _first_non_finite(np.reshape(b, (len(rows), len(cols))), rows, cols, "closeness residual",
+                          f"the condition {name}, pair")
     return np.array([np.abs(b).max() for b in blocks])

@@ -109,6 +109,16 @@ count: {count}
         assert captured.out == ""
         assert "config.count" in captured.err
 
+    def test_negative_seed_exits_1(self, tmp_path):
+        # the Halton points never came: a child process, so that a hang fails at the timeout
+        config = write(tmp_path / "c.yaml", 'coords: [x]\npotential: "x"\nbox: {x: [0.0, 1.0]}\n')
+        proc = subprocess.run(
+            [sys.executable, "-m", "thermoform.cli", "check-closed", "--config", config, "--seed=-1"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src")))
+        assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
+        assert proc.stderr == "error: the sample seed must be >= 0, got -1\n"
+
     def test_count_beyond_the_sample_limit(self, tmp_path, capsys):
         # numpy could not size 10^30 points: a ValueError traceback
         config = write(tmp_path / "c.yaml", """

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -371,6 +375,18 @@ class TestReconstructPotential:
         assert res == pytest.approx(2.0, abs=1e-12)
         assert res > 0.1
 
+    def test_one_node_is_the_midpoint_rule(self):
+        form = form_xy("2*x", "1")
+        assert reconstruct_potential(form, {"x": 0.0, "y": 0.0}, {"x": 1.0, "y": 1.0}, nodes=1) == (2.0, 0.0)
+
+    @pytest.mark.parametrize("nodes", [0, -3, 2.5, None])
+    @pytest.mark.parametrize("target", [1.0, 0.0], ids=["legs", "no-leg"])
+    def test_node_count_must_be_a_positive_integer(self, nodes, target):
+        # numpy's ValueError or TypeError from the first leg, and no error at all with no leg
+        form = form_xy("2*x", "1")
+        with pytest.raises(GeometryError, match=rf"^quadrature nodes must be an integer >= 1, got {nodes!r}$"):
+            reconstruct_potential(form, {"x": 0.0, "y": 0.0}, {"x": target, "y": target}, nodes=nodes)
+
 
 class TestNondegeneracy:
     def test_canonical_chart_n1(self):
@@ -381,6 +397,14 @@ class TestNondegeneracy:
         chart = ContactChart(n=2)
         x = {n: float(rng.uniform(-5, 5)) for n in chart.coords}
         assert contact_nondegeneracy(chart, x) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_for_any_chart_and_point(self, rng, n):
+        # on the computed basis d(theta) is [[0, -I], [I, 0]] wherever it is taken
+        chart = ContactChart(n=n)
+        for _ in range(10):
+            x = {name: float(rng.uniform(-5, 5)) for name in chart.coords}
+            assert contact_nondegeneracy(chart, x) == 1.0
 
 
 class TestReebCharacterization:
@@ -425,6 +449,16 @@ class TestSampling:
     def test_seed_shifts_sequence(self):
         box = {"x": (0.0, 1.0)}
         assert low_discrepancy_samples(box, 4, seed=1) != low_discrepancy_samples(box, 4)
+
+    def test_negative_seed_is_refused(self):
+        # divmod(-1, 2) keeps q = -1, so the radical inverse looped forever: the call runs
+        # in a child process, so that a hang fails at the timeout instead of stopping the suite
+        script = "from thermoform.geometry import *; low_discrepancy_samples({'x': (0.0, 1.0)}, 4, seed=-1)"
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 1
+        assert proc.stderr.endswith("GeometryError: the sample seed must be >= 0, got -1\n")
 
     def test_frozen_points(self):
         box = {"a": (0.0, 1.0), "b": (0.0, 1.0), "c": (0.0, 1.0)}

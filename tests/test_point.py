@@ -39,6 +39,15 @@ def test_parameters_are_checked_for_both_models(coords, params):
         law(coords, **params)
 
 
+@pytest.mark.parametrize("coords", [point.BASE_COORDS, point.FE_COORDS], ids=["13", "25"])
+@pytest.mark.parametrize("params", [{"rho": np.nan}, {"k": np.nan}, {"rho": np.inf}, {"k": np.inf},
+                                    {"inertia": np.nan}, {"inertia": np.inf}, {"inertia": -np.inf}])
+def test_parameters_must_be_finite(coords, params):
+    # nan <= 0 is False: such a law was built, and its run failed later or, with inertia nan, stepped
+    with pytest.raises(ModelError, match=r"^rho, k and inertia must be finite: "):
+        law(coords, **params)
+
+
 def test_potential_must_be_over_a_model_coordinate_list():
     with pytest.raises(ModelError, match="13 or the 25 base coordinates"):
         law(point.BASE_COORDS + ("t",))

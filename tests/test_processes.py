@@ -110,6 +110,20 @@ class TestEntropyAction:
             with pytest.raises(DomainError, match=rf"^non-finite entropy action inf on curve interval {interval} "):
                 entropy_action(curve, form)
 
+    def test_node_count_is_honoured(self):
+        # 1 to 3 nodes were silently raised to 4: x^3 dx over [0, 1] gave 0.25 at every count
+        form = OneForm(("x",), (ScalarField.from_text("x^3", ("x",)),))
+        curve = ProcessCurve(("x",), np.array([0.0, 1.0]), np.array([[0.0], [1.0]]))
+        assert entropy_action(curve, form, nodes=1) == 0.125  # the midpoint rule
+        assert entropy_action(curve, form, nodes=2) == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("nodes", [0, -1, 2.5, None])
+    def test_node_count_must_be_a_positive_integer(self, nodes):
+        # 0 and -1 were raised to 4; 2.5 and None ended in numpy's TypeError
+        form = potential_form(ScalarField.from_text("x*y", ("x", "y")))
+        with pytest.raises(ProcessError, match=rf"^quadrature nodes must be an integer >= 1, got {nodes!r}$"):
+            entropy_action(curve_xy([[0, 0], [1, 1]]), form, nodes=nodes)
+
 
 class TestAdmissibility:
     @staticmethod
@@ -240,6 +254,12 @@ class TestSpinodal:
         # det = 12 q1 is exactly 0 at the middle of the 3 samples -1, 0, 1: no bisection
         u = ScalarField.from_text("q1^3 + q2^2", ("q1", "q2"))
         assert spinodal_scan(u, "q1", -1.0, 1.0, {"q2": 0.0}, samples=3) == [0.0]
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 0.0)], ids=["at-lo", "at-hi"])
+    def test_zero_det_at_either_end_is_a_root(self, lo, hi):
+        # det = q1 is exactly 0 at q1 = 0: it was a root at lo but never at hi
+        u = ScalarField.from_text("q1^3/6 + q2^2/2", ("q1", "q2"))
+        assert spinodal_scan(u, "q1", lo, hi, {"q2": 0.0}) == [0.0]
 
     def test_cubic_root_at_origin(self):
         u = ScalarField.from_text("q1^3 + q2^2", ("q1", "q2"))
