@@ -24,8 +24,8 @@ from .geometry import ContactChart, GeometryError, OneForm, low_discrepancy_samp
 from .legendre import ConstitutiveSurface, GibbsConnection, connection_curvature, pullback_contact, surface_embed
 from .processes import (ProcessCurve, ProcessError, _metric_det, admissibility, entropy_action,
                         spinodal_scan, thermo_metric)
-from .point import (BASE_COORDS, FE_COORDS, STATE_NAMES, Constitutive, FerroelectricState, Forcing,
-                    ModelError, ThermoelasticState, _gradient, rk4_step)
+from .point import (_POTENTIAL_NAMES, BASE_COORDS, FE_COORDS, STATE_NAMES, Constitutive, Forcing,
+                    ModelError, _gradient, _oriented, _rk4)
 from .vdw import vdw_potential
 
 EXIT_OK = 0
@@ -166,7 +166,6 @@ def _init_vector(doc, key: str, size: int, path: str) -> np.ndarray:
 class _Model(NamedTuple):
     coords: tuple[str, ...]      # the potential's coordinates
     params: tuple[str, ...]      # constitutive parameters after the potential, each defaulting to 1
-    state: type
     initial: tuple[tuple[str, int], ...]  # initial blocks after eps and F, with their sizes
     channels: tuple[tuple[str, str, tuple[int, ...]], ...]  # (config key, Forcing field, shape)
     keys: tuple[str, ...] = ()   # further top-level keys
@@ -174,10 +173,10 @@ class _Model(NamedTuple):
 
 _MODELS = {
     "thermoelastic": _Model(
-        BASE_COORDS, ("rho", "k"), ThermoelasticState, (("H", 3),),
+        BASE_COORDS, ("rho", "k"), (("H", 3),),
         (("L", "L", (3, 3)), ("divq", "divq", ())), ("surface",)),
     "ferroelectric": _Model(
-        FE_COORDS, ("rho", "k", "inertia"), FerroelectricState,
+        FE_COORDS, ("rho", "k", "inertia"),
         (("H", 3), ("pi", 3), ("grad_pi", 9), ("u", 3), ("grad_u", 9)),
         (("E", "E_ext", (3,)), ("L", "L", (3, 3)), ("divq", "divq", ()),
          ("poynting", "poynting_term", ()), ("div_e_tensor", "div_e_tensor", (3,)),
@@ -215,10 +214,11 @@ def cmd_simulate(args) -> int:
         name: cfg.as_number(doc.get(name, 1.0), f"config.{name}") for name in spec.params})
     init = cfg.need(doc, "initial", "config")
     cfg.check_keys(init, {"eps", "F", *(name for name, _ in spec.initial)}, "config.initial")
-    state = spec.state.from_vector(np.concatenate((
+    y = np.concatenate((
         [cfg.as_number(cfg.need(init, "eps", "config.initial"), "config.initial.eps")],
         _init_vector(init, "F", 9, "config.initial") if "F" in init else np.eye(3).ravel(),
-        *(_init_vector(init, name, size, "config.initial") for name, size in spec.initial))))
+        *(_init_vector(init, name, size, "config.initial") for name, size in spec.initial))).tolist()
+    _oriented(y[1:10])  # det F > 0, as a state object checks it
     fdoc = doc.get("forcing") or {}
     cfg.check_keys(fdoc, {key for key, _, _ in spec.channels}, "config.forcing")
     forcing = Forcing(**{name: cfg.time_fn(fdoc.get(key), f"config.forcing.{key}", shape)
@@ -230,13 +230,13 @@ def cmd_simulate(args) -> int:
         sigma = cfg.per_name(doc["surface"], ("sigma",), "config.surface",
                              lambda text, path: cfg.field_from(text, spec.coords, path))["sigma"]
 
-    header = ["t", *STATE_NAMES[:state.vector().size], "theta", "U"]
+    header = ["t", *STATE_NAMES[:len(y)], "theta", "U"]
     if sigma is not None:
         header += ["sigma_prod", "s"]
 
-    def row(t: float, x) -> list[float]:
-        b = x.binding()
-        out = [t, *x.vector(), 1.0 / _gradient(constitutive, x.vector().tolist())[0], u.value(b)]
+    def row(t: float, y: list) -> list[float]:
+        b = dict(zip(_POTENTIAL_NAMES, y))  # state order, which for the ferroelectric point is not FE_COORDS
+        out = [t, *y, 1.0 / _gradient(constitutive, y)[0], u.value(b)]
         if sigma is not None:
             sv = sigma.value(b)
             out += [sv, out[-1] + sv]
@@ -244,18 +244,18 @@ def cmd_simulate(args) -> int:
 
     exits = []
 
-    def trace(state):  # rows as they are made; the output is opened after the first
+    def trace(y):  # rows as they are made; the output is opened after the first
         for i in range(n_steps):
             t = t0 + i * dt
             try:
-                state = rk4_step(state, constitutive, forcing, t, dt)
-                yield row(t0 + (i + 1) * dt, state)
+                y = _rk4(y, constitutive, forcing, t, dt)
+                yield row(t0 + (i + 1) * dt, y)
             except (ModelError, DomainError) as exc:
                 print(f"domain exit at t={t}: {exc}", file=sys.stderr)
                 exits.append(EXIT_DOMAIN)
                 return
 
-    _write_csv(args.out, header, itertools.chain([row(t0, state)], trace(state)))
+    _write_csv(args.out, header, itertools.chain([row(t0, y)], trace(y)))
     return exits[0] if exits else EXIT_OK
 
 
@@ -319,7 +319,7 @@ def cmd_metric(args) -> int:
     u = cfg.field_from(cfg.need(doc, "potential", "config"), coords, "config.potential")
     point = cfg.per_name(cfg.need(doc, "point", "config"), coords, "config.point", cfg.as_number)
     hess = thermo_metric(u, point)
-    _print_json({"metric": [[float(v) for v in row] for row in hess], "det": _metric_det(u, hess)})
+    _print_json({"metric": [[float(v) for v in row] for row in hess], "det": _metric_det(u, [hess])[0]})
     return EXIT_OK
 
 

@@ -93,14 +93,16 @@ def field_from(text: Any, coords: tuple[str, ...], path: str) -> ScalarField:
 
 def time_fn(value: Any, path: str, shape: tuple[int, ...]):
     """A function of t from an expression string (``shape`` ()) or a nested list of
-    them of ``shape``; None is zero.  Entry paths read ``<path>[i][j]``.
+    them of ``shape``; None is constant zeros.  Entry paths read ``<path>[i][j]``.
 
     The entries are lowered into one tape with an output per entry, and a call
     is one float value sweep over it (sqrt(0) stays legal).  When the sweep
     fails, the entries are re-run one by one, so the error is the first failing
     entry's, with its own message.
     """
-    leaves = [(np.full(shape, "0").tolist() if value is None else value, path)]
+    if value is None:
+        return (lambda t: np.zeros(shape)) if shape else (lambda t: 0.0)
+    leaves = [(value, path)]
     for n in shape:  # the whole shape is checked before any entry is parsed
         if any(not isinstance(row, list) or len(row) != n for row, _ in leaves):
             kind = f"list of {n}" if len(shape) == 1 else f"{'x'.join(map(str, shape))} nested list of"

@@ -7,6 +7,7 @@ reverse-mode derivatives of the coefficients (``expr.grad_columns``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -161,8 +162,9 @@ def is_closed(form: OneForm, samples: list[dict[str, float]], tol: float = 1e-8)
 
 
 def _staircase(form: OneForm, base: dict[str, float], target: dict[str, float],
-               order: list[int], rule: tuple[np.ndarray, np.ndarray]) -> float:
-    """Gauss-Legendre integrals of a_i dx^i summed over the legs; a zero-length one evaluates nothing."""
+               order: list[int], rule: tuple[list[float], list[float]]) -> float:
+    """Gauss-Legendre integrals of a_i dx^i summed over the legs; a zero-length one evaluates
+    nothing, and a non-finite running sum is a DomainError naming its leg's coordinate."""
     point = {name: base[name] for name in form.coords}
     total = 0.0
     for axis in order:
@@ -174,6 +176,8 @@ def _staircase(form: OneForm, base: dict[str, float], target: dict[str, float],
                 point[name] = mid + half * xi
                 leg += wi * form.coefficients[axis].value(point)
             total += half * leg
+            if not math.isfinite(total):
+                raise DomainError(f"non-finite potential {total!r} on the leg along {name}")
         point[name] = stop
     return total
 
@@ -182,15 +186,17 @@ def reconstruct_potential(form: OneForm, base: dict[str, float], target: dict[st
                           nodes: int = 32) -> tuple[float, float]:
     """Line-integral potential with U(base) = 0, plus a path-dependence report.
 
-    Integrates along the axis-ordered staircase path; the residual compares
-    against the reversed axis order and is nonzero for non-exact forms.
+    Integrates along the axis-ordered staircase path; the residual compares against the reversed
+    axis order and is nonzero for non-exact forms.  Both are floats; a non-finite one is a DomainError.
     """
     if not isinstance(nodes, (int, np.integer)) or nodes < 1:
         raise GeometryError(f"quadrature nodes must be an integer >= 1, got {nodes!r}")
-    order, rule = list(range(len(form.coords))), leggauss(nodes)
+    order, rule = list(range(len(form.coords))), tuple(a.tolist() for a in leggauss(nodes))
     u_fwd = _staircase(form, base, target, order, rule)
-    u_rev = _staircase(form, base, target, order[::-1], rule)
-    return u_fwd, abs(u_fwd - u_rev)
+    residual = abs(u_fwd - _staircase(form, base, target, order[::-1], rule))
+    if not math.isfinite(residual):
+        raise DomainError(f"non-finite path-dependence residual {residual!r}")
+    return u_fwd, residual
 
 
 def contact_nondegeneracy(chart: ContactChart, x: dict[str, float]) -> float:

@@ -20,9 +20,9 @@ LEt = -rho theta dU/d(grad pi), beta = dU/dH.  Spatial divergences (div q,
 div LEt, div P, flux/source of grad u) are not derivable from point state;
 each enters the dynamics as a forcing channel.
 
-An RK4 step works on plain Python floats: each channel is read once per distinct
-t (3 reads a step: stages 2 and 3 share t + dt/2), and the rates are summed in a
-fixed order with no BLAS or LAPACK call, so their bits do not depend on the CPU.
+An RK4 step (``_rk4``, on the state vector as a list of floats; ``rk4_step`` wraps it)
+reads each channel once per distinct t (3 reads a step: stages 2 and 3 share t + dt/2),
+and sums the rates in a fixed order with no BLAS or LAPACK call, so their bits do not depend on the CPU.
 """
 from __future__ import annotations
 
@@ -60,6 +60,13 @@ class TemperatureSingularity(ModelError):
     """dU/d(eps) vanished: the inverse temperature is undefined."""
 
 
+def _oriented(F: list) -> None:
+    """ModelError unless det F > 0, F row-major; det by cofactors, no LAPACK call."""
+    a, b, c, d, e, f, g, h, i = F
+    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) <= 0.0:
+        raise ModelError("deformation gradient must have positive determinant")
+
+
 @dataclass
 class ThermoelasticState:
     eps: float
@@ -69,9 +76,7 @@ class ThermoelasticState:
     def __post_init__(self):
         self.F = np.asarray(self.F, dtype=float).reshape(3, 3)
         self.H = np.asarray(self.H, dtype=float).reshape(3)
-        (a, b, c), (d, e, f), (g, h, i) = self.F.tolist()  # det F by cofactors, no LAPACK call
-        if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) <= 0.0:
-            raise ModelError("deformation gradient must have positive determinant")
+        _oriented(self.F.ravel().tolist())
 
     def _blocks(self) -> list:
         return [[self.eps], self.F.ravel(), self.H]
@@ -274,18 +279,23 @@ def _stage(n: int, y: list, c: Constitutive, f: Forcing, t: float, read: dict) -
     return rates
 
 
-def rk4_step(x: ThermoelasticState, c: Constitutive, f: Forcing, t: float,
-             dt: float) -> ThermoelasticState:
-    """One classical RK4 step, combining the stages in numpy's element-wise order.  Each
-    stage's rates are checked to be finite before the next stage is formed; only the
-    returned state is checked for loss of orientation (det F <= 0)."""
+def _rk4(y: list, c: Constitutive, f: Forcing, t: float, dt: float) -> list:
+    """One classical RK4 step of the state vector ``y`` (floats), combining the stages in numpy's
+    element-wise order.  Each stage's rates are checked to be finite before the next stage is
+    formed; only the returned state is checked for loss of orientation (det F <= 0)."""
     if dt <= 0:
         raise ModelError("dt must be positive")
-    y, half, sixth, mid, read = x.vector().tolist(), 0.5 * dt, dt / 6.0, t + 0.5 * dt, {}
+    half, sixth, mid, read = 0.5 * dt, dt / 6.0, t + 0.5 * dt, {}
     with np.errstate(all="ignore"):  # a forcing's numpy overflow shows as a non-finite rate
         k1 = _stage(1, y, c, f, t, read)
         k2 = _stage(2, [a + half * k for a, k in zip(y, k1)], c, f, mid, read)
         k3 = _stage(3, [a + half * k for a, k in zip(y, k2)], c, f, mid, read)
         k4 = _stage(4, [a + dt * k for a, k in zip(y, k3)], c, f, t + dt, read)
-        return type(x).from_vector([a + sixth * (((p + 2.0 * q) + 2.0 * r) + s)
-                                    for a, p, q, r, s in zip(y, k1, k2, k3, k4)])
+    y = [a + sixth * (((p + 2.0 * q) + 2.0 * r) + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+    _oriented(y[_F])
+    return y
+
+
+def rk4_step(x: ThermoelasticState, c: Constitutive, f: Forcing, t: float, dt: float) -> ThermoelasticState:
+    """``_rk4`` on the state's vector: one classical RK4 step."""
+    return type(x).from_vector(_rk4(x.vector().tolist(), c, f, t, dt))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .expr import DomainError, ScalarField
+from .expr import DomainError, ScalarField, _second_order, _triangle
 from .geometry import OneForm
 from .legendre import ConstitutiveSurface
 
@@ -156,16 +156,18 @@ def godograph_det(potential: ScalarField, q: dict[str, float]) -> float:
 
     The Hessian is finite, but its determinant can overflow: a DomainError.
     """
-    return _metric_det(potential, thermo_metric(potential, q))
+    return _metric_det(potential, [thermo_metric(potential, q)])[0]
 
 
-def _metric_det(potential: ScalarField, hess: np.ndarray) -> float:
-    """det of the potential's Hessian ``hess``; a non-finite one is a DomainError."""
+def _metric_det(potential: ScalarField, hess) -> list[float]:
+    """det of each of the potential's Hessians in the stack ``hess`` (k, n, n), by one
+    LAPACK call; the first non-finite one is a DomainError."""
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite det is raised below
-        det = float(np.linalg.det(hess))
-    if not math.isfinite(det):
-        raise DomainError(f"non-finite Hessian determinant {det!r}", potential.expression)
-    return det
+        dets = np.linalg.det(hess).tolist()
+    for det in dets:
+        if not math.isfinite(det):
+            raise DomainError(f"non-finite Hessian determinant {det!r}", potential.expression)
+    return dets
 
 
 def rate_relation_residual(potential: ScalarField, curve: ProcessCurve) -> np.ndarray:
@@ -217,29 +219,39 @@ def _check_finite(values: np.ndarray, offset: int, what: str) -> None:
 def spinodal_scan(potential: ScalarField, scan_name: str, lo: float, hi: float,
                   fixed: dict[str, float], samples: int = 200,
                   xtol: float = 1e-4) -> list[float]:
-    """Sign changes of the godograph determinant along one coordinate, by bisection."""
+    """Sign changes of the godograph determinant along one coordinate, by bisection.  The grid's
+    determinants are one stacked LAPACK call, bitwise ``godograph_det``'s, and the first failing
+    sample is the error.  A bracket is halved until at most ``xtol`` wide or its midpoint no longer splits it."""
+    if not (isinstance(samples, (int, np.integer)) and isinstance(xtol, (int, float)) and 0.0 < xtol < math.inf):
+        raise ProcessError(f"spinodal scan of {scan_name}: need an integer samples and a finite xtol > 0, "
+                           f"got samples={samples!r}, xtol={xtol!r}")
     if not (lo < hi and samples >= 2):
         raise ProcessError(f"spinodal scan of {scan_name}: need lo < hi and samples >= 2, "
                            f"got lo={lo!r}, hi={hi!r}, samples={samples!r}")
 
-    def det_at(v: float) -> float:
-        return godograph_det(potential, {**fixed, scan_name: v})
-
-    xs = np.linspace(lo, hi, samples)
-    ds = [det_at(v) for v in xs]
+    xs = np.linspace(lo, hi, samples).tolist()
+    mirror, tris = _triangle(len(potential.coords))[1], []
+    for v in xs:
+        try:
+            tris.append(_second_order(potential.expression, {**fixed, scan_name: v}, potential.coords)[2])
+        except Exception:
+            if tris:  # an earlier sample's non-finite determinant comes first
+                _metric_det(potential, np.array(tris)[:, mirror])
+            raise
+    ds = _metric_det(potential, np.array(tris)[:, mirror])
     roots = []
     for i in range(len(xs)):
         if ds[i] == 0.0:  # the last sample too
-            roots.append(float(xs[i]))
+            roots.append(xs[i])
         elif i + 1 < len(xs) and ds[i] * ds[i + 1] < 0.0:
-            a, b = float(xs[i]), float(xs[i + 1])
-            fa = ds[i]
-            while b - a > xtol:
-                mid = 0.5 * (a + b)
-                fm = det_at(mid)
+            a, b, fa = xs[i], xs[i + 1], ds[i]
+            mid = 0.5 * (a + b)
+            while b - a > xtol and a < mid < b:
+                fm = godograph_det(potential, {**fixed, scan_name: mid})
                 if fa * fm <= 0.0:
                     b = mid
                 else:
                     a, fa = mid, fm
-            roots.append(0.5 * (a + b))
+                mid = 0.5 * (a + b)
+            roots.append(mid)
     return roots

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 from thermoform import cli
 from thermoform.expr import ScalarField
 from thermoform.cli import _MODELS, EXIT_DOMAIN, EXIT_ERROR, EXIT_NOT_CLOSED, EXIT_OK, build_parser, main
-from thermoform.point import rk4_step
+from thermoform.point import _rk4
 
 
 def write(path, text):
@@ -655,11 +655,11 @@ forcing:
         config = write(tmp_path / "c.yaml", self.THERMO.replace("t1: 1.0", "t1: 0.01"))
         seen = []
 
-        def step(x, *args):  # what stdout holds when each step starts
+        def step(y, *args):  # what stdout holds when each step starts
             seen.append(capsys.readouterr().out.count("\n"))
-            return rk4_step(x, *args)
+            return _rk4(y, *args)
 
-        monkeypatch.setattr("thermoform.cli.rk4_step", step)
+        monkeypatch.setattr("thermoform.cli._rk4", step)
         assert main(["simulate", "--config", config]) == EXIT_OK
         # the header and the first row are out before the first step; the writer
         # is one row behind the steps, since a row is written when it is yielded
@@ -1487,7 +1487,8 @@ NO_KERNEL_TO_FORCE = "numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH, so no kern
 
 class TestCpuIndependentBytes:
     """simulate's and check-closed's output paths have no BLAS or LAPACK call, so the
-    kernel that OpenBLAS picks for this CPU cannot change a bit of them."""
+    kernel that OpenBLAS picks for this CPU cannot change a bit of them.  vdw's only
+    LAPACK call is the spinodal scan's determinant, of which only the sign is used."""
 
     CORE_TYPES = ("SkylakeX", "Haswell", "Nehalem", "Prescott")
     FORCING = """
@@ -1535,6 +1536,20 @@ initial:
         for path in paths:
             outputs = {pathlib.Path(f"{path}.{core}.csv").read_bytes() for core in self.CORE_TYPES}
             assert len(outputs) == 1, path
+
+    @pytest.mark.skipif(not _dynamic_openblas(), reason=NO_KERNEL_TO_FORCE)
+    @pytest.mark.parametrize("flags", [[], ["--a", "1.3", "--b", "0.07", "--vmin", "0.1", "--vmax", "5",
+                                            "--vn", "200"]], ids=["default", "wide"])
+    def test_vdw_bytes_are_the_same_under_every_kernel(self, tmp_path, flags):
+        # the spinodal grid's determinants are one stacked LAPACK call
+        out = str(tmp_path / "vdw")
+        script = ("import sys; from thermoform.cli import main\n"
+                  "sys.exit(main(['vdw', '--out', f'{sys.argv[2]}.{sys.argv[1]}.csv', *sys.argv[3:]]))")
+        runs = self.run_under_every_kernel(script, [out, *flags])
+        assert {code for _, code in runs} == {EXIT_OK}
+        assert len({stdout for stdout, _ in runs}) == 1
+        assert json.loads(runs[0][0])["spinodal_V_at_S0"]
+        assert len({pathlib.Path(f"{out}.{core}.csv").read_bytes() for core in self.CORE_TYPES}) == 1
 
     @pytest.mark.skipif(not _dynamic_openblas(), reason=NO_KERNEL_TO_FORCE)
     def test_check_closed_bytes_are_the_same_under_every_kernel(self, tmp_path):

@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -374,6 +375,27 @@ class TestReconstructPotential:
         assert u == pytest.approx(-1.0, abs=1e-12)
         assert res == pytest.approx(2.0, abs=1e-12)
         assert res > 0.1
+
+    @pytest.mark.parametrize("coefficients, target, message", [
+        (("1e300",), {"x": 1e10}, "non-finite potential inf on the leg along x"),
+        (("1e300", "-1e300"), {"x": 1e10, "y": 1e10}, "non-finite potential inf on the leg along x"),
+        (("1", "-1e300"), {"x": 1e10, "y": 1e10}, "non-finite potential -inf on the leg along y"),
+        # each order sums to a finite -1.125e308 or +1.125e308; their difference overflows
+        (("5e307*y", "-5e307*x"), {"x": 1.5, "y": 1.5}, "non-finite path-dependence residual inf"),
+    ], ids=["one-leg", "first-leg", "second-leg", "residual"])
+    def test_non_finite_result_is_a_domain_error(self, coefficients, target, message):
+        # (inf, nan) or (nan, nan) as np.float64, with RuntimeWarnings
+        coords = tuple(target)
+        form = OneForm(coords, tuple(ScalarField.from_text(c, coords) for c in coefficients))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+                reconstruct_potential(form, dict.fromkeys(coords, 0.0), target)
+
+    def test_results_are_floats(self):
+        form = form_xy("2*x", "1")
+        assert [type(v) for v in reconstruct_potential(form, {"x": 0.0, "y": 0.0}, {"x": 1.0, "y": 1.0})] == [
+            float, float]
 
     def test_one_node_is_the_midpoint_rule(self):
         form = form_xy("2*x", "1")

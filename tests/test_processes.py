@@ -1,3 +1,10 @@
+import json
+import math
+import os
+import pathlib
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -245,7 +252,155 @@ class TestMetric:
                 godograph_det(u, {"x": 1.0, "y": 1.0})
 
 
+def loop_spinodal_scan(potential, scan_name, lo, hi, fixed, samples=200, xtol=1e-4):
+    """Reference: one Hessian and one LAPACK det per grid point and per midpoint."""
+    def det_at(v):
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = float(np.linalg.det(thermo_metric(potential, {**fixed, scan_name: v})))
+        if not math.isfinite(det):
+            raise DomainError(f"non-finite Hessian determinant {det!r}", potential.expression)
+        return det
+
+    xs = np.linspace(lo, hi, samples)
+    ds = [det_at(v) for v in xs]
+    roots = []
+    for i in range(len(xs)):
+        if ds[i] == 0.0:
+            roots.append(float(xs[i]))
+        elif i + 1 < len(xs) and ds[i] * ds[i + 1] < 0.0:
+            a, b = float(xs[i]), float(xs[i + 1])
+            fa = ds[i]
+            while b - a > xtol:
+                mid = 0.5 * (a + b)
+                fm = det_at(mid)
+                if fa * fm <= 0.0:
+                    b = mid
+                else:
+                    a, fa = mid, fm
+            roots.append(0.5 * (a + b))
+    return roots
+
+
+def scan_outcome(scan, *args, **kwargs):
+    """The roots as hex strings, or the error's type and message."""
+    try:
+        return [r.hex() for r in scan(*args, **kwargs)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def random_scan(rng):
+    """A random 2- or 3-coordinate potential and spinodal_scan arguments over it.  Some
+    carry a pole on a grid point, ln or sqrt of a negative value in the later samples,
+    a determinant that overflows from some sample on, or both kinds of failure."""
+    names = ("x", "y", "z")[:int(rng.integers(2, 4))]
+    scan, *others = rng.permutation(names).tolist()
+    lo = float(rng.uniform(-2.0, 1.0))
+    hi = lo + float(rng.uniform(0.1, 3.0))
+    samples = int(rng.integers(2, 41))
+    grid = np.linspace(lo, hi, samples).tolist()
+    text = random_polynomial_text(list(names), rng, terms=int(rng.integers(2, 7)))
+    at = grid[int(rng.integers(samples))]  # a grid value, or a point between two
+    if rng.uniform() < 0.5:
+        at = 0.5 * (at + grid[min(grid.index(at) + 1, samples - 1)])
+    for kind in rng.choice(["pole", "ln", "sqrt", "overflow", "grows"], size=int(rng.integers(0, 3))):
+        c = float(rng.uniform(-2.0, 2.0))
+        if kind == "pole":
+            text += f" + {c!r}/({scan} - {at!r})"
+        elif kind in ("ln", "sqrt"):
+            text += f" + {c!r}*{kind}({at!r} - {scan})"
+        elif kind == "overflow":
+            text += " + " + " + ".join(f"1e160*{n}^2" for n in names)
+        else:  # the determinant overflows from the samples past lo + 1/g on
+            g = float(rng.uniform(0.3, 3.0))
+            text += f" + 1e150*exp({100.0 * g!r}*({scan} - {lo!r}) - 100)*(" + " + ".join(
+                f"{n}^2" for n in names) + ")"
+    potential = ScalarField.from_text(text, names)
+    fixed = {n: float(rng.uniform(-1.0, 1.0)) for n in others}
+    xtol = float(rng.choice([1e-3, 1e-4, 1e-6]))
+    return potential, scan, lo, hi, fixed, samples, xtol
+
+
+def hessian_fails(potential, scan_name, lo, hi, fixed, samples):
+    """Whether the Hessian raises at some grid point of the scan."""
+    for v in np.linspace(lo, hi, samples):
+        try:
+            thermo_metric(potential, {**fixed, scan_name: v})
+        except DomainError:
+            return True
+    return False
+
+
 class TestSpinodal:
+    def test_batch_matches_the_per_sample_loop(self, rng):
+        # one stacked determinant call for the whole grid gives the loop's roots bit for
+        # bit, and the loop's first error: an earlier sample's overflowing determinant
+        # wins over a later sample's Hessian error
+        kinds = []
+        for _ in range(1000):
+            args = random_scan(rng)
+            got = scan_outcome(spinodal_scan, *args)
+            want = scan_outcome(loop_spinodal_scan, *args)
+            assert got == want, args
+            kind = want[1].split(" in ")[0] if isinstance(want, tuple) else bool(want)
+            if kind == "non-finite Hessian determinant inf" and hessian_fails(*args[:-1]):
+                kind = "determinant, then a Hessian error"
+            kinds.append(kind)
+        # each outcome is common enough to be tested; True and False are some roots and none
+        assert {kind: kinds.count(kind) >= 20 for kind in set(kinds)} == dict.fromkeys([
+            True, False, "division by zero", "logarithm of a non-positive value",
+            "square root of a negative value", "square root not differentiable at zero",
+            "non-finite Hessian determinant inf", "non-finite Hessian determinant -inf",
+            "determinant, then a Hessian error"], True)
+
+    def test_overflowing_det_before_a_later_hessian_error(self):
+        # det = 4e320 overflows at sample 0; ln(0.5 - x) fails from x = 0.5 on
+        u = ScalarField.from_text("1e160*(x^2 + y^2) + ln(0.5 - x)", ("x", "y"))
+        args = (u, "x", 0.25, 1.0, {"y": 1.0})
+        with pytest.raises(DomainError, match="^non-finite Hessian determinant inf "):
+            spinodal_scan(*args, samples=4)
+        assert scan_outcome(spinodal_scan, *args, samples=4) == scan_outcome(loop_spinodal_scan, *args, samples=4)
+        # a Hessian error before the first overflowing determinant is the error
+        v = ScalarField.from_text("1e150*exp(100*x)*(x^2 + y^2) + ln(0.5 - x)", ("x", "y"))
+        with pytest.raises(DomainError, match="^logarithm of a non-positive value "):
+            spinodal_scan(v, "x", -1.0, 1.0, {"y": 1.0}, samples=5)
+
+    def test_stacked_det_is_bitwise_the_per_matrix_det(self):
+        # the batch rests on numpy's det gufunc running one LAPACK call per matrix alike
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 5):
+            stack = rng.normal(size=(500, n, n)) * 10.0 ** rng.uniform(-100, 100, size=(500, 1, 1))
+            stack[::7] = stack[::7] + np.swapaxes(stack[::7], 1, 2)  # symmetric, as a Hessian is
+            with np.errstate(over="ignore", under="ignore"):
+                got = np.linalg.det(stack).tolist()
+                want = [float(np.linalg.det(m)) for m in stack]
+            assert [g.hex() for g in got] == [w.hex() for w in want]
+
+    @pytest.mark.parametrize("samples", [2.5, "3", None])
+    def test_samples_must_be_an_integer(self, samples):
+        # 2.5 was a numpy TypeError from linspace
+        with pytest.raises(ProcessError, match=re.escape(
+                f"need an integer samples and a finite xtol > 0, got samples={samples!r}, xtol=0.0001")):
+            spinodal_scan(vdw_potential(), "V", 0.15, 3.0, {"S": 0.0}, samples=samples)
+
+    @pytest.mark.parametrize("xtol", [math.nan, math.inf, 0.0, -1e-4, "1e-4"])
+    def test_xtol_must_be_finite_and_positive(self, xtol):
+        # NaN skipped the bisection and reported the midpoint of the sample bracket
+        with pytest.raises(ProcessError, match=re.escape(
+                f"spinodal scan of V: need an integer samples and a finite xtol > 0, got samples=200, xtol={xtol!r}")):
+            spinodal_scan(vdw_potential(), "V", 0.15, 3.0, {"S": 0.0}, xtol=xtol)
+
+    def test_bisection_stops_when_the_midpoint_no_longer_splits(self):
+        # below the float spacing at the root, b - a > xtol held forever
+        script = ("from thermoform.processes import spinodal_scan; from thermoform.vdw import vdw_potential\n"
+                  "print(spinodal_scan(vdw_potential(), 'V', 0.15, 3.0, {'S': 0.0}, xtol=1e-20))")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.returncode == 0, out.stderr
+        (root,) = json.loads(out.stdout)
+        assert abs(root - 0.22153559021583927) <= 1e-12
+
     def test_no_root_for_convex_potential(self):
         u = ScalarField.from_text("q1^2+q2^2", ("q1", "q2"))
         assert spinodal_scan(u, "q1", -1.0, 1.0, {"q2": 0.0}) == []
