@@ -9,7 +9,6 @@ from .geometry import (
     d_residual,
     is_closed,
     reconstruct_potential,
-    contact_nondegeneracy,
     low_discrepancy_samples,
     potential_form,
 )

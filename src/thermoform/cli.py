@@ -65,6 +65,8 @@ def _read_curve(path: str, coords: tuple[str, ...]) -> ProcessCurve:
             if not header or header[0] != "t":
                 raise cfg.ConfigError(f"curve file {path}: first column must be 't'")
             cols = tuple(header[1:])
+            for name in (c for i, c in enumerate(cols) if c in cols[:i]):
+                raise cfg.ConfigError(f"curve file {path}: duplicate column {name!r}")
             missing = set(coords) - set(cols)
             if missing:
                 raise cfg.ConfigError(f"curve file {path}: missing columns {sorted(missing)}")
@@ -104,11 +106,17 @@ def _capped(count: int, path: str, what: str) -> int:
     return count
 
 
+def _linspace(start: float, stop: float, count: int, path: str) -> np.ndarray:
+    if not math.isfinite(stop - start):  # np.linspace takes stop - start as a float
+        raise cfg.ConfigError(f"{path}: the span of [{start!r}, {stop!r}] is not a finite float")
+    return np.linspace(start, stop, count)
+
+
 def _axis(entry, path: str) -> np.ndarray:
     if not isinstance(entry, list) or len(entry) != 3:
         raise cfg.ConfigError(f"{path}: expected [start, stop, count]")
-    return np.linspace(cfg.as_number(entry[0], path), cfg.as_number(entry[1], path),
-                       _capped(cfg.as_count(entry[2], path), path, "samples"))
+    return _linspace(cfg.as_number(entry[0], path), cfg.as_number(entry[1], path),
+                     _capped(cfg.as_count(entry[2], path), path, "samples"), path)
 
 
 def _coefficients(doc: dict, names: tuple[str, ...], coords: tuple[str, ...]) -> tuple:
@@ -259,14 +267,14 @@ def cmd_simulate(args) -> int:
     return exits[0] if exits else EXIT_OK
 
 
-def _surface_from(doc, path: str = "config") -> ConstitutiveSurface:
-    coords = cfg.as_name_list(cfg.need(doc, "coords", path), f"{path}.coords")
-    u = cfg.field_from(cfg.need(doc, "potential", path), coords, f"{path}.potential")
-    sigma = cfg.field_from(doc.get("sigma", "0"), coords, f"{path}.sigma")
+def _surface_from(doc) -> ConstitutiveSurface:
+    coords = cfg.as_name_list(cfg.need(doc, "coords", "config"), "config.coords")
+    u = cfg.field_from(cfg.need(doc, "potential", "config"), coords, "config.potential")
+    sigma = cfg.field_from(doc.get("sigma", "0"), coords, "config.sigma")
     try:
         chart = ContactChart(n=len(coords), q_names=coords, p_names=tuple("p_" + c for c in coords))
     except GeometryError as exc:
-        raise cfg.ConfigError(f"{path}.coords: {exc}: the chart adds 's' and 'p_<name>' per name") from None
+        raise cfg.ConfigError(f"config.coords: {exc}: the chart adds 's' and 'p_<name>' per name") from None
     return ConstitutiveSurface(chart, u, sigma)
 
 
@@ -350,8 +358,8 @@ def cmd_curvature(args) -> int:
 def cmd_vdw(args) -> int:
     _capped(args.sn * args.vn, "--sn x --vn", "grid points")
     u = vdw_potential(a=args.a, b=args.b, R=args.r, c_V=args.cv)
-    s_axis = np.linspace(args.smin, args.smax, args.sn)
-    v_axis = np.linspace(args.vmin, args.vmax, args.vn)
+    s_axis = _linspace(args.smin, args.smax, args.sn, "--smin, --smax")
+    v_axis = _linspace(args.vmin, args.vmax, args.vn, "--vmin, --vmax")
     rows = []
     for s_val, v_val in itertools.product(s_axis, v_axis):
         q = {"S": float(s_val), "V": float(v_val)}

@@ -26,7 +26,6 @@ __all__ = [
     "is_closed",
     "worst_residual",
     "reconstruct_potential",
-    "contact_nondegeneracy",
     "low_discrepancy_samples",
     "potential_form",
 ]
@@ -199,20 +198,6 @@ def reconstruct_potential(form: OneForm, base: dict[str, float], target: dict[st
     return u_fwd, residual
 
 
-def contact_nondegeneracy(chart: ContactChart, x: dict[str, float]) -> float:
-    """det of d(theta) on the computed basis of D = ker theta; nonzero certifies contact.  On
-    that basis d(theta) is [[0, -I], [I, 0]] everywhere, so it is 1.0 for any chart and x."""
-    n = chart.n
-    # rows: the vertical directions d_{p_i}, then the horizontal lifts d_{q^i} + p_i d_s
-    basis = np.zeros((2 * n, 2 * n + 1))
-    basis[:n, n + 1:] = np.eye(n)
-    basis[n:, 1:n + 1] = np.eye(n)
-    basis[n:, 0] = [x[pn] for pn in chart.p_names]
-    q, p = basis[:, 1:n + 1], basis[:, n + 1:]  # chart.coords is (s; q; p)
-    # d(theta) = -sum_i dp_i ^ dq^i, so d(theta)(u, v) = (Q P^T - P Q^T)_uv
-    return float(np.linalg.det(q @ p.T - p @ q.T))
-
-
 def _primes(count: int) -> list[int]:
     out, k = [], 2
     while len(out) < count:
@@ -231,6 +216,9 @@ def low_discrepancy_samples(box: dict[str, tuple[float, float]], count: int,
     if seed < 0:
         raise GeometryError(f"the sample seed must be >= 0, got {seed!r}")
     names = list(box)
+    for name in names:
+        if not math.isfinite(float(box[name][1]) - float(box[name][0])):
+            raise GeometryError(f"sample box of {name}: the span of {box[name]!r} is not a finite float")
     unit = np.empty((count, len(names)))
     for j, base in enumerate(_primes(len(names))):
         for i in range(count):

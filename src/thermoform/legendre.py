@@ -38,22 +38,15 @@ class LegendreSurface:
 
 
 @dataclass(frozen=True)
-class ConstitutiveSurface:
-    """Pair (U, sigma) of entropy-form and entropy-production potentials."""
+class ConstitutiveSurface(LegendreSurface):
+    """The Legendre surface of U shifted along the Reeb flow by the production potential sigma."""
 
-    chart: ContactChart
-    potential: ScalarField
     production: ScalarField
 
     def __post_init__(self):
-        if self.potential.coords != self.chart.q_names:
-            raise GeometryError("potential must be a field over the chart's extensive coordinates")
+        super().__post_init__()
         if self.production.coords != self.chart.q_names:
             raise GeometryError("production must be a field over the chart's extensive coordinates")
-
-    @property
-    def legendre(self) -> LegendreSurface:
-        return LegendreSurface(self.chart, self.potential)
 
     @cached_property
     def entropy(self) -> ScalarField:
@@ -75,7 +68,7 @@ def legendre_embed(surface: LegendreSurface, q: dict[str, float]) -> dict[str, f
 
 def surface_embed(surface: ConstitutiveSurface, q: dict[str, float]) -> dict[str, float]:
     """Reeb-shifted Legendre point: the shift parameter is sigma(q)."""
-    base = legendre_embed(surface.legendre, q)
+    base = legendre_embed(surface, q)
     return reeb_flow(base, surface.production.value(q), surface.chart.s_name)
 
 
@@ -94,7 +87,7 @@ def pullback_contact(surface: ConstitutiveSurface, q: dict[str, float]) -> np.nd
 def reversible_companion(surface: ConstitutiveSurface,
                          path: list[dict[str, float]]) -> list[dict[str, float]]:
     """The sigma-shift removed pointwise: the companion lives on the Legendre surface."""
-    return [legendre_embed(surface.legendre, q) for q in path]
+    return [legendre_embed(surface, q) for q in path]
 
 
 @dataclass(frozen=True)
@@ -106,11 +99,10 @@ class GibbsConnection:
     p_fields: tuple[ScalarField, ...]  # each over (s,) + q_names
 
     def __post_init__(self):
-        space = (self.s_name,) + self.q_names
         if len(self.p_fields) != len(self.q_names):
             raise GeometryError("one coefficient field per extensive coordinate")
         for f in self.p_fields:
-            if f.coords != space:
+            if f.coords != self.coords:
                 raise GeometryError("coefficients must live on (s,) + q coordinates")
 
     @property

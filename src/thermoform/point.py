@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -72,24 +72,22 @@ class ThermoelasticState:
     eps: float
     F: np.ndarray  # 3x3
     H: np.ndarray  # 3-vector
+    _BLOCKS: ClassVar = (("F", (3, 3), _F), ("H", (3,), _H))  # after eps: (field, shape, slice)
 
     def __post_init__(self):
-        self.F = np.asarray(self.F, dtype=float).reshape(3, 3)
-        self.H = np.asarray(self.H, dtype=float).reshape(3)
+        for name, shape, _ in self._BLOCKS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float).reshape(shape))
         _oriented(self.F.ravel().tolist())
 
-    def _blocks(self) -> list:
-        return [[self.eps], self.F.ravel(), self.H]
-
     def vector(self) -> np.ndarray:
-        return np.concatenate(self._blocks())
+        return np.concatenate([[self.eps], *[getattr(self, name).ravel() for name, _, _ in self._BLOCKS]])
 
     def binding(self) -> dict[str, float]:
         return dict(zip(_POTENTIAL_NAMES, self.vector().tolist()))
 
     @classmethod
     def from_vector(cls, y: np.ndarray) -> "ThermoelasticState":
-        return cls(float(y[0]), y[_F], y[_H])
+        return cls(float(y[0]), *[y[block] for _, _, block in cls._BLOCKS])
 
 
 @dataclass
@@ -98,20 +96,8 @@ class FerroelectricState(ThermoelasticState):
     grad_pi: np.ndarray  # 3x3
     u: np.ndarray        # pi-dot, 3
     grad_u: np.ndarray   # 3x3
-
-    def __post_init__(self):
-        self.pi = np.asarray(self.pi, dtype=float).reshape(3)
-        self.grad_pi = np.asarray(self.grad_pi, dtype=float).reshape(3, 3)
-        self.u = np.asarray(self.u, dtype=float).reshape(3)
-        self.grad_u = np.asarray(self.grad_u, dtype=float).reshape(3, 3)
-        super().__post_init__()
-
-    def _blocks(self) -> list:
-        return [*super()._blocks(), self.pi, self.grad_pi.ravel(), self.u, self.grad_u.ravel()]
-
-    @classmethod
-    def from_vector(cls, y: np.ndarray) -> "FerroelectricState":
-        return cls(float(y[0]), y[_F], y[_H], y[_PI], y[_GPI], y[_U], y[_GU])
+    _BLOCKS: ClassVar = (*ThermoelasticState._BLOCKS, ("pi", (3,), _PI), ("grad_pi", (3, 3), _GPI),
+                         ("u", (3,), _U), ("grad_u", (3, 3), _GU))
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,12 @@ class ProcessCurve:
         if q.shape != (len(t), len(self.coords)):
             raise ProcessError("points must be (n_samples, n_coords)")
 
+    def points_in(self, coords: tuple[str, ...], mismatch: str) -> np.ndarray:
+        """The points, columns in the order of ``coords``; ProcessError(mismatch) unless those are the curve's."""
+        if set(self.coords) != set(coords):
+            raise ProcessError(mismatch)
+        return self.points[:, [self.coords.index(name) for name in coords]]
+
     def binding(self, i: int) -> dict[str, float]:
         return dict(zip(self.coords, map(float, self.points[i])))
 
@@ -77,11 +83,7 @@ def entropy_action(curve: ProcessCurve, form: OneForm, nodes: int = 4) -> float:
 
     Per-interval Gauss-Legendre quadrature of a_i(gamma(t)) gamma'^i(t).
     """
-    if set(curve.coords) != set(form.coords):
-        raise ProcessError("curve and form must share a coordinate space")
-    col = [curve.coords.index(name) for name in form.coords]
-    pts = curve.points[:, col]  # reorder to the form's coordinate order
-
+    pts = curve.points_in(form.coords, "curve and form must share a coordinate space")
     if not isinstance(nodes, (int, np.integer)) or nodes < 1:
         raise ProcessError(f"quadrature nodes must be an integer >= 1, got {nodes!r}")
     xs, ws = leggauss(nodes)
@@ -107,10 +109,7 @@ def admissibility(surface: ConstitutiveSurface, curve: ProcessCurve,
     endpoint rates are excluded from the verdict by default because their
     stencils are first-order.  A curve with no sample left to judge is a ProcessError.
     """
-    if set(curve.coords) != set(surface.chart.q_names):
-        raise ProcessError("curve coordinates must match the surface's base coordinates")
-    col = [curve.coords.index(name) for name in surface.chart.q_names]
-    pts = curve.points[:, col]
+    pts = curve.points_in(surface.chart.q_names, "curve coordinates must match the surface's base coordinates")
     t = curve.times
     n = len(t)
     offset = 0 if include_endpoints else 1
@@ -178,10 +177,7 @@ def rate_relation_residual(potential: ScalarField, curve: ProcessCurve) -> np.nd
     """
     has_t = "t" in potential.coords
     q_names = tuple(n for n in potential.coords if n != "t")
-    if set(curve.coords) != set(q_names):
-        raise ProcessError("curve coordinates must match the potential's space coordinates")
-    col = [curve.coords.index(name) for name in q_names]
-    pts = curve.points[:, col]
+    pts = curve.points_in(q_names, "curve coordinates must match the potential's space coordinates")
     t = curve.times
     n = len(t)
 
@@ -228,6 +224,8 @@ def spinodal_scan(potential: ScalarField, scan_name: str, lo: float, hi: float,
     if not (lo < hi and samples >= 2):
         raise ProcessError(f"spinodal scan of {scan_name}: need lo < hi and samples >= 2, "
                            f"got lo={lo!r}, hi={hi!r}, samples={samples!r}")
+    if not math.isfinite(float(hi) - float(lo)):
+        raise ProcessError(f"spinodal scan of {scan_name}: the span of [{lo!r}, {hi!r}] is not a finite float")
 
     xs = np.linspace(lo, hi, samples).tolist()
     mirror, tris = _triangle(len(potential.coords))[1], []

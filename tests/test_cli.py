@@ -996,6 +996,15 @@ class TestVdw:
                                 "got lo=3.0, hi=0.15, samples=200\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis", ["s", "v"])
+    def test_axis_span_must_be_a_finite_float(self, tmp_path, axis):
+        # the table held nan, and the run blamed the potential: non-finite result in its power
+        out = tmp_path / "vdw.csv"
+        flags = [f"--{axis}min=-1.7e308", f"--{axis}max=1.7e308", "--out", str(out)]
+        assert _run_cli(["vdw", *flags]) == (EXIT_ERROR, "", (
+            f"error: --{axis}min, --{axis}max: the span of [-1.7e+308, 1.7e+308] is not a finite float\n"))
+        assert not out.exists()
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["vdw", "--out", str(a)])
@@ -1165,6 +1174,18 @@ grid: {q1: [.nan, 1.0, 2], q2: [0.0, 1.0, 2]}
         assert capsys.readouterr().err == "error: config.grid.q1: expected a finite number, got nan\n"
         assert not out.exists()
 
+    def test_surface_grid_span_must_be_a_finite_float(self, tmp_path):
+        # the grid held nan, and the run blamed the potential: non-finite result in 'q1^2'
+        doc = {"coords": ["q1"], "potential": "q1^2", "grid": {"q1": [-1.7e308, 1.7e308, 3]}}
+        assert _run_cli(["surface"], doc) == (EXIT_ERROR, "", (
+            "error: config.grid.q1: the span of [-1.7e+308, 1.7e+308] is not a finite float\n"))
+
+    def test_check_closed_box_span_must_be_a_finite_float(self, tmp_path):
+        # the samples held nan and inf, and the form x*y was reported closed with exit 0
+        doc = {"coords": ["x", "y"], "potential": "x*y", "box": {"x": [-1e308, 1e308], "y": [0, 1]}}
+        assert _run_cli(["check-closed"], doc) == (EXIT_ERROR, "", (
+            "error: sample box of x: the span of (-1e+308, 1e+308) is not a finite float\n"))
+
     def test_check_closed_tol_must_be_finite(self, tmp_path, capsys):
         # a NaN tol gave "closed": false over a zero residual and non-JSON NaN
         config = write(tmp_path / "c.yaml", """
@@ -1332,6 +1353,18 @@ integration: {{t1: 0.1, dt: 0.01}}
         with_blank = _run_cli(["action"], self.curve_doc(tmp_path, "action", "t,q1,q2\n0,0,1\n\n0.5,1,1\n1,2,1\n"))
         without = _run_cli(["action"], self.curve_doc(tmp_path, "action", "t,q1,q2\n0,0,1\n0.5,1,1\n1,2,1\n"))
         assert with_blank == without == (EXIT_OK, '{\n  "action": 2.0\n}\n', "")
+
+    @pytest.mark.parametrize("sub", ["admissible", "action"])
+    @pytest.mark.parametrize("header", ["t,x,x", "t,x,y,x", "t,y,x,y"])
+    def test_curve_column_must_not_repeat(self, tmp_path, sub, header):
+        # the first of the repeated columns was read and the command exited 0
+        name = header.split(",")[-1]
+        text = header + "\n" + "".join(f"{i},{i}" + ",1" * (header.count(",") - 1) + "\n" for i in range(3))
+        doc = self.curve_doc(tmp_path, sub, text, coords=("x",), potential="x^2")
+        if sub == "admissible":
+            doc["sigma"] = "x"
+        assert _run_cli([sub], doc) == (
+            EXIT_ERROR, "", f"error: curve file {doc['curve']}: duplicate column {name!r}\n")
 
     def test_curve_path_that_is_a_directory(self, tmp_path):
         doc = {"coords": ["q1"], "potential": "q1", "curve": str(tmp_path)}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from thermoform.expr import ScalarField
-from thermoform.geometry import ContactChart, GeometryError, contact_eval
+from thermoform.geometry import ContactChart, GeometryError, contact_eval, reeb_flow
 from thermoform.legendre import (
     ConstitutiveSurface,
     GibbsConnection,
@@ -75,11 +75,26 @@ class TestConstitutiveSurface:
     def test_embed_is_reeb_shift(self):
         surf = self.make()
         q = {"q1": 2.0, "q2": 3.0}
-        base = legendre_embed(surf.legendre, q)
+        base = legendre_embed(surf, q)
         shifted = surface_embed(surf, q)
         assert shifted["s"] == base["s"] + 4.0
         for name in ("q1", "q2", "p1", "p2"):
             assert shifted[name] == base[name]
+
+    def test_is_a_legendre_surface(self):
+        assert isinstance(self.make(), LegendreSurface)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_embed_is_reeb_flow_of_its_legendre_point_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        u, sigma = (field2(random_polynomial_text(["q1", "q2"], rng)) for _ in range(2))
+        surf = ConstitutiveSurface(chart2(), u, sigma)
+        for _ in range(8):
+            q = {"q1": float(rng.uniform(-2, 2)), "q2": float(rng.uniform(-2, 2))}
+            want = reeb_flow(legendre_embed(surf, q), surf.production.value(q), "s")
+            got = surface_embed(surf, q)
+            assert list(got) == list(want)
+            assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
 
     def test_pullback_equals_dsigma(self, rng):
         sigma_text = random_polynomial_text(["q1", "q2"], rng)

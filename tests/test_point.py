@@ -1,4 +1,7 @@
 """The one constitutive law and forcing behind both point models."""
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +32,33 @@ def fe_state():
 def test_model_names_alias_the_point_types():
     assert te.ThermoelasticConstitutive is fe.FerroelectricConstitutive is Constitutive
     assert te.ThermoelasticForcing is fe.FerroelectricForcing is Forcing
+
+
+STATES = pytest.mark.parametrize("cls, size", [(te.ThermoelasticState, 13), (fe.FerroelectricState, 37)],
+                                 ids=["13", "37"])
+
+
+@STATES
+def test_state_blocks_are_the_fields_after_eps_and_tile_the_vector(cls, size, rng):
+    # _BLOCKS is the one list of a state's blocks: a class constant, not a dataclass field
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert names[0] == "eps" and [name for name, _, _ in cls._BLOCKS] == names[1:]
+    y = rng.standard_normal(size)
+    y[1:10] = np.eye(3).ravel() + 0.1 * y[1:10]  # det F > 0
+    x, stop = cls.from_vector(y), 1
+    for name, shape, block in cls._BLOCKS:
+        assert (block.start, block.step) == (stop, None)
+        assert math.prod(shape) == block.stop - block.start
+        assert getattr(x, name).shape == shape and getattr(x, name).tobytes() == y[block].tobytes()
+        stop = block.stop
+    assert stop == size and x.vector().tobytes() == y.tobytes()
+
+
+def test_a_state_reshapes_its_blocks_in_state_order():
+    # F is reshaped before pi, so numpy's error names F's size when both are wrong
+    with pytest.raises(ValueError, match=r"^cannot reshape array of size 4 into shape \(3,3\)$"):
+        fe.FerroelectricState(eps=0.5, F=np.ones(4), H=np.zeros(3), pi=np.zeros(2),
+                              grad_pi=np.zeros((3, 3)), u=np.zeros(3), grad_u=np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("coords", [point.BASE_COORDS, point.FE_COORDS], ids=["13", "25"])

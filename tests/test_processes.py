@@ -68,6 +68,16 @@ class TestProcessCurve:
         with pytest.raises(ProcessError):
             ProcessCurve(("x",), np.array([0.0, 1.0]), np.zeros((3, 1)))
 
+    def test_points_in_reorders_the_columns(self):
+        c = ProcessCurve(("x", "y", "z"), np.array([0.0, 1.0]), np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        assert c.points_in(("z", "x", "y"), "unused").tolist() == [[3.0, 1.0, 2.0], [6.0, 4.0, 5.0]]
+
+    @pytest.mark.parametrize("coords", [("x",), ("x", "y", "w"), ("x", "y", "z", "w")])
+    def test_points_in_other_coordinates_is_the_given_error(self, coords):
+        c = ProcessCurve(("x", "y", "z"), np.array([0.0, 1.0]), np.zeros((2, 3)))
+        with pytest.raises(ProcessError, match="^not these coordinates$"):
+            c.points_in(coords, "not these coordinates")
+
     def test_reversed_swaps_and_keeps_time_span(self):
         c = curve_xy([[0, 0], [1, 0], [1, 1]], times=[0.0, 0.5, 2.0])
         r = c.reversed()
@@ -427,6 +437,15 @@ class TestSpinodal:
         # a reversed range reported a wrong root; one sample gave a vacuous []
         with pytest.raises(ProcessError, match="need lo < hi and samples >= 2"):
             spinodal_scan(vdw_potential(), "V", lo, hi, {"S": 0.0}, samples=samples)
+
+    @pytest.mark.parametrize("lo, hi", [(-1.7e308, 1.7e308), (-math.inf, 1.0)])
+    def test_a_span_that_is_not_a_finite_float_is_a_process_error(self, lo, hi):
+        # 1.7e308 - -1.7e308 overflows: the grid held nan and inf, with a numpy RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProcessError, match="^" + re.escape(
+                    f"spinodal scan of V: the span of [{lo!r}, {hi!r}] is not a finite float") + "$"):
+                spinodal_scan(vdw_potential(), "V", lo, hi, {"S": 0.0})
 
     def test_overflowing_det_is_a_domain_error(self):
         # an inf determinant took part in the sign test
