@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import sys
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +23,8 @@ from .geometry import ContactChart, GeometryError, OneForm, low_discrepancy_samp
 from .legendre import ConstitutiveSurface, GibbsConnection, connection_curvature, pullback_contact, surface_embed
 from .processes import (ProcessCurve, ProcessError, _metric_det, admissibility, entropy_action,
                         spinodal_scan, thermo_metric)
-from .point import (_POTENTIAL_NAMES, BASE_COORDS, FE_COORDS, STATE_NAMES, Constitutive, Forcing,
-                    ModelError, _gradient, _oriented, _rk4)
+from .point import (_POTENTIAL_NAMES, STATE_NAMES, Constitutive, FerroelectricState, Forcing, ModelError,
+                    ThermoelasticState, _gradient, _oriented, _rk4)
 from .vdw import vdw_potential
 
 EXIT_OK = 0
@@ -91,12 +90,18 @@ def _read_curve(path: str, coords: tuple[str, ...]) -> ProcessCurve:
     return ProcessCurve(coords, np.array(times), pts)
 
 
+def _span(lo: float, hi: float, path: str) -> None:
+    if not math.isfinite(hi - lo):  # sampling and np.linspace scale by hi - lo as a float
+        raise cfg.ConfigError(f"{path}: the span of [{lo!r}, {hi!r}] is not a finite float")
+
+
 def _interval(entry, path: str) -> tuple[float, float]:
     if not isinstance(entry, list) or len(entry) != 2:
         raise cfg.ConfigError(f"{path}: expected [lo, hi]")
     lo, hi = (cfg.as_number(v, path) for v in entry)
     if not lo < hi:
         raise cfg.ConfigError(f"{path}: need lo < hi")
+    _span(lo, hi, path)
     return lo, hi
 
 
@@ -107,8 +112,7 @@ def _capped(count: int, path: str, what: str) -> int:
 
 
 def _linspace(start: float, stop: float, count: int, path: str) -> np.ndarray:
-    if not math.isfinite(stop - start):  # np.linspace takes stop - start as a float
-        raise cfg.ConfigError(f"{path}: the span of [{start!r}, {stop!r}] is not a finite float")
+    _span(start, stop, path)
     return np.linspace(start, stop, count)
 
 
@@ -171,25 +175,10 @@ def _init_vector(doc, key: str, size: int, path: str) -> np.ndarray:
     return flat
 
 
-class _Model(NamedTuple):
-    coords: tuple[str, ...]      # the potential's coordinates
-    params: tuple[str, ...]      # constitutive parameters after the potential, each defaulting to 1
-    initial: tuple[tuple[str, int], ...]  # initial blocks after eps and F, with their sizes
-    channels: tuple[tuple[str, str, tuple[int, ...]], ...]  # (config key, Forcing field, shape)
-    keys: tuple[str, ...] = ()   # further top-level keys
-
-
-_MODELS = {
-    "thermoelastic": _Model(
-        BASE_COORDS, ("rho", "k"), (("H", 3),),
-        (("L", "L", (3, 3)), ("divq", "divq", ())), ("surface",)),
-    "ferroelectric": _Model(
-        FE_COORDS, ("rho", "k", "inertia"),
-        (("H", 3), ("pi", 3), ("grad_pi", 9), ("u", 3), ("grad_u", 9)),
-        (("E", "E_ext", (3,)), ("L", "L", (3, 3)), ("divq", "divq", ()),
-         ("poynting", "poynting_term", ()), ("div_e_tensor", "div_e_tensor", (3,)),
-         ("div_J_grad_u", "div_J_grad_u", (3, 3)), ("source_grad_u", "source_grad_u", (3, 3)))),
-}
+# model name: (state class, the constitutive parameters after the potential, each defaulting to 1)
+_MODELS = {"thermoelastic": (ThermoelasticState, ("rho", "k")),
+           "ferroelectric": (FerroelectricState, ("rho", "k", "inertia"))}
+_FORCING_KEYS = {"E_ext": "E", "poynting_term": "poynting"}  # the config keys that are not Forcing field names
 
 
 def _load_integration(doc) -> tuple[float, float, int]:
@@ -212,31 +201,33 @@ def _load_integration(doc) -> tuple[float, float, int]:
 def cmd_simulate(args) -> int:
     doc = cfg.load_yaml(args.config)
     model = cfg.need(doc, "model", "config")
-    spec = _MODELS.get(model) if isinstance(model, str) else None
-    if spec is None:
+    if not isinstance(model, str) or model not in _MODELS:
         raise cfg.ConfigError(f"config.model: unknown model {model!r}")
-    cfg.check_keys(doc, {"model", "potential", "initial", "forcing", "integration",
-                         *spec.params, *spec.keys}, "config")
-    u = cfg.field_from(cfg.need(doc, "potential", "config"), spec.coords, "config.potential")
+    state, params = _MODELS[model]
+    cfg.check_keys(doc, {"model", "potential", "initial", "forcing", "integration", "surface",
+                         *params}, "config")
+    u = cfg.field_from(cfg.need(doc, "potential", "config"), state._COORDS, "config.potential")
     constitutive = Constitutive(u, **{
-        name: cfg.as_number(doc.get(name, 1.0), f"config.{name}") for name in spec.params})
+        name: cfg.as_number(doc.get(name, 1.0), f"config.{name}") for name in params})
     init = cfg.need(doc, "initial", "config")
-    cfg.check_keys(init, {"eps", "F", *(name for name, _ in spec.initial)}, "config.initial")
+    blocks = [(name, math.prod(shape)) for name, shape, _ in state._BLOCKS[1:]]  # after F
+    cfg.check_keys(init, {"eps", "F", *(name for name, _ in blocks)}, "config.initial")
     y = np.concatenate((
         [cfg.as_number(cfg.need(init, "eps", "config.initial"), "config.initial.eps")],
         _init_vector(init, "F", 9, "config.initial") if "F" in init else np.eye(3).ravel(),
-        *(_init_vector(init, name, size, "config.initial") for name, size in spec.initial))).tolist()
+        *(_init_vector(init, name, size, "config.initial") for name, size in blocks))).tolist()
     _oriented(y[1:10])  # det F > 0, as a state object checks it
     fdoc = doc.get("forcing") or {}
-    cfg.check_keys(fdoc, {key for key, _, _ in spec.channels}, "config.forcing")
+    channels = [(_FORCING_KEYS.get(name, name), name, shape) for name, shape in state._CHANNELS]
+    cfg.check_keys(fdoc, {key for key, _, _ in channels}, "config.forcing")
     forcing = Forcing(**{name: cfg.time_fn(fdoc.get(key), f"config.forcing.{key}", shape)
-                         for key, name, shape in spec.channels})
+                         for key, name, shape in channels})
     t0, dt, n_steps = _load_integration(cfg.need(doc, "integration", "config"))
 
     sigma = None
     if "surface" in doc:
         sigma = cfg.per_name(doc["surface"], ("sigma",), "config.surface",
-                             lambda text, path: cfg.field_from(text, spec.coords, path))["sigma"]
+                             lambda text, path: cfg.field_from(text, state._COORDS, path))["sigma"]
 
     header = ["t", *STATE_NAMES[:len(y)], "theta", "U"]
     if sigma is not None:

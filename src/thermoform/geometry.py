@@ -156,6 +156,8 @@ def worst_residual(form: OneForm, samples: list[dict[str, float]]) -> tuple[floa
 
 def is_closed(form: OneForm, samples: list[dict[str, float]], tol: float = 1e-8) -> tuple[bool, float]:
     """Closeness verdict over a sample set, with the worst residual for reporting."""
+    if math.isnan(tol):  # no residual is <= NaN: the verdict would be False on no evidence
+        raise GeometryError(f"closeness tolerance must be a number, got {tol!r}")
     worst, _ = worst_residual(form, samples)
     return worst <= tol, worst
 
@@ -215,6 +217,8 @@ def low_discrepancy_samples(box: dict[str, tuple[float, float]], count: int,
     """
     if seed < 0:
         raise GeometryError(f"the sample seed must be >= 0, got {seed!r}")
+    if not isinstance(count, (int, np.integer)) or count < 0:
+        raise GeometryError(f"the sample count must be an integer >= 0, got {count!r}")
     names = list(box)
     for name in names:
         if not math.isfinite(float(box[name][1]) - float(box[name][0])):

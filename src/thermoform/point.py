@@ -72,7 +72,9 @@ class ThermoelasticState:
     eps: float
     F: np.ndarray  # 3x3
     H: np.ndarray  # 3-vector
+    _COORDS: ClassVar = BASE_COORDS  # the potential's coordinates
     _BLOCKS: ClassVar = (("F", (3, 3), _F), ("H", (3,), _H))  # after eps: (field, shape, slice)
+    _CHANNELS: ClassVar = (("L", (3, 3)), ("divq", ()))  # the Forcing fields the rates read, in read order
 
     def __post_init__(self):
         for name, shape, _ in self._BLOCKS:
@@ -96,8 +98,11 @@ class FerroelectricState(ThermoelasticState):
     grad_pi: np.ndarray  # 3x3
     u: np.ndarray        # pi-dot, 3
     grad_u: np.ndarray   # 3x3
+    _COORDS: ClassVar = FE_COORDS
     _BLOCKS: ClassVar = (*ThermoelasticState._BLOCKS, ("pi", (3,), _PI), ("grad_pi", (3, 3), _GPI),
                          ("u", (3,), _U), ("grad_u", (3, 3), _GU))
+    _CHANNELS: ClassVar = (*ThermoelasticState._CHANNELS, ("poynting_term", ()), ("E_ext", (3,)),
+                           ("div_e_tensor", (3,)), ("div_J_grad_u", (3, 3)), ("source_grad_u", (3, 3)))
 
 
 @dataclass(frozen=True)
@@ -207,11 +212,6 @@ def entropy_form(thetainv: ScalarField, stress: tuple[ScalarField, ...],
     return OneForm(coords, tuple(ScalarField(e, coords) for e in coeffs))
 
 
-# The forcing channels in the order the rates read them; the thermoelastic point reads two.
-_CHANNELS = (("L", (3, 3)), ("divq", ()), ("poynting_term", ()), ("E_ext", (3,)),
-             ("div_e_tensor", (3,)), ("div_J_grad_u", (3, 3)), ("source_grad_u", (3, 3)))
-
-
 def _entries(value, shape: tuple[int, ...]):
     """A channel's value as a flat list of floats; a scalar channel's as returned."""
     return np.asarray(value, dtype=float).reshape(shape).ravel().tolist() if shape else value
@@ -228,8 +228,8 @@ def _rates(y: list, c: Constitutive, f: Forcing, t: float, read: dict) -> list:
     L F is summed row by column, e_loc . u left to right, the rest in numpy's element-wise order."""
     g = _gradient(c, y)
     if t not in read:
-        channels = _CHANNELS if len(g) > len(BASE_COORDS) else _CHANNELS[:2]
-        read[t] = [_entries(getattr(f, name)(t), shape) for name, shape in channels]
+        state = FerroelectricState if len(g) > len(BASE_COORDS) else ThermoelasticState
+        read[t] = [_entries(getattr(f, name)(t), shape) for name, shape in state._CHANNELS]
     (l0, l1, l2, l3, l4, l5, l6, l7, l8), divq, *electric = read[t]
     f0, f1, f2, f3, f4, f5, f6, f7, f8 = y[_F]
     F_dot = [l0 * f0 + l1 * f3 + l2 * f6, l0 * f1 + l1 * f4 + l2 * f7, l0 * f2 + l1 * f5 + l2 * f8,

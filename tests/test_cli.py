@@ -20,9 +20,10 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from thermoform import cli
+from thermoform import cli, point
 from thermoform.expr import ScalarField
-from thermoform.cli import _MODELS, EXIT_DOMAIN, EXIT_ERROR, EXIT_NOT_CLOSED, EXIT_OK, build_parser, main
+from thermoform.cli import (_FORCING_KEYS, _MODELS, EXIT_DOMAIN, EXIT_ERROR, EXIT_NOT_CLOSED, EXIT_OK,
+                            build_parser, main)
 from thermoform.point import _rk4
 
 
@@ -483,7 +484,8 @@ def _simulate_doc(draw):
         if _seldom(draw, 3):
             doc[param] = pick(st.floats(0.1, 3.0), st.one_of(_FUZZ_FAULTS, st.sampled_from([0.0, -1.0])))
     initial = {"eps": pick(st.floats(0.2, 2.0), _FUZZ_FAULTS)}
-    for key, size in (("F", 9), *_MODELS[model].initial) if model in _SIM_NAMES else ():
+    blocks = _MODELS[model][0]._BLOCKS if model in _SIM_NAMES else ()
+    for key, size in ((name, math.prod(shape)) for name, shape, _ in blocks):
         if draw(st.booleans()):
             good = st.lists(number, min_size=size, max_size=size)
             if key == "F":  # near the identity, so that det F > 0 mostly
@@ -498,8 +500,9 @@ def _simulate_doc(draw):
             for n in reversed(shape):
                 good = st.lists(good, min_size=n, max_size=n)
             return pick(good, st.sampled_from([3, "t+", ["t"], [["t"] * 3] * 2]))
-        channels = _MODELS[model].channels if model in _SIM_NAMES else ()
-        doc["forcing"] = pick(st.just({key: channel(shape) for key, _, shape in channels if draw(st.booleans())}),
+        channels = _MODELS[model][0]._CHANNELS if model in _SIM_NAMES else ()
+        doc["forcing"] = pick(st.just({_FORCING_KEYS.get(name, name): channel(shape)
+                                       for name, shape in channels if draw(st.booleans())}),
                               st.sampled_from([{}, None, [], {"bogus": "t"}]))
     dt = draw(st.sampled_from([0.01, 0.05, 0.1]))
     doc["integration"] = pick(
@@ -508,7 +511,7 @@ def _simulate_doc(draw):
                                                    {"t1": 0.0, "dt": 0.1}, {"t1": 1.0, "dt": -0.1}]),
                   st.fixed_dictionaries({"t1": _FUZZ_FAULTS, "dt": st.just(0.1)}),
                   st.fixed_dictionaries({"t1": st.just(1.0), "dt": _FUZZ_FAULTS})), odds=6)
-    if model == "thermoelastic" and _seldom(draw, 6):
+    if model in _SIM_NAMES and _seldom(draw, 6):
         doc["surface"] = {"sigma": pick(_fuzz_expression(names), st.sampled_from([3, "eps+"]), odds=8)}
     for key in ("potential", "initial", "integration"):
         if _seldom(draw, 30):
@@ -711,6 +714,39 @@ integration: {t1: 1.0, dt: 0.001}
         assert np.array_equal(col["sigma_prod"], 0.1 * col["eps"] ** 2 + col["H1"])
         # s = U + sigma, summed before formatting; 17 digits read back exactly
         assert np.array_equal(col["s"], col["U"] + col["sigma_prod"])
+
+    def test_ferroelectric_surface_sigma_columns(self, tmp_path, capsys):
+        # the ferroelectric model exited 1 with "config: unknown keys ['surface']"
+        config = write(tmp_path / "c.yaml", """
+model: ferroelectric
+potential: "eps - 2*(pi1^2+pi2^2+pi3^2)"
+initial: {eps: 1.0, pi: [0.3, 0.0, 0.0], grad_pi: [0, 0.2, 0, 0, 0, 0, 0, 0, 0]}
+integration: {t1: 0.1, dt: 0.001}
+surface: {sigma: "0.1*eps^2 + pi1*gpi12"}
+""")
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out)
+        assert header[-4:] == ["theta", "U", "sigma_prod", "s"] and header[1:-4] == list(point.STATE_NAMES)
+        col = {name: rows[:, header.index(name)] for name in header}
+        assert np.array_equal(col["sigma_prod"], 0.1 * col["eps"] ** 2 + col["pi1"] * col["gpi12"])
+        assert np.array_equal(col["s"], col["U"] + col["sigma_prod"])
+        assert len(set(col["s"])) > 1
+
+    def test_ferroelectric_forcing_is_parsed_in_read_order(self):
+        # the rates read L, divq, poynting, E, ...; E was parsed first, so of E and L
+        # malformed the error named E
+        forcing = dict.fromkeys(["E", "div_J_grad_u", "poynting", "source_grad_u", "divq", "L",
+                                 "div_e_tensor"], 3)
+        doc = {"model": "ferroelectric", "potential": "ln(eps)", "initial": {"eps": 0.5},
+               "forcing": forcing, "integration": {"t1": 0.1, "dt": 0.1}}
+        named = []
+        while forcing:
+            code, out, err = _run_cli(["simulate"], doc)
+            assert (code, out) == (EXIT_ERROR, "") and err.startswith("error: config.forcing.")
+            named.append(err.removeprefix("error: config.forcing.").split(":")[0])
+            del forcing[named[-1]]
+        assert named == ["L", "divq", "poynting", "E", "div_e_tensor", "div_J_grad_u", "source_grad_u"]
 
 
 class TestSurface:
@@ -1181,10 +1217,11 @@ grid: {q1: [.nan, 1.0, 2], q2: [0.0, 1.0, 2]}
             "error: config.grid.q1: the span of [-1.7e+308, 1.7e+308] is not a finite float\n"))
 
     def test_check_closed_box_span_must_be_a_finite_float(self, tmp_path):
-        # the samples held nan and inf, and the form x*y was reported closed with exit 0
+        # the samples held nan and inf, and the form x*y was reported closed with exit 0;
+        # the error names the schema path, as surface's grid error does
         doc = {"coords": ["x", "y"], "potential": "x*y", "box": {"x": [-1e308, 1e308], "y": [0, 1]}}
         assert _run_cli(["check-closed"], doc) == (EXIT_ERROR, "", (
-            "error: sample box of x: the span of (-1e+308, 1e+308) is not a finite float\n"))
+            "error: config.box.x: the span of [-1e+308, 1e+308] is not a finite float\n"))
 
     def test_check_closed_tol_must_be_finite(self, tmp_path, capsys):
         # a NaN tol gave "closed": false over a zero residual and non-JSON NaN
@@ -1508,6 +1545,71 @@ integration: {t1: 1.0, dt: 0.01}
         for name in te:
             assert fe[name] == te[name], name
         assert set(fe["pi1"]) == {"0"}
+
+
+def _readme_simulate_table() -> dict:
+    """README's simulate schema table: model -> cells after the model, each a list of
+    entries, each entry the list of its words (a `key` and its shape, or a coordinate range)."""
+    lines = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| Model | Coordinates | Parameters | `initial` | `forcing` | `surface` |")
+    rows = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:]):
+        model, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[model.strip("`")] = [[entry.replace("`", "").split() for entry in cell.split(", ")]
+                                  for cell in cells]
+    return rows
+
+
+def _shaped(value, word: str):
+    """``value`` nested at a README shape: scalar, 3 or 3x3."""
+    for n in reversed(() if word == "scalar" else tuple(map(int, word.split("x")))):
+        value = [value] * n
+    return value
+
+
+@pytest.mark.parametrize("model", sorted(_MODELS))
+def test_the_readme_simulate_table_is_what_simulate_accepts(model, monkeypatch):
+    coords, params, initial, forcing, surface = _readme_simulate_table()[model]
+    names = list(point.STATE_NAMES)
+    coords = [n for (entry,) in coords for first, _, last in [entry.partition("..")]
+              for n in names[names.index(first):names.index(last or first) + 1]]
+    # the table's config, every coordinate in the potential and sigma: simulate runs it
+    terms = "0*(" + " + ".join(coords) + ")"
+    doc = {"model": model, "potential": "ln(eps) + " + terms,
+           **{name: 1.0 for (name,) in params},
+           "initial": {key: _shaped(0.5, shape) if key == "eps" else
+                       np.eye(3).tolist() if key == "F" else _shaped(0.0, shape) for key, shape in initial},
+           "forcing": {key: _shaped("0", shape) for key, shape in forcing},
+           "integration": {"t1": 0.1, "dt": 0.1},
+           "surface": {name: "eps + " + terms for (name,) in surface}}
+    # and what simulate checks its sections and expressions against, recorded on the way
+    allowed, fields, channels = {}, {}, []
+    check_keys, field_from, time_fn = cli.cfg.check_keys, cli.cfg.field_from, cli.cfg.time_fn
+
+    def record_keys(d, keys, path):
+        allowed[path] = set(keys)
+        return check_keys(d, keys, path)
+
+    def record_field(text, names, path):
+        fields[path] = names
+        return field_from(text, names, path)
+
+    def record_channel(value, path, shape):
+        channels.append(path.removeprefix("config.forcing."))
+        return time_fn(value, path, shape)
+
+    monkeypatch.setattr(cli.cfg, "check_keys", record_keys)
+    monkeypatch.setattr(cli.cfg, "field_from", record_field)
+    monkeypatch.setattr(cli.cfg, "time_fn", record_channel)
+    code, out, err = _run_cli(["simulate"], doc)
+    assert (code, err) == (EXIT_OK, "") and out.split("\n")[0].endswith(",U,sigma_prod,s")
+    assert allowed["config"] == {"model", "potential", "initial", "forcing", "integration",
+                                 *(name for (name,) in params), "surface"}
+    assert allowed["config.initial"] == {key for key, _ in initial}
+    assert allowed["config.forcing"] == {key for key, _ in forcing}
+    assert channels == [key for key, _ in forcing]  # parsed in the table's order
+    assert allowed["config.surface"] == {name for (name,) in surface}
+    assert fields["config.potential"] == fields["config.surface.sigma"] == tuple(coords)
 
 
 def _dynamic_openblas() -> bool:

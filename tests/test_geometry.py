@@ -175,6 +175,11 @@ class TestIsClosed:
         with pytest.raises(GeometryError):
             is_closed(form_xy("y", "x"), [])
 
+    def test_nan_tolerance_is_an_error(self):
+        # no residual is <= NaN: the verdict was (False, 1.0) for the closed form y dx + x dy
+        with pytest.raises(GeometryError, match="^closeness tolerance must be a number, got nan$"):
+            is_closed(form_xy("y", "x"), [{"x": 1.0, "y": 1.0}], tol=math.nan)
+
     def test_worst_residual_names_the_pair(self):
         # d(eta)_xy = d(x*y)/dy - d(0)/dx = x, largest at the sample with the largest x
         form = form_xy("x*y", "0")
@@ -439,6 +444,17 @@ class TestSampling:
             with pytest.raises(GeometryError, match="^" + re.escape(
                     f"sample box of x: the span of {span!r} is not a finite float") + "$"):
                 low_discrepancy_samples({"y": (0, 1), "x": span}, 4)
+
+    @pytest.mark.parametrize("count", [-1, 2.5, "4", None])
+    def test_a_count_that_is_not_an_integer_ge_0_is_refused(self, count):
+        # -1 and 2.5 raised numpy's ValueError and TypeError
+        with pytest.raises(GeometryError, match="^" + re.escape(
+                f"the sample count must be an integer >= 0, got {count!r}") + "$"):
+            low_discrepancy_samples({"x": (0.0, 1.0)}, count)
+
+    def test_a_count_of_0_is_no_samples(self):
+        assert low_discrepancy_samples({"x": (0.0, 1.0)}, 0) == []
+        assert low_discrepancy_samples({"x": (0.0, 1.0)}, np.int64(2)) == [{"x": 0.0}, {"x": 0.5}]
 
     def test_frozen_points(self):
         box = {"a": (0.0, 1.0), "b": (0.0, 1.0), "c": (0.0, 1.0)}

@@ -54,6 +54,22 @@ def test_state_blocks_are_the_fields_after_eps_and_tile_the_vector(cls, size, rn
     assert stop == size and x.vector().tobytes() == y.tobytes()
 
 
+@STATES
+def test_state_channels_are_forcing_fields_at_their_default_shapes(cls, size):
+    # _CHANNELS is the one list of the channels a model's rates read, in read order
+    defaults = {f.name: f.default for f in dataclasses.fields(Forcing)}
+    for name, shape in cls._CHANNELS:
+        assert np.shape(defaults[name](0.0)) == shape, name
+    assert cls._COORDS == (point.BASE_COORDS if size == 13 else point.FE_COORDS)
+
+
+def test_the_thermoelastic_tables_are_prefixes_of_the_ferroelectric_ones():
+    te_cls, fe_cls = te.ThermoelasticState, fe.FerroelectricState
+    assert fe_cls._BLOCKS[:len(te_cls._BLOCKS)] == te_cls._BLOCKS
+    assert fe_cls._CHANNELS[:len(te_cls._CHANNELS)] == te_cls._CHANNELS
+    assert {name for name, _ in fe_cls._CHANNELS} == {f.name for f in dataclasses.fields(Forcing)}
+
+
 def test_a_state_reshapes_its_blocks_in_state_order():
     # F is reshaped before pi, so numpy's error names F's size when both are wrong
     with pytest.raises(ValueError, match=r"^cannot reshape array of size 4 into shape \(3,3\)$"):

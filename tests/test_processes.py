@@ -213,6 +213,12 @@ class TestAdmissibility:
             admissibility(surface_q2("q1"), c)
         assert admissibility(surface_q2("q1"), c, include_endpoints=True).rates.tolist() == [-5.0, -5.0]
 
+    def test_nan_tolerance_is_an_error(self):
+        # no rate is < -NaN: a curve whose interior rates are -1.0 was judged admissible
+        assert not admissibility(surface_q2("q1"), self.monotone_curve(-1.0)).admissible
+        with pytest.raises(ProcessError, match="^admissibility tolerance must be a number, got nan$"):
+            admissibility(surface_q2("q1"), self.monotone_curve(-1.0), tol=math.nan)
+
     @pytest.mark.parametrize("sigma, potential, q1, name", [
         ("q1", "q1", [0.0, 1e308, -1e308], "delta_s"),  # each change is -1e308
         ("q1", "0", [1e308, 0.0, 0.0, -1e308], "delta_sigma"),  # ends 2e308 apart
