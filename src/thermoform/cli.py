@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -24,7 +25,7 @@ from .legendre import ConstitutiveSurface, GibbsConnection, connection_curvature
 from .processes import (ProcessCurve, ProcessError, _metric_det, admissibility, entropy_action,
                         spinodal_scan, thermo_metric)
 from .point import (_POTENTIAL_NAMES, STATE_NAMES, Constitutive, FerroelectricState, Forcing, ModelError,
-                    ThermoelasticState, _gradient, _oriented, _rk4)
+                    ThermoelasticState, _gradient, _rk4)
 from .vdw import vdw_potential
 
 EXIT_OK = 0
@@ -123,6 +124,15 @@ def _axis(entry, path: str) -> np.ndarray:
                      _capped(cfg.as_count(entry[2], path), path, "samples"), path)
 
 
+def _tolerance(flag: float | None, doc: dict, default: float) -> float:
+    """``--tol``, else ``config.tol``, else ``default``; a negative one would decide the verdict alone."""
+    path = "--tol" if flag is not None else "config.tol"
+    tol = flag if flag is not None else cfg.as_number(doc.get("tol", default), path)
+    if tol < 0:
+        raise cfg.ConfigError(f"{path}: tolerance must be a number >= 0, got {tol!r}")
+    return tol
+
+
 def _coefficients(doc: dict, names: tuple[str, ...], coords: tuple[str, ...]) -> tuple:
     """``config.coefficients``: one expression in ``coords`` per name of ``names``."""
     return tuple(cfg.per_name(cfg.need(doc, "coefficients", "config"), names, "config.coefficients",
@@ -148,7 +158,7 @@ def cmd_check_closed(args) -> int:
     form = _load_form(doc, coords)
     box = cfg.per_name(cfg.need(doc, "box", "config"), coords, "config.box", _interval)
     count = _capped(cfg.as_count(doc.get("count", 64), "config.count"), "config.count", "sample points")
-    tol = args.tol if args.tol is not None else cfg.as_number(doc.get("tol", 1e-8), "config.tol")
+    tol = _tolerance(args.tol, doc, 1e-8)
 
     worst, worst_pair = worst_residual(form, low_discrepancy_samples(box, count, seed=args.seed))
     closed = worst <= tol
@@ -212,11 +222,9 @@ def cmd_simulate(args) -> int:
     init = cfg.need(doc, "initial", "config")
     blocks = [(name, math.prod(shape)) for name, shape, _ in state._BLOCKS[1:]]  # after F
     cfg.check_keys(init, {"eps", "F", *(name for name, _ in blocks)}, "config.initial")
-    y = np.concatenate((
-        [cfg.as_number(cfg.need(init, "eps", "config.initial"), "config.initial.eps")],
-        _init_vector(init, "F", 9, "config.initial") if "F" in init else np.eye(3).ravel(),
-        *(_init_vector(init, name, size, "config.initial") for name, size in blocks))).tolist()
-    _oriented(y[1:10])  # det F > 0, as a state object checks it
+    y = state(cfg.as_number(cfg.need(init, "eps", "config.initial"), "config.initial.eps"),
+              _init_vector(init, "F", 9, "config.initial") if "F" in init else np.eye(3),
+              *(_init_vector(init, name, size, "config.initial") for name, size in blocks)).vector().tolist()
     fdoc = doc.get("forcing") or {}
     channels = [(_FORCING_KEYS.get(name, name), name, shape) for name, shape in state._CHANNELS]
     cfg.check_keys(fdoc, {key for key, _, _ in channels}, "config.forcing")
@@ -294,7 +302,7 @@ def cmd_admissible(args) -> int:
     cfg.check_keys(doc, {"coords", "potential", "sigma", "curve", "tol"}, "config")
     surface = _surface_from(doc)
     curve = _read_curve(cfg.need(doc, "curve", "config"), surface.chart.q_names)
-    tol = args.tol if args.tol is not None else cfg.as_number(doc.get("tol", 1e-9), "config.tol")
+    tol = _tolerance(args.tol, doc, 1e-9)
     report = admissibility(surface, curve, tol=tol)
     if args.out:  # before the JSON, so that a failed write leaves stdout empty
         _write_csv(args.out, ["sample", "rate"],
@@ -440,9 +448,14 @@ _parser = functools.cache(build_parser)  # main's parser, built once: parsing le
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that closed stdout early fails here, not in the interpreter's last flush
+        return code
     except (cfg.ConfigError, ModelError, DomainError, GeometryError, ProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:  # stdout now writes to devnull, so what is still buffered goes quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
 
 

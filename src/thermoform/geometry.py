@@ -156,8 +156,8 @@ def worst_residual(form: OneForm, samples: list[dict[str, float]]) -> tuple[floa
 
 def is_closed(form: OneForm, samples: list[dict[str, float]], tol: float = 1e-8) -> tuple[bool, float]:
     """Closeness verdict over a sample set, with the worst residual for reporting."""
-    if math.isnan(tol):  # no residual is <= NaN: the verdict would be False on no evidence
-        raise GeometryError(f"closeness tolerance must be a number, got {tol!r}")
+    if not tol >= 0:  # a NaN or negative tolerance would decide the verdict on no evidence
+        raise GeometryError(f"closeness tolerance must be a number >= 0, got {tol!r}")
     worst, _ = worst_residual(form, samples)
     return worst <= tol, worst
 

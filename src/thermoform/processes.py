@@ -109,8 +109,8 @@ def admissibility(surface: ConstitutiveSurface, curve: ProcessCurve,
     endpoint rates are excluded from the verdict by default because their
     stencils are first-order.  A curve with no sample left to judge is a ProcessError.
     """
-    if math.isnan(tol):  # no rate is < -NaN: every curve would be admissible on no evidence
-        raise ProcessError(f"admissibility tolerance must be a number, got {tol!r}")
+    if not tol >= 0:  # a NaN or negative tolerance would decide the verdict on no evidence
+        raise ProcessError(f"admissibility tolerance must be a number >= 0, got {tol!r}")
     pts = curve.points_in(surface.chart.q_names, "curve coordinates must match the surface's base coordinates")
     t = curve.times
     n = len(t)

@@ -38,13 +38,14 @@ __all__ = [
 BETA_NAMES = ("beta1", "beta2", "beta3")
 ETA_PRIME_COORDS = (EPS_NAME,) + F_NAMES + BETA_NAMES + ("t",)
 
-# closeness_system_residual's conditions: name, and the coordinates of its block's rows and columns
-_CONDITIONS = (("(eps,F) curl", (EPS_NAME,), F_NAMES),
-               ("d(theta^-1)/d(beta)", (EPS_NAME,), BETA_NAMES),
-               ("d(sigma:F^-1/theta)/d(beta)", F_NAMES, BETA_NAMES),
-               ("d(q.beta)/d(beta)", ("t",), BETA_NAMES),
-               ("(F,t) curl", F_NAMES, ("t",)),
-               ("(eps,t) curl", (EPS_NAME,), ("t",)))
+# closeness_system_residual's conditions: name, rows and columns of its d(eta') block, orienting sign
+_CONDITIONS = (("(eps,F) curl", (EPS_NAME,), F_NAMES, 1.0),
+               ("d(theta^-1)/d(beta)", (EPS_NAME,), BETA_NAMES, 1.0),
+               ("d(sigma:F^-1/theta)/d(beta)", F_NAMES, BETA_NAMES, -1.0),
+               ("d(q.beta)/d(beta)", ("t",), BETA_NAMES, 1.0),
+               ("(F,t) curl", F_NAMES, ("t",), -1.0),
+               ("(eps,t) curl", (EPS_NAME,), ("t",), 1.0))
+_BLOCK_INDEX = [np.ix_(*([ETA_PRIME_COORDS.index(n) for n in names] for names in c[1:3])) for c in _CONDITIONS]
 
 ThermoelasticConstitutive = Constitutive
 ThermoelasticForcing = Forcing
@@ -92,13 +93,13 @@ def closeness_system_residual(thetainv: ScalarField, stress_over_theta: tuple[Sc
                               q_dot_beta: ScalarField, x: dict[str, float]) -> np.ndarray:
     """Residuals of the six closeness conditions for the time-extended form eta'.
 
-    Coefficient fields live over (eps, F, beta, t).  The conditions are the six
-    off-diagonal block pairs of d(eta') over {eps}, {F}, {beta}, {t}, in order:
-    (eps,F) curl; d(theta^-1)/d(beta); d(sigma:F^-1/theta)/d(beta);
-    d(q.beta)/d(beta); (F,t) curl; (eps,t) curl.  The (F,F) block is not one of
-    them: it is neither reported nor gated.  Each entry is the max-abs residual
-    of its block.  A non-finite entry is no evidence either way: it raises
-    DomainError naming its condition and pair, the first by condition, then row-major.
+    Coefficient fields live over (eps, F, beta, t), and eta' = theta^-1 deps -
+    (sigma:F^-1/theta):dF + 0.dbeta + (q.beta)dt.  The conditions are six off-diagonal
+    blocks of d(eta') = J - J^T at x, J the coefficients' Jacobian, in order: (eps,F) curl;
+    d(theta^-1)/d(beta); d(sigma:F^-1/theta)/d(beta); d(q.beta)/d(beta); (F,t) curl;
+    (eps,t) curl.  The (F,F) block is not one of them: it is neither reported nor gated.
+    Each entry is the max-abs residual of its block.  A non-finite entry is no evidence either
+    way: it raises DomainError naming its condition and pair, the first by condition, then row-major.
     """
     for fld in (thetainv, q_dot_beta, *stress_over_theta):
         if fld.coords != ETA_PRIME_COORDS:
@@ -106,13 +107,10 @@ def closeness_system_residual(thetainv: ScalarField, stress_over_theta: tuple[Sc
     if len(stress_over_theta) != 9:
         raise ModelError("need 9 components of sigma:F^-1/theta")
 
-    g_thetainv = thetainv.grad(x)
-    g_stress = np.array([s.grad(x) for s in stress_over_theta])
-    g_qb = q_dot_beta.grad(x)
-    f, beta = slice(1, 10), slice(10, 13)  # eps is slot 0, t slot 13
-    blocks = (g_thetainv[f] + g_stress[:, 0], g_thetainv[beta], g_stress[:, beta], g_qb[beta],
-              g_stress[:, 13] + g_qb[f], g_thetainv[13] - g_qb[0])
-    for b, (name, rows, cols) in zip(blocks, _CONDITIONS):
-        _first_non_finite(np.reshape(b, (len(rows), len(cols))), rows, cols, "closeness residual",
-                          f"the condition {name}, pair")
-    return np.array([np.abs(b).max() for b in blocks])
+    jac = np.array([thetainv.grad(x), *(-s.grad(x) for s in stress_over_theta), *np.zeros((3, 14)),
+                    q_dot_beta.grad(x)])  # the zero rows: eta' has no d(beta) term
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is raised below, by name
+        d_eta = jac - jac.T
+    return np.array([np.abs(_first_non_finite(sign * d_eta[index], rows, cols, "closeness residual",
+                                              f"the condition {name}, pair")).max()
+                     for (name, rows, cols, sign), index in zip(_CONDITIONS, _BLOCK_INDEX)])

@@ -1249,6 +1249,40 @@ box: {x: [0.0, 1.0], y: [0.0, 1.0]}
         assert captured.out == ""
         assert "argument --tol: expected a finite number, got 'nan'" in captured.err
 
+    @pytest.mark.parametrize("command, argv, doc, path", [
+        ("check-closed", [], {"tol": -1.0}, "config.tol"),
+        ("check-closed", ["--tol", "-1"], {}, "--tol"),
+        ("admissible", [], {"tol": -1.0}, "config.tol"),
+        ("admissible", ["--tol", "-1"], {}, "--tol"),
+    ], ids=["check-closed-config", "check-closed-flag", "admissible-config", "admissible-flag"])
+    def test_tol_must_not_be_negative(self, tmp_path, command, argv, doc, path):
+        # check-closed printed "closed": false over a zero residual and exited 2; admissible judged
+        # a curve whose rates are all 1.0 inadmissible
+        curve = write(tmp_path / "curve.csv", "t,x,y\n0,0,1\n1,1,1\n2,2,1\n")
+        base = {"coords": ["x", "y"], "potential": "x*y"}
+        base.update({"box": {"x": [0, 1], "y": [0, 1]}} if command == "check-closed" else
+                    {"sigma": "x", "curve": curve})
+        assert _run_cli([command, *argv], {**base, **doc}) == (
+            EXIT_ERROR, "", f"error: {path}: tolerance must be a number >= 0, got -1.0\n")
+
+    @pytest.mark.parametrize("argv, config", [
+        (["vdw", "--vn", "4000"], None),
+        (["simulate"], TestSimulate.THERMO.replace("t1: 1.0", "t1: 5.0")),
+    ], ids=["vdw", "simulate"])
+    def test_a_closed_stdout_exits_quietly(self, tmp_path, argv, config):
+        # vdw --vn 20000 | head -1 ended in a BrokenPipeError traceback from _write_csv
+        if config is not None:
+            argv = [*argv, "--config", write(tmp_path / "c.yaml", config)]
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.Popen([sys.executable, "-m", "thermoform.cli", *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.readline().startswith(b"S,V," if argv[0] == "vdw" else b"t,eps,")
+        proc.stdout.close()  # megabytes are still to come: the next write meets a closed pipe
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_ERROR
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+        proc.stderr.close()
+
     @pytest.mark.parametrize("initial, extra, path", [
         ("{eps: 0.5}", "rho: .nan\n", "config.rho"),
         ("{eps: 0.5, H: [1.0, .inf, 0.0]}", "", "config.initial.H"),

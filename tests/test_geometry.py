@@ -177,8 +177,14 @@ class TestIsClosed:
 
     def test_nan_tolerance_is_an_error(self):
         # no residual is <= NaN: the verdict was (False, 1.0) for the closed form y dx + x dy
-        with pytest.raises(GeometryError, match="^closeness tolerance must be a number, got nan$"):
+        with pytest.raises(GeometryError, match="^closeness tolerance must be a number >= 0, got nan$"):
             is_closed(form_xy("y", "x"), [{"x": 1.0, "y": 1.0}], tol=math.nan)
+
+    def test_negative_tolerance_is_an_error(self):
+        # no |residual| is <= -1: the verdict was (False, 0.0) for the closed form y dx + x dy
+        with pytest.raises(GeometryError, match="^closeness tolerance must be a number >= 0, got -1.0$"):
+            is_closed(form_xy("y", "x"), [{"x": 1.0, "y": 1.0}], tol=-1.0)
+        assert is_closed(form_xy("y", "x"), [{"x": 1.0, "y": 1.0}], tol=0.0) == (True, 0.0)
 
     def test_worst_residual_names_the_pair(self):
         # d(eta)_xy = d(x*y)/dy - d(0)/dx = x, largest at the sample with the largest x

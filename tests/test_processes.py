@@ -216,8 +216,14 @@ class TestAdmissibility:
     def test_nan_tolerance_is_an_error(self):
         # no rate is < -NaN: a curve whose interior rates are -1.0 was judged admissible
         assert not admissibility(surface_q2("q1"), self.monotone_curve(-1.0)).admissible
-        with pytest.raises(ProcessError, match="^admissibility tolerance must be a number, got nan$"):
+        with pytest.raises(ProcessError, match="^admissibility tolerance must be a number >= 0, got nan$"):
             admissibility(surface_q2("q1"), self.monotone_curve(-1.0), tol=math.nan)
+
+    def test_negative_tolerance_is_an_error(self):
+        # a rate of 1.0 is < 5: a production-positive curve was judged inadmissible
+        assert admissibility(surface_q2("q1"), self.monotone_curve(1.0)).admissible
+        with pytest.raises(ProcessError, match="^admissibility tolerance must be a number >= 0, got -5.0$"):
+            admissibility(surface_q2("q1"), self.monotone_curve(1.0), tol=-5.0)
 
     @pytest.mark.parametrize("sigma, potential, q1, name", [
         ("q1", "q1", [0.0, 1e308, -1e308], "delta_s"),  # each change is -1e308

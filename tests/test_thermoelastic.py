@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from thermoform.expr import DomainError, ScalarField
-from thermoform.geometry import d_residual, is_closed, low_discrepancy_samples
+from thermoform.geometry import _first_non_finite, d_residual, is_closed, low_discrepancy_samples
 from thermoform.thermoelastic import (
     BASE_COORDS,
+    BETA_NAMES,
     ETA_PRIME_COORDS,
     F_NAMES,
     H_NAMES,
@@ -37,6 +38,31 @@ def no_forcing():
 
 
 SAMPLE_BOX = {name: (0.05, 0.3) for name in BASE_COORDS}
+
+
+# the conditions of hand_closeness_system_residual: name, and its block's rows and columns
+HAND_CONDITIONS = (("(eps,F) curl", ("eps",), F_NAMES),
+                   ("d(theta^-1)/d(beta)", ("eps",), BETA_NAMES),
+                   ("d(sigma:F^-1/theta)/d(beta)", F_NAMES, BETA_NAMES),
+                   ("d(q.beta)/d(beta)", ("t",), BETA_NAMES),
+                   ("(F,t) curl", F_NAMES, ("t",)),
+                   ("(eps,t) curl", ("eps",), ("t",)))
+
+
+def hand_closeness_system_residual(thetainv, stress_over_theta, q_dot_beta, x):
+    """Reference for ``closeness_system_residual``: each condition's block written out by hand
+    from index slices of the gradients, with numpy's warnings off where opposite infinities meet."""
+    g_thetainv = thetainv.grad(x)
+    g_stress = np.array([s.grad(x) for s in stress_over_theta])
+    g_qb = q_dot_beta.grad(x)
+    f, beta = slice(1, 10), slice(10, 13)  # eps is slot 0, t slot 13
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = (g_thetainv[f] + g_stress[:, 0], g_thetainv[beta], g_stress[:, beta], g_qb[beta],
+                  g_stress[:, 13] + g_qb[f], g_thetainv[13] - g_qb[0])
+    for b, (name, rows, cols) in zip(blocks, HAND_CONDITIONS):
+        _first_non_finite(np.reshape(b, (len(rows), len(cols))), rows, cols, "closeness residual",
+                          f"the condition {name}, pair")
+    return np.array([np.abs(b).max() for b in blocks])
 
 
 def test_rates_and_step_reject_a_ferroelectric_law():
@@ -271,16 +297,49 @@ class TestTimeExtendedCloseness:
         assert res[5] == pytest.approx(1.0)
         assert res[[0, 1, 2, 3, 4]].max() <= 1e-14
 
-    @pytest.mark.parametrize("thetainv, sot_f12, qb, message", [
-        ("1e200*F11*1e200", "0", "0", r"the condition \(eps,F\) curl, pair \(eps, F11\)$"),
-        ("0", "1e200*t*1e200", "0", r"the condition \(F,t\) curl, pair \(F12, t\)$"),
-        ("0", "0", "1e200*beta2*1e200", r"the condition d\(q\.beta\)/d\(beta\), pair \(t, beta2\)$"),
-    ], ids=["eps-F", "F-t", "q-beta"])
-    def test_non_finite_residual_names_its_condition_and_pair(self, thetainv, sot_f12, qb, message):
+    @pytest.mark.parametrize("thetainv, sot, qb, message", [
+        ("1e200*F11*1e200", {}, "0", r"inf in the condition \(eps,F\) curl, pair \(eps, F11\)$"),
+        ("0", {"F12": "1e200*t*1e200"}, "0", r"inf in the condition \(F,t\) curl, pair \(F12, t\)$"),
+        ("0", {}, "1e200*beta2*1e200", r"inf in the condition d\(q\.beta\)/d\(beta\), pair \(t, beta2\)$"),
+        # opposite infinities meet in the curl: numpy's invalid-value warning escaped before the error
+        ("1e200*F11*1e200", {"F11": "-1e200*eps*1e200"}, "0",
+         r"nan in the condition \(eps,F\) curl, pair \(eps, F11\)$"),
+    ], ids=["eps-F", "F-t", "q-beta", "eps-F-nan"])
+    def test_non_finite_residual_names_its_condition_and_pair(self, thetainv, sot, qb, message):
         # an overflowing gradient gave [inf, 0, ...] silently: no evidence either way
-        sot = tuple(self.ext(sot_f12 if name == "F12" else "0") for name in F_NAMES)
-        with pytest.raises(DomainError, match=r"^non-finite closeness residual inf in " + message):
+        sot = tuple(self.ext(sot.get(name, "0")) for name in F_NAMES)
+        with pytest.raises(DomainError, match=r"^non-finite closeness residual " + message):
             self.residual_at(self.ext(thetainv), sot, self.ext(qb))
+
+    def test_matches_the_hand_written_blocks(self):
+        # 1,200 seeded cases of 4-term bilinear coefficients, a third with an overflowing term:
+        # returns agree bit for bit, errors by type and message
+        rng = np.random.default_rng(25)
+
+        def field(big: bool):
+            terms = [f"{rng.uniform(-1.0, 1.0)!r}*{a}*{b}" for a, b in rng.choice(ETA_PRIME_COORDS, (4, 2))]
+            if big:
+                terms[0] = f"{rng.choice(['-1e200', '1e200'])}*{terms[0]}*1e200"
+            return self.ext(" + ".join(terms))
+
+        pool, big_pool = [field(False) for _ in range(120)], [field(True) for _ in range(60)]
+        outcomes = {"returned": 0, "raised": 0}
+        for case in range(1200):
+            fields = [pool[i] for i in rng.integers(len(pool), size=11)]
+            if case % 3 == 0:
+                for slot in rng.choice(11, size=int(rng.integers(1, 3)), replace=False):
+                    fields[slot] = big_pool[int(rng.integers(len(big_pool)))]
+            point = dict(zip(ETA_PRIME_COORDS, rng.uniform(-1.0, 1.0, len(ETA_PRIME_COORDS)).tolist()))
+            args = (fields[0], tuple(fields[1:10]), fields[10], point)
+            results = []
+            for fn in (closeness_system_residual, hand_closeness_system_residual):
+                try:
+                    results.append([float(v).hex() for v in fn(*args)])
+                except DomainError as exc:
+                    results.append((type(exc), str(exc)))
+            assert results[0] == results[1], (case, results)
+            outcomes["raised" if isinstance(results[0], tuple) else "returned"] += 1
+        assert min(outcomes.values()) >= 200, outcomes
 
     def test_coordinate_guard(self):
         with pytest.raises(ModelError):
