@@ -9,10 +9,10 @@ import sys
 from functools import partial
 from typing import Any, Callable
 
-import numpy as np
 import yaml
 
-from .expr import ScalarField, evaluate_all, lower
+from .expr import ScalarField, lower
+from .point import TimeFunction
 
 __all__ = ["ConfigError", "load_yaml", "check_keys", "need", "per_name", "as_number",
            "as_count", "as_name_list", "field_from", "time_fn", "time_fn_scalar",
@@ -91,27 +91,24 @@ def field_from(text: Any, coords: tuple[str, ...], path: str) -> ScalarField:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def time_fn(value: Any, path: str, shape: tuple[int, ...]):
+def time_fn(value: Any, path: str, shape: tuple[int, ...]) -> TimeFunction:
     """A function of t from an expression string (``shape`` ()) or a nested list of
     them of ``shape``; None is constant zeros.  Entry paths read ``<path>[i][j]``.
 
     The entries are lowered into one tape with an output per entry, and a call
-    is one float value sweep over it (sqrt(0) stays legal).  When the sweep
-    fails, the entries are re-run one by one, so the error is the first failing
-    entry's, with its own message.
+    is one float value sweep over it (sqrt(0) stays legal), an ndarray of
+    ``shape`` or a float for ().  When the sweep fails, the entries are re-run
+    one by one, so the error is the first failing entry's, with its own message.
     """
     if value is None:
-        return (lambda t: np.zeros(shape)) if shape else (lambda t: 0.0)
+        return TimeFunction(None, shape)
     leaves = [(value, path)]
     for n in shape:  # the whole shape is checked before any entry is parsed
         if any(not isinstance(row, list) or len(row) != n for row, _ in leaves):
             kind = f"list of {n}" if len(shape) == 1 else f"{'x'.join(map(str, shape))} nested list of"
             raise ConfigError(f"{path}: expected a {kind} expression strings")
         leaves = [(v, f"{p}[{i}]") for row, p in leaves for i, v in enumerate(row)]
-    tape = lower(field_from(v, ("t",), p).expression for v, p in leaves)
-    if not shape:
-        return lambda t: evaluate_all(tape, {"t": t})[0]
-    return lambda t: np.array(evaluate_all(tape, {"t": t})).reshape(shape)
+    return TimeFunction(lower(field_from(v, ("t",), p).expression for v, p in leaves), shape)
 
 
 time_fn_scalar = partial(time_fn, shape=())

@@ -21,8 +21,10 @@ div LEt, div P, flux/source of grad u) are not derivable from point state;
 each enters the dynamics as a forcing channel.
 
 An RK4 step (``_rk4``, on the state vector as a list of floats; ``rk4_step`` wraps it)
-reads each channel once per distinct t (3 reads a step: stages 2 and 3 share t + dt/2),
+reads the forcing once per distinct t (3 reads a step: stages 2 and 3 share t + dt/2),
 and sums the rates in a fixed order with no BLAS or LAPACK call, so their bits do not depend on the CPU.
+A read takes every ``TimeFunction`` channel (``config.time_fn``'s) from one float sweep over a joint
+tape of their entries, a zero one as zeros, and calls any other callable.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .expr import ScalarField, const, div, mul, neg
+from .expr import ExprError, ScalarField, const, div, evaluate_all, lower, mul, neg
 from .geometry import OneForm
 
 EPS_NAME = "eps"
@@ -124,16 +126,48 @@ class Constitutive:
             raise ModelError(f"rho, k and inertia must be finite: {self.rho!r}, {self.k!r}, {self.inertia!r}")
 
 
+@dataclass(frozen=True)
+class TimeFunction:
+    """A channel of t: its entries' tape (None: zero) and shape; a call is an ndarray, or for () a float."""
+    tape: object
+    shape: tuple[int, ...]
+
+    def __call__(self, t: float):
+        values = evaluate_all(self.tape, {"t": t}) if self.tape else [0.0] * math.prod(self.shape)
+        return np.array(values).reshape(self.shape) if self.shape else values[0]
+
+
 @dataclass(frozen=True, kw_only=True)
 class Forcing:
     """The point's channels, each a function of t; the thermoelastic point reads L and divq."""
-    E_ext: Callable[[float], np.ndarray] = lambda t: np.zeros(3)
-    L: Callable[[float], np.ndarray] = lambda t: np.zeros((3, 3))  # velocity gradient
-    divq: Callable[[float], float] = lambda t: 0.0
-    poynting_term: Callable[[float], float] = lambda t: 0.0
-    div_e_tensor: Callable[[float], np.ndarray] = lambda t: np.zeros(3)  # div of LEt
-    div_J_grad_u: Callable[[float], np.ndarray] = lambda t: np.zeros((3, 3))
-    source_grad_u: Callable[[float], np.ndarray] = lambda t: np.zeros((3, 3))
+    E_ext: Callable[[float], np.ndarray] = TimeFunction(None, (3,))
+    L: Callable[[float], np.ndarray] = TimeFunction(None, (3, 3))  # velocity gradient
+    divq: Callable[[float], float] = TimeFunction(None, ())
+    poynting_term: Callable[[float], float] = TimeFunction(None, ())
+    div_e_tensor: Callable[[float], np.ndarray] = TimeFunction(None, (3,))  # div of LEt
+    div_J_grad_u: Callable[[float], np.ndarray] = TimeFunction(None, (3, 3))
+    source_grad_u: Callable[[float], np.ndarray] = TimeFunction(None, (3, 3))
+
+    def _read(self, channels: tuple, t: float) -> list:
+        """``channels`` at t in order, each a flat float list (a scalar a float), the time functions from one
+        sweep of their joint tape; if it fails, each channel is called in order and the first failing raises."""
+        joints = self.__dict__.setdefault("_joints", {})  # channel list -> (joint tape, layout)
+        if channels not in joints:
+            roots, layout = [], []
+            for name, shape in channels:  # at: where its entries sit in 9 zeros + the sweep; None: called
+                fn, at = getattr(self, name), None
+                if isinstance(fn, TimeFunction) and fn.shape == shape:
+                    at, roots = (9 + len(roots), [*roots, *fn.tape.roots]) if fn.tape else (0, roots)
+                    at = slice(at, at + math.prod(shape)) if shape else at
+                layout.append((name, shape, at))
+            joints[channels] = (lower(roots) if roots else None), layout
+        tape, layout = joints[channels]
+        try:
+            flat = [0.0] * 9 + (evaluate_all(tape, {"t": t}) if tape else [])
+        except ExprError:
+            flat = None
+        return [_entries(getattr(self, name)(t), shape) if at is None or flat is None else flat[at]
+                for name, shape, at in layout]
 
 
 def _gradient(c: Constitutive, y: list) -> list:
@@ -228,8 +262,7 @@ def _rates(y: list, c: Constitutive, f: Forcing, t: float, read: dict) -> list:
     L F is summed row by column, e_loc . u left to right, the rest in numpy's element-wise order."""
     g = _gradient(c, y)
     if t not in read:
-        state = FerroelectricState if len(g) > len(BASE_COORDS) else ThermoelasticState
-        read[t] = [_entries(getattr(f, name)(t), shape) for name, shape in state._CHANNELS]
+        read[t] = f._read((FerroelectricState if len(g) > len(BASE_COORDS) else ThermoelasticState)._CHANNELS, t)
     (l0, l1, l2, l3, l4, l5, l6, l7, l8), divq, *electric = read[t]
     f0, f1, f2, f3, f4, f5, f6, f7, f8 = y[_F]
     F_dot = [l0 * f0 + l1 * f3 + l2 * f6, l0 * f1 + l1 * f4 + l2 * f7, l0 * f2 + l1 * f5 + l2 * f8,
@@ -269,8 +302,8 @@ def _rk4(y: list, c: Constitutive, f: Forcing, t: float, dt: float) -> list:
     """One classical RK4 step of the state vector ``y`` (floats), combining the stages in numpy's
     element-wise order.  Each stage's rates are checked to be finite before the next stage is
     formed; only the returned state is checked for loss of orientation (det F <= 0)."""
-    if dt <= 0:
-        raise ModelError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ModelError(f"dt must be positive and finite, got {dt!r}")
     half, sixth, mid, read = 0.5 * dt, dt / 6.0, t + 0.5 * dt, {}
     with np.errstate(all="ignore"):  # a forcing's numpy overflow shows as a non-finite rate
         k1 = _stage(1, y, c, f, t, read)

@@ -1661,10 +1661,18 @@ class TestCpuIndependentBytes:
 
     CORE_TYPES = ("SkylakeX", "Haswell", "Nehalem", "Prescott")
     FORCING = """
+integration: {t1: 0.5, dt: 0.01}
 forcing:
   L: [["0.3*t+0.1", "0.7", "-0.45"], ["0.3", "-0.2+0.11*t", "0.9"], ["0.6", "0.13", "0.25-t"]]
   divq: "0.1*t"
-integration: {t1: 0.5, dt: 0.01}
+"""
+    # every other channel of the ferroelectric point, all read from one sweep with L and divq
+    ELECTRIC = """
+  poynting: "0.02*t^2"
+  E: ["0.1*t", "-0.3", "0.05+t"]
+  div_e_tensor: ["0.2", "-0.1*t", "0.07"]
+  div_J_grad_u: [["0.1", "0", "-0.2*t"], ["0.3*t", "0.05", "0"], ["0", "-0.15", "0.2+0.1*t"]]
+  source_grad_u: [["-0.05*t", "0.1", "0"], ["0", "0.2", "-0.1"], ["0.07*t", "0", "0.3"]]
 """
     CONFIGS = {
         "thermoelastic": """
@@ -1696,7 +1704,8 @@ initial:
     @pytest.mark.skipif(not _dynamic_openblas(), reason=NO_KERNEL_TO_FORCE)
     def test_simulate_bytes_are_the_same_under_every_kernel(self, tmp_path):
         # a general L and nonzero u, grad u: the products L F and LE . u went through BLAS
-        paths = [write(tmp_path / f"{name}.yaml", text + self.FORCING) for name, text in self.CONFIGS.items()]
+        paths = [write(tmp_path / f"{name}.yaml", text + self.FORCING + self.ELECTRIC * (name == "ferroelectric"))
+                 for name, text in self.CONFIGS.items()]
         script = ("import sys; from thermoform.cli import main\n"
                   "sys.exit(max(main(['simulate', '--config', p, '--out', f'{p}.{sys.argv[1]}.csv'])"
                   " for p in sys.argv[2:]))")

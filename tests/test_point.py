@@ -1,16 +1,19 @@
 """The one constitutive law and forcing behind both point models."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_polynomial_text
+from test_cli import _fuzz_expression
 from thermoform import ferroelectric as fe
 from thermoform import point
 from thermoform import thermoelastic as te
-from thermoform.expr import DomainError, ScalarField
+from thermoform.config import time_fn
+from thermoform.expr import DomainError, ScalarField, evaluate_all
 from thermoform.point import Constitutive, Forcing, ModelError
 
 
@@ -302,10 +305,11 @@ def test_a_failing_forcing_read_is_raised_as_it_is():
         point.rk4_step(te_state(), law(point.BASE_COORDS), failing_forcing(), 0.0, 0.01)
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.1])
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
 def test_dt_must_be_positive_before_anything_is_read(dt):
+    # a nan or inf dt used to surface as a non-finite dU in the potential
     calls = []
-    with pytest.raises(ModelError, match="dt must be positive"):
+    with pytest.raises(ModelError, match=rf"^dt must be positive and finite, got {dt!r}$"):
         point.rk4_step(te_state(), law(point.BASE_COORDS), counting_forcing(calls), 0.0, dt)
     assert calls == []
 
@@ -323,3 +327,105 @@ def test_orientation_is_checked_by_the_sign_of_det_F():
     for F in (-np.eye(3), np.diag([1.0, 1.0, 0.0]), rotation[[1, 0, 2]]):
         with pytest.raises(ModelError, match="positive determinant"):
             te.ThermoelasticState(eps=0.5, F=F, H=np.zeros(3))
+
+
+# --- the forcing read: one joint tape against the per-channel loop it replaced ---
+
+def loop_forcing_read(f, channels, t):
+    """The per-channel read that the joint tape replaced, kept as the reference."""
+    return [point._entries(getattr(f, name)(t), shape) for name, shape in channels]
+
+
+def closure_time_fn(tape, shape):
+    """A channel as config.time_fn built it before TimeFunction: a closure over its own tape."""
+    if tape is None:
+        return (lambda t: np.zeros(shape)) if shape else (lambda t: 0.0)
+    if not shape:
+        return lambda t: evaluate_all(tape, {"t": t})[0]
+    return lambda t: np.array(evaluate_all(tape, {"t": t})).reshape(shape)
+
+
+_NOT_T = re.compile(r"\bw\b")  # the fuzz terms' unresolved name
+_OTHER_SHAPE = {(): (3,), (3,): (3, 3), (3, 3): (3,)}
+
+
+_KINDS = ("zero", "zero", "text", "text", "text", "text", "text", "call", "raise", "other shape")
+_PLAIN = ("0", "0.5*t", "t^2-1", "-0.0", "sqrt(t*t)")  # finite at every t
+
+
+def forcing_case(rng, pool):
+    """A channel list, per channel its kind and, for a time function, its entry texts (each
+    from ``pool`` one time in four, else a plain one), and 1-3 times."""
+    channels = (te.ThermoelasticState, fe.FerroelectricState)[rng.integers(2)]._CHANNELS
+    fuzz = rng.choice(pool, size=rng.integers(1, 3)).tolist()
+    spec = []
+    for name, shape in channels:
+        kind, entries = _KINDS[rng.integers(len(_KINDS))], None
+        if kind in ("text", "other shape"):
+            size = _OTHER_SHAPE[shape] if kind == "other shape" else shape
+            entries = np.where(rng.random(size) < 0.25, rng.choice(fuzz, size), rng.choice(_PLAIN, size)).tolist()
+        spec.append((name, kind, entries))
+    ts = [float(rng.choice([0.0, 0.25, 0.5, 1.0, -0.5, 3.0])) if rng.integers(2) else rng.uniform(-2.0, 4.0)
+          for _ in range(rng.integers(1, 4))]
+    return channels, spec, ts
+
+
+def case_forcings(channels, spec, calls):
+    """The case as a Forcing of TimeFunctions and as one of closures; user callables shared."""
+    def user(name, shape, fails):
+        def read(t):
+            calls.append((name, t))
+            if fails:
+                raise RuntimeError(f"{name} read at {t!r}")
+            return np.arange(math.prod(shape), dtype=float).reshape(shape) * t + 0.5 if shape else 0.5 * t
+        return read
+
+    new, old = {}, {}
+    for (name, shape), (_, kind, texts) in zip(channels, spec):
+        if kind in ("call", "raise"):
+            new[name] = old[name] = user(name, shape, kind == "raise")
+        else:
+            shape = _OTHER_SHAPE[shape] if kind == "other shape" else shape
+            new[name] = time_fn(texts, f"config.forcing.{name}", shape)
+            old[name] = closure_time_fn(new[name].tape, shape)
+    return Forcing(**new), Forcing(**old)
+
+
+def read_outcome(read, f, channels, t, calls):
+    """(each channel's floats by hex, or the error's type and message; the callables called)."""
+    calls.clear()
+    try:
+        values = read(f, channels, t)
+    except Exception as exc:
+        return (type(exc), str(exc)), list(calls)
+    return [[v.hex() for v in e] if isinstance(e, list) else e.hex() if type(e) is float else repr(e)
+            for e in values], list(calls)
+
+
+@given(pool=st.lists(_fuzz_expression(["t"]).filter(lambda s: not _NOT_T.search(s)), min_size=8, max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_the_joint_read_is_the_per_channel_loop(pool, seed):
+    # 10 cases an example, 1,000 in all; the fuzz texts bring poles at t, logs of negatives
+    # and overflow, and some user callables raise
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        channels, spec, ts = forcing_case(rng, pool)
+        calls = []
+        new, old = case_forcings(channels, spec, calls)
+        for t in ts:
+            assert (read_outcome(lambda f, c, s: f._read(c, s), new, channels, t, calls)
+                    == read_outcome(loop_forcing_read, old, channels, t, calls))
+
+
+def test_a_forcing_lowers_its_time_functions_once_per_channel_list():
+    f = Forcing(L=time_fn([["t", "0", "0"], ["0", "2*t", "0"], ["0", "0", "1"]], "config.forcing.L", (3, 3)),
+                divq=time_fn("0.5*t", "config.forcing.divq", ()), E_ext=lambda t: np.ones(3))
+    channels = te.ThermoelasticState._CHANNELS
+    assert f._read(channels, 2.0) == [[2.0, 0.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 1.0], 1.0]
+    tape, _ = f._joints[channels]
+    assert len(tape.roots) == 10  # L and divq; E_ext is a callable and is not read here
+    assert f._read(channels, 3.0)[1] == 1.5 and f._joints[channels][0] is tape
+    fe_read = f._read(fe.FerroelectricState._CHANNELS, 1.0)
+    assert fe_read[3] == [1.0, 1.0, 1.0] and fe_read[2] == 0.0 and fe_read[-1] == [0.0] * 9
+    assert set(f._joints) == {channels, fe.FerroelectricState._CHANNELS}
