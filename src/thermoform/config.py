@@ -95,10 +95,10 @@ def time_fn(value: Any, path: str, shape: tuple[int, ...]) -> TimeFunction:
     """A function of t from an expression string (``shape`` ()) or a nested list of
     them of ``shape``; None is constant zeros.  Entry paths read ``<path>[i][j]``.
 
-    The entries are lowered into one tape with an output per entry, and a call
-    is one float value sweep over it (sqrt(0) stays legal), an ndarray of
-    ``shape`` or a float for ().  When the sweep fails, the entries are re-run
-    one by one, so the error is the first failing entry's, with its own message.
+    The entries are lowered into one tape with an output per entry (a ``Forcing`` reads
+    them from its joint tape instead).  A call is one float value sweep over it (sqrt(0)
+    stays legal), an ndarray of ``shape`` or a float for ().  When the sweep fails, the
+    entries are re-run one by one, so the error is the first failing entry's own.
     """
     if value is None:
         return TimeFunction(None, shape)
