@@ -1,15 +1,17 @@
 """Scalar-field expressions over named coordinates with exact derivatives.
 
 Everything downstream (potentials, 1-form coefficients, constitutive laws) is
-built from these expressions.  Each expression is lowered once, on its first
-evaluation, to a flat instruction tape with common subexpressions merged.
-Values come from one sweep over plain floats.  Gradients add one reverse
-(adjoint) sweep, whose cost does not grow with the number of variables.
-Hessians add, per instruction, the second-order rule on each slot's gradient
-and its Hessian's upper triangle.  Derivatives are exact, so curl/closeness
-residuals are limited only by round-off, not by finite difference noise.
-Leaving a function's real domain, overflow included, raises DomainError
-naming the subexpression.
+built from these expressions.  ``parse`` (one operator-precedence loop) and
+``serialize`` read one table of infix precedence and associativity
+(``_INFIX``); neither recurses, so text nests to any depth.  Each expression
+is lowered once, on its first evaluation, to a flat instruction tape with
+common subexpressions merged.  Values come from one sweep over plain floats.
+Gradients add one reverse (adjoint) sweep, whose cost does not grow with the
+number of variables.  Hessians add, per instruction, the second-order rule on
+each slot's gradient and its Hessian's upper triangle.  Derivatives are exact,
+so curl/closeness residuals are limited only by round-off, not by finite
+difference noise.  Leaving a function's real domain, overflow included, raises
+DomainError naming the subexpression.
 
 The value, gradient, column and Hessian sweeps run as kernels (``_VALUES``,
 ``_SLOTS``, ``_GRAD``, ``_COLUMNS`` and ``_HESSIAN``): per plan, straight-line
@@ -144,8 +146,8 @@ _FUNCTIONS = {"exp": 1, "ln": 1, "sqrt": 1, "abs": 1, "pow": 2}
 
 
 # ---------------------------------------------------------------------------
-# Parser: recursive descent (the one depth limit left), precedence low->high:
-#   additive < multiplicative < unary minus < power (right assoc) < primary
+# Parser: one operator-precedence loop (Dijkstra's shunting-yard) over _INFIX,
+# precedence low->high: + - < * / < unary minus < ^ (right assoc) < primary
 # ---------------------------------------------------------------------------
 
 _TOK_NUM = "number"
@@ -198,117 +200,84 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+# op -> (precedence, left-associative); unary minus sits at _PREC_UNARY
+_INFIX = {"+": (1, True), "-": (1, True), "*": (2, True), "/": (2, True), "^": (4, False)}
+_PREC_UNARY, _PREC_ATOM = 3, 5
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, off = self.peek()
-        if kind != _TOK_OP or val != op:
-            raise ParseError("unexpected token", off, (repr(op),))
-        return self.advance()
-
-    def parse(self) -> Expression:
-        e = self.additive()
-        kind, _, off = self.peek()
-        if kind != _TOK_END:
-            raise ParseError("trailing input", off, ("end of input",))
-        return e
-
-    def additive(self) -> Expression:
-        left = self.multiplicative()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == _TOK_OP and val in "+-":
-                self.advance()
-                right = self.multiplicative()
-                left = Bin(val, left, right)
-            else:
-                return left
-
-    def multiplicative(self) -> Expression:
-        left = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == _TOK_OP and val in "*/":
-                self.advance()
-                right = self.unary()
-                left = Bin(val, left, right)
-            else:
-                return left
-
-    def unary(self) -> Expression:
-        kind, val, _ = self.peek()
-        if kind == _TOK_OP and val == "-":
-            self.advance()
-            return Neg(self.unary())
-        base = self.primary()
-        kind, val, _ = self.peek()
-        if kind == _TOK_OP and val == "^":
-            self.advance()
-            # right-associative; exponent may carry a unary minus
-            return Bin("^", base, self.unary())
-        return base
-
-    def primary(self) -> Expression:
-        kind, val, off = self.advance()
-        if kind == _TOK_NUM:
-            return Num(val)
-        if kind == _TOK_NAME:
-            k2, v2, _ = self.peek()
-            if k2 == _TOK_OP and v2 == "(":
-                if val not in _FUNCTIONS:
-                    raise ParseError(f"unknown function '{val}'", off)
-                self.advance()
-                args = [self.additive()]
-                while True:
-                    k3, v3, _ = self.peek()
-                    if k3 == _TOK_OP and v3 == ",":
-                        self.advance()
-                        args.append(self.additive())
-                    else:
-                        break
-                self.expect_op(")")
-                if len(args) != _FUNCTIONS[val]:
-                    raise ParseError(
-                        f"function '{val}' takes {_FUNCTIONS[val]} argument(s), got {len(args)}", off
-                    )
-                return Call(val, tuple(args))
-            return Var(val)
-        if kind == _TOK_OP and val == "(":
-            e = self.additive()
-            self.expect_op(")")
-            return e
-        raise ParseError("unexpected token", off, ("literal", "name", "'('", "'-'"))
+def _reduce(stack: list, operands: list, above: int) -> None:
+    """Apply the stacked operators of precedence >= above; an open group (0) stops it."""
+    while stack[-1][0] >= above:
+        op = stack.pop()[1]
+        if op is None:
+            operands[-1] = Neg(operands[-1])
+        else:
+            right = operands.pop()
+            operands[-1] = Bin(op, operands[-1], right)
 
 
 def parse(text: str) -> Expression:
-    """Parse infix text into an expression tree."""
-    return _Parser(text).parse()
+    """Parse infix text into an expression tree; iterative, so depth is unbounded."""
+    tokens = _tokenize(text)
+    operands: list[Expression] = []
+    # pending operators as (precedence, op), op None for unary minus, and open groups as
+    # (0, name, offset, operands below): the whole text (name None), a '(' (name '') or a call
+    stack: list[tuple] = [(0, None, 0, 0)]
+    i = 0
+    while True:
+        kind, val, off = tokens[i]  # an operand: unary minus signs, then a primary
+        i += 1
+        if kind == _TOK_NUM:
+            operands.append(Num(val))
+        elif kind == _TOK_NAME and tokens[i][1] == "(":
+            if val not in _FUNCTIONS:
+                raise ParseError(f"unknown function '{val}'", off)
+            stack.append((0, val, off, len(operands)))
+            i += 1
+            continue
+        elif kind == _TOK_NAME:
+            operands.append(Var(val))
+        elif kind == _TOK_OP and val in "-(":
+            stack.append((_PREC_UNARY, None) if val == "-" else (0, "", off, len(operands)))
+            continue
+        else:
+            raise ParseError("unexpected token", off, ("literal", "name", "'('", "'-'"))
+        while True:  # after an operand: an infix operator, or the innermost group's ',' or ')'
+            kind, val, off = tokens[i]
+            i += 1
+            if kind == _TOK_OP and val in _INFIX:
+                prec, left_assoc = _INFIX[val]
+                _reduce(stack, operands, prec + (not left_assoc))
+                stack.append((prec, val))
+                break
+            _reduce(stack, operands, 1)
+            _, name, at, below = stack[-1]
+            if name is None:
+                if kind != _TOK_END:
+                    raise ParseError("trailing input", off, ("end of input",))
+                return operands[0]
+            if name and kind == _TOK_OP and val == ",":  # a call's next argument
+                break
+            if kind != _TOK_OP or val != ")":
+                raise ParseError("unexpected token", off, ("')'",))
+            stack.pop()
+            if name:
+                args = tuple(operands[below:])
+                del operands[below:]
+                if len(args) != _FUNCTIONS[name]:
+                    raise ParseError(
+                        f"function '{name}' takes {_FUNCTIONS[name]} argument(s), got {len(args)}", at)
+                operands.append(Call(name, args))
 
 
 # ---------------------------------------------------------------------------
 # Serialization (minimal parentheses; parse(serialize(e)) == e)
 # ---------------------------------------------------------------------------
 
-_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
 def _prec(e: Expression) -> int:
     if isinstance(e, Neg) or (isinstance(e, Num) and e.value < 0):
         return _PREC_UNARY  # a negative literal prints with its sign: (-2)^2, not -2^2
-    if isinstance(e, (Num, Var, Call)):
-        return _PREC_ATOM
-    return {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "^": _PREC_POW}[e.op]
+    return _INFIX[e.op][0] if isinstance(e, Bin) else _PREC_ATOM
 
 
 def _fmt_num(v: float) -> str:
@@ -334,12 +303,10 @@ def serialize(e: Expression) -> str:
             s = "-" + wrap(node.arg, _PREC_UNARY)
         elif isinstance(node, Call):
             s = node.fn + "(" + ", ".join(text[id(a)] for a in node.args) + ")"
-        elif node.op in "+-":
-            s = wrap(node.left, _PREC_ADD) + node.op + wrap(node.right, _PREC_MUL)
-        elif node.op in "*/":
-            s = wrap(node.left, _PREC_MUL) + node.op + wrap(node.right, _PREC_UNARY)
-        else:  # '^' right-associative, left operand must be atomic
-            s = wrap(node.left, _PREC_ATOM) + "^" + wrap(node.right, _PREC_UNARY)
+        else:  # bare: a left operand of op's precedence if op is left-associative, and a right
+            # operand that binds tighter or starts with a unary minus, which nothing splits (x^-y)
+            prec, left_assoc = _INFIX[node.op]
+            s = wrap(node.left, prec + (not left_assoc)) + node.op + wrap(node.right, min(prec + 1, _PREC_UNARY))
         text[id(node)] = s
     return text[id(e)]
 

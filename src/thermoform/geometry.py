@@ -215,6 +215,8 @@ def low_discrepancy_samples(box: dict[str, tuple[float, float]], count: int,
 
     Coordinate j is the radical inverse of the point index in the j-th prime.
     """
+    if not isinstance(seed, (int, np.integer)):  # nan and inf never leave the divmod loop
+        raise GeometryError(f"the sample seed must be an integer >= 0, got {seed!r}")
     if seed < 0:
         raise GeometryError(f"the sample seed must be >= 0, got {seed!r}")
     if not isinstance(count, (int, np.integer)) or count < 0:

@@ -307,6 +307,212 @@ def test_negative_literal_power_base_round_trips_by_value():
     assert evaluate(parse(serialize(e)), {}) == evaluate(e, {}) == 4.0
 
 
+# --- the operator-precedence parser against the recursive-descent parser it replaced ---
+
+class _RecursiveParser:
+    """The recursive-descent parser that the one operator-precedence loop replaced, kept as its
+    reference: each grammar level is a method, so text nests once per level of the Python stack."""
+
+    def __init__(self, text: str):
+        self.tokens = _expr._tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op: str):
+        kind, val, off = self.peek()
+        if kind != _expr._TOK_OP or val != op:
+            raise ParseError("unexpected token", off, (repr(op),))
+        return self.advance()
+
+    def parse(self):
+        e = self.additive()
+        kind, _, off = self.peek()
+        if kind != _expr._TOK_END:
+            raise ParseError("trailing input", off, ("end of input",))
+        return e
+
+    def additive(self):
+        left = self.multiplicative()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == _expr._TOK_OP and val in "+-":
+                self.advance()
+                right = self.multiplicative()
+                left = Bin(val, left, right)
+            else:
+                return left
+
+    def multiplicative(self):
+        left = self.unary()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == _expr._TOK_OP and val in "*/":
+                self.advance()
+                right = self.unary()
+                left = Bin(val, left, right)
+            else:
+                return left
+
+    def unary(self):
+        kind, val, _ = self.peek()
+        if kind == _expr._TOK_OP and val == "-":
+            self.advance()
+            return Neg(self.unary())
+        base = self.primary()
+        kind, val, _ = self.peek()
+        if kind == _expr._TOK_OP and val == "^":
+            self.advance()
+            # right-associative; exponent may carry a unary minus
+            return Bin("^", base, self.unary())
+        return base
+
+    def primary(self):
+        kind, val, off = self.advance()
+        if kind == _expr._TOK_NUM:
+            return Num(val)
+        if kind == _expr._TOK_NAME:
+            k2, v2, _ = self.peek()
+            if k2 == _expr._TOK_OP and v2 == "(":
+                if val not in _expr._FUNCTIONS:
+                    raise ParseError(f"unknown function '{val}'", off)
+                self.advance()
+                args = [self.additive()]
+                while True:
+                    k3, v3, _ = self.peek()
+                    if k3 == _expr._TOK_OP and v3 == ",":
+                        self.advance()
+                        args.append(self.additive())
+                    else:
+                        break
+                self.expect_op(")")
+                if len(args) != _expr._FUNCTIONS[val]:
+                    raise ParseError(
+                        f"function '{val}' takes {_expr._FUNCTIONS[val]} argument(s), got {len(args)}", off
+                    )
+                return Call(val, tuple(args))
+            return Var(val)
+        if kind == _expr._TOK_OP and val == "(":
+            e = self.additive()
+            self.expect_op(")")
+            return e
+        raise ParseError("unexpected token", off, ("literal", "name", "'('", "'-'"))
+
+
+def recursive_parse(text: str):
+    return _RecursiveParser(text).parse()
+
+
+def _parse_outcome(parse_text, text):
+    # a tree by its structure (repr) and its text; an error by type, message, offset and expected
+    try:
+        e = parse_text(text)
+    except ParseError as err:
+        return (type(err), str(err), err.offset, err.expected)
+    return (repr(e), serialize(e))
+
+
+def check_parse_against_recursive(text):
+    # parse raises nothing but ParseError: anything else escapes _parse_outcome and fails the test
+    assert _parse_outcome(parse, text) == _parse_outcome(recursive_parse, text)
+
+
+# operators, names (known, unknown and merging into longer ones) and numbers, the
+# malformed, overflowing and non-ASCII-digit ones among them
+_PIECES = ["+", "-", "*", "/", "^", "(", ")", ",", " ", "x", "y", "_a", "e", "E", "exp", "ln", "sqrt",
+           "abs", "pow", "sin", "0", "1", "2.5", ".5", ".", "1e3", "1e-2", "1e999", "1.2.3", "²",
+           "٣", "$"]
+
+
+@st.composite
+def _mutated(draw, texts):
+    # a text with, sometimes, one character deleted, replaced or inserted
+    text = draw(texts)
+    if not draw(st.integers(0, 9)) < 3:
+        return text
+    k = draw(st.integers(0, len(text)))
+    c = draw(st.sampled_from("".join(_PIECES)))
+    return draw(st.sampled_from([text[:k] + text[k + 1:], text[:k] + c + text[k + 1:], text[:k] + c + text[k:]]))
+
+
+@given(text=st.one_of(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join),
+                      _mutated(_expr_strategy().map(serialize))))
+@settings(max_examples=2000, deadline=None, derandomize=True)
+def test_parse_matches_the_recursive_parser(text):
+    check_parse_against_recursive(text)
+
+
+def _grammar_text(rng, depth: int = 0) -> str:
+    r = rng.random()
+    if depth > 3 or r < 0.3:
+        return str(rng.choice(["x", "y", "V", "0", "1", "2.5", ".5", "1e-2", "3e2"]))
+    if r < 0.4:
+        return "-" + _grammar_text(rng, depth + 1)
+    if r < 0.5:
+        return "(" + _grammar_text(rng, depth + 1) + ")"
+    if r < 0.65:
+        args = [_grammar_text(rng, depth + 1) for _ in range(int(rng.integers(1, 3)))]
+        return str(rng.choice(["exp", "ln", "sqrt", "abs", "pow", "sin"])) + "(" + ", ".join(args) + ")"
+    op = str(rng.choice(list("+-*/^")))
+    return _grammar_text(rng, depth + 1) + op + _grammar_text(rng, depth + 1)
+
+
+def seeded_parse_corpus(seed: int, count: int):
+    """count texts: half random strings of _PIECES, half grammar-generated, 30 % of those mutated."""
+    rng = np.random.default_rng(seed)
+    chars = "".join(_PIECES)
+    for k in range(count):
+        if k % 2:
+            yield "".join(rng.choice(_PIECES, size=int(rng.integers(0, 31))))
+            continue
+        text = _grammar_text(rng)
+        if rng.random() < 0.3:
+            j, c = int(rng.integers(0, len(text) + 1)), chars[int(rng.integers(len(chars)))]
+            text = [text[:j] + text[j + 1:], text[:j] + c + text[j + 1:], text[:j] + c + text[j:]][int(rng.integers(3))]
+        yield text
+
+
+def test_parse_matches_the_recursive_parser_on_a_seeded_corpus():
+    for text in seeded_parse_corpus(20261021, 20_000):
+        check_parse_against_recursive(text)
+
+
+def _same_tree(a, b) -> bool:
+    """== without recursion: the same node types and fields, operands pairwise."""
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        fields = [(getattr(n, "op", None), getattr(n, "fn", None), getattr(n, "name", None),
+                   repr(getattr(n, "value", None))) for n in (x, y)]
+        if type(x) is not type(y) or fields[0] != fields[1]:
+            return False
+        operands = _expr._children(x), _expr._children(y)
+        if len(operands[0]) != len(operands[1]):
+            return False
+        pairs.extend(zip(*operands))
+    return True
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("(" * 10_000 + "x*y" + ")" * 10_000, "x*y"),
+    ("-" * 5_000 + "x", "-" * 5_000 + "x"),
+    ("^".join(["x"] * 3_000), "^".join(["x"] * 3_000)),
+    ("(" * 3_000 + "x" + "^x)" * 3_000, "(" * 2_999 + "x^x" + ")^x" * 2_999),
+    ("exp(" * 3_000 + "x" + ")" * 3_000, "exp(" * 3_000 + "x" + ")" * 3_000),
+], ids=["parentheses", "unary-minus", "power-chain", "left-power-chain", "calls"])
+def test_deep_text_parses_and_round_trips(text, printed):
+    # the recursive-descent parser nested once per parenthesis, power or unary minus: RecursionError
+    e = parse(text)
+    assert serialize(e) == printed
+    assert _same_tree(parse(printed), e)
+
+
 # --- the value and reverse sweeps against the second-order forward sweep ----
 
 def _outcome(fn):

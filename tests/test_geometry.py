@@ -432,15 +432,28 @@ class TestSampling:
         box = {"x": (0.0, 1.0)}
         assert low_discrepancy_samples(box, 4, seed=1) != low_discrepancy_samples(box, 4)
 
-    def test_negative_seed_is_refused(self):
-        # divmod(-1, 2) keeps q = -1, so the radical inverse looped forever: the call runs
-        # in a child process, so that a hang fails at the timeout instead of stopping the suite
-        script = "from thermoform.geometry import *; low_discrepancy_samples({'x': (0.0, 1.0)}, 4, seed=-1)"
+    @staticmethod
+    def _sample_in_a_child(seed: str) -> subprocess.CompletedProcess:
+        # the call runs in a child process, so that a hang fails at the timeout instead of
+        # stopping the suite
+        script = f"from thermoform.geometry import *; low_discrepancy_samples({{'x': (0.0, 1.0)}}, 4, seed={seed})"
         src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
                               env=dict(os.environ, PYTHONPATH=src))
+
+    def test_negative_seed_is_refused(self):
+        # divmod(-1, 2) keeps q = -1, so the radical inverse looped forever
+        proc = self._sample_in_a_child("-1")
         assert proc.returncode == 1
         assert proc.stderr.endswith("GeometryError: the sample seed must be >= 0, got -1\n")
+
+    @pytest.mark.parametrize("seed, shown", [("float('nan')", "nan"), ("float('inf')", "inf"), ("1.5", "1.5")])
+    def test_a_seed_that_is_not_an_integer_is_refused(self, seed, shown):
+        # divmod(nan or inf, 2) is (nan, nan), so the radical inverse looped forever, and
+        # 1.5 gave points off the Halton sequence
+        proc = self._sample_in_a_child(seed)
+        assert proc.returncode == 1
+        assert proc.stderr.endswith(f"GeometryError: the sample seed must be an integer >= 0, got {shown}\n")
 
     @pytest.mark.parametrize("span", [(-1e308, 1e308), (0.0, math.inf), (math.nan, 1.0)])
     def test_a_span_that_is_not_a_finite_float_is_refused(self, span):
