@@ -13,9 +13,9 @@ so curl/closeness residuals are limited only by round-off, not by finite
 difference noise.  Leaving a function's real domain, overflow included, raises
 DomainError naming the subexpression.
 
-The value, gradient, column and Hessian sweeps run as kernels (``_VALUES``,
-``_SLOTS``, ``_GRAD``, ``_COLUMNS`` and ``_HESSIAN``): per plan, straight-line
-Python generated from the tape's opcodes and slot numbers, compiled once per
+The value, slot, gradient and Hessian sweeps run as kernels (``_VALUES``,
+``_SLOTS``, ``_GRAD`` and ``_HESSIAN``): per plan, straight-line Python on
+floats, generated from the tape's opcodes and slot numbers, compiled once per
 tape shape (a memo keyed on the source text) and kept on the tape.  Constants
 and coordinate values are arguments, not text.  Every failure raises from its
 instruction's own lines, in instruction order: a domain check with its
@@ -24,17 +24,14 @@ message, an overflow from the try around a rule that can overflow.
 A tuple of expressions lowers to one tape with one output per expression
 (``lower``), merged across them; a single expression is the 1-tuple case.
 ``evaluate_all`` takes every output's value from one float sweep;
-``grad_columns`` stacks the slot kernel's values at a batch of bindings as
-(N,) columns, then the column kernel (``_COLUMNS``), generated from the
-gradient kernel's reverse rules, sweeps every output over them in its own
-order.  Both are bitwise the per-expression ``evaluate`` and ``grad``; when a
-joint or batched sweep fails, they re-run the outputs (and bindings) one by
-one through those, so the error is the first failing one's, with its own
-message.
+``grad_columns`` runs the gradient kernel at each of a batch of bindings: the
+forward sweep once, then every output's reverse sweep in its own order.  Both
+are bitwise the per-expression ``evaluate`` and ``grad``; when a joint or
+batched sweep fails, they re-run the outputs (and bindings) one by one through
+those, so the error is the first failing one's, with its own message.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -525,12 +522,10 @@ def lower(exprs) -> _Tape:
 # the rule's order, and each adjoint starts at 0.0 and accumulates in the
 # output's own reverse order.  Kinds of kernel:
 #   _VALUES   the domain checks and instructions in order, then the outputs;
-#   _SLOTS    the same, then every slot (for the second-order and column sweeps);
-#   _GRAD     the same, then the one output's reverse sweep, then its
-#             adjoint at the slot of each wrt entry;
-#   _COLUMNS  given every slot as an (N,) column (v) and a zeroed array of
-#             shape (outputs, wrt, N) (jac), each output's reverse sweep over
-#             the columns, storing its adjoint at the slot of each wrt entry;
+#   _SLOTS    the same, then every slot;
+#   _GRAD     the same, then per output its reverse sweep; one flat list of
+#             each output's adjoint at the slot of each wrt entry, output by
+#             output;
 #   _HESSIAN  the domain checks and instructions in order, then per instruction
 #             its second-order rule, then the one output's value, gradient and
 #             Hessian upper triangle.
@@ -540,7 +535,7 @@ def lower(exprs) -> _Tape:
 # of those operations, with the instruction's first operand as the value.
 # ---------------------------------------------------------------------------
 
-_VALUES, _SLOTS, _GRAD, _COLUMNS, _HESSIAN = range(5)
+_VALUES, _SLOTS, _GRAD, _HESSIAN = range(4)
 
 
 class _Fault(Exception):
@@ -604,17 +599,6 @@ _REVERSE = {
 }
 
 
-# The column kernel's own lines, only where a line above branches on a value:
-# np.where for _ABS, and per entry on Python floats the power rule
-# (_dpow_columns) and _POWV's log, so each term is bitwise the float line's.
-_COLUMN_REVERSE = {
-    _ABS: ((0, ("a{a} = where(v{a} > 0.0, a{a} + a{i}, where(v{a} < 0.0, a{a} - a{i}, a{a}))",)),),
-    _POWI: ((0, ("a{a} = dpow(a{a}, a{i}, v{a}, repeat({b}))",)),),
-    _POWC: ((0, ("a{a} = dpow(a{a}, a{i}, v{a}, v{b}.tolist())",)),),
-    _POWV: (_REVERSE[_POWV][0], (1, ("a{b} += a{i} * v{i} * array([log(u) for u in v{a}.tolist()])",))),
-}
-
-
 # per op, its second-order rule (Griewank & Walther, ch. 13): a line in {i} runs per
 # gradient index, one in {i} and {j} per triangle pair i <= j (row by row), any other
 # once, so an instruction costs O(n^2); g<s>_<i> and h<s>_<i>_<j> are slot s's
@@ -661,9 +645,8 @@ def _chunk(lines: tuple[str, ...]) -> str:
 
 _FORWARD_CHUNKS = {op: _chunk(lines) for op, lines in _FORWARD.items()}
 _POLE_CHUNK = _chunk(_POLE + _FORWARD[_POWI])
-_REVERSE_CHUNKS, _COLUMN_CHUNKS = ({op: tuple((operand, _chunk(lines)) for operand, lines in updates)
-                                    for op, updates in rules.items()}
-                                   for rules in (_REVERSE, {**_REVERSE, **_COLUMN_REVERSE}))
+_REVERSE_CHUNKS = {op: tuple((operand, _chunk(lines)) for operand, lines in updates)
+                   for op, updates in _REVERSE.items()}
 
 
 @lru_cache(maxsize=None)
@@ -690,14 +673,11 @@ def _source(tape: _Tape, wrt: tuple[str, ...] | None, kind: int) -> str:
     """Text of plan(wrt)'s kernel of ``kind``."""
     code, revs, slots, dep = tape.plan(wrt)
     base, ncon = tape.base, len(tape.consts)
-    if kind == _COLUMNS:  # the slots come in as columns: no forward lines
-        text = ["def kernel(v, jac):", " " + "".join(f"v{j}, " for j in range(len(dep))) + "= v"]
-    else:
-        text = ["def kernel(c, b, n):"]
-        if ncon:
-            text.append(" " + "".join(f"v{j}, " for j in range(ncon)) + "= c")
-        text += [f" v{ncon + j} = float(b[n[{j}]])" for j in range(base - ncon)]
-    for k, (op, a, b) in enumerate(code if kind != _COLUMNS else ()):
+    text = ["def kernel(c, b, n):"]
+    if ncon:
+        text.append(" " + "".join(f"v{j}, " for j in range(ncon)) + "= c")
+    text += [f" v{ncon + j} = float(b[n[{j}]])" for j in range(base - ncon)]
+    for k, (op, a, b) in enumerate(code):
         chunk = _POLE_CHUNK if op == _POWI and b < 0 else _FORWARD_CHUNKS[op]
         text.append(chunk.format(k=k, a=a, b=b, s=base + k))
     if kind == _VALUES:
@@ -714,31 +694,29 @@ def _source(tape: _Tape, wrt: tuple[str, ...] | None, kind: int) -> str:
                 text.append(rules[op].format(k=k, s=base + k, a=a, b=b))
         text.append(" return [" + ", ".join((f"v{tape.outs[0]}",) + jet).format(tape.outs[0]) + "]")
     else:
-        rules = _REVERSE_CHUNKS if kind == _GRAD else _COLUMN_CHUNKS
+        adjoints = ""  # output k's list; each earlier one is kept as r<k>, then unpacked
         for k, (out, rev) in enumerate(revs):
+            if k:  # this output's sweep resets the adjoints the previous one returns
+                text.append(f" r{k - 1} = [{adjoints}]")
             # the adjoints this output's sweep writes, the only ones it reads
-            held = {out, *((a, b)[operand] for op, a, b, _ in rev for operand, _ in rules[op]
+            held = {out, *((a, b)[operand] for op, a, b, _ in rev for operand, _ in _REVERSE_CHUNKS[op]
                            if dep[(a, b)[operand]])}
             if len(held) > 1:
                 text.append(" " + "".join(f"a{j} = " for j in sorted(held - {out})) + "0.0")
             text.append(f" a{out} = 1.0")
             for op, a, b, i in rev:
-                for operand, chunk in rules[_ADD][:1] if op == _POWI and b == 1 else rules[op]:
+                for operand, chunk in _REVERSE_CHUNKS[_ADD][:1] if op == _POWI and b == 1 else _REVERSE_CHUNKS[op]:
                     if dep[(a, b)[operand]]:
                         text.append(chunk.format(k=i - base, a=a, b=b, c=b - 1 if op == _POWI else None, i=i))
-            if kind == _GRAD:
-                text.append(" return [" + ", ".join(f"a{j}" if j in held else "0.0" for j in slots) + "]")
-            else:
-                text += [f" jac[{k}, {r}] = a{j}" for r, j in enumerate(slots) if j in held]
+            adjoints = ", ".join(f"a{j}" if j in held else "0.0" for j in slots)
+        text.append(" return [" + "".join(f"*r{k}, " for k in range(len(revs) - 1)) + adjoints + "]")
     return "\n".join(text) + "\n"
 
 
 @lru_cache(maxsize=256)
 def _compiled(source: str):
     """The function ``source`` defines; tapes of one shape share it."""
-    namespace = {"_Fault": _Fault, "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
-                 "isnan": math.isnan, "array": np.array, "where": np.where,
-                 "repeat": itertools.repeat, "dpow": _dpow_columns}
+    namespace = {"_Fault": _Fault, "exp": math.exp, "log": math.log, "sqrt": math.sqrt, "isnan": math.isnan}
     exec(compile(source, "<tape kernel>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -767,33 +745,6 @@ def _slots(tape: _Tape, wrt: tuple[str, ...] | None, binding: dict[str, float]) 
     return _run(tape, tape.kernel(wrt, _SLOTS), binding)
 
 
-# ---------------------------------------------------------------------------
-# Column sweeps: the slot kernel's values at N bindings, stacked so that each
-# slot is an (N,) column, then the column kernel: every output's reverse sweep
-# over the columns, from the gradient kernels' rules.  Its + - * / and
-# negation run in numpy, which rounds them correctly, as float arithmetic
-# does; logs and the power rule run element by element on Python floats, so
-# every adjoint is bitwise the gradient kernel's.  A batch raises wherever
-# some binding's slot kernel does, and grad_columns then re-runs it through
-# grad, whose kernels and _run pick the failing binding and word the error.
-# ---------------------------------------------------------------------------
-
-def _dpow_columns(row, g, x: np.ndarray, ps) -> np.ndarray:
-    """``row`` plus ``g`` times d(x^p)/dx per entry of ``x``, its exponent from ``ps``:
-    the rule of the gradient kernels' _POWI and _POWC lines, on Python floats.  Where
-    they add nothing (x = 0 and p != 1, where p x^(p-1) would be 0 or a pole) the row
-    is left as it is."""
-    fs = []
-    for u, p in zip(x.tolist(), ps):
-        if p == round(p):
-            p = int(round(p))
-            fs.append(p * u ** (p - 1) if u != 0.0 else 1.0 if p == 1 else None)
-        else:
-            fs.append(p * u ** (p - 1.0))
-    term = row + g * np.array([0.0 if f is None else f for f in fs])
-    return np.where([f is None for f in fs], row, term)
-
-
 def evaluate_all(tape: _Tape, binding: dict[str, float]) -> list[float]:
     """Every output's value at a binding, from one float sweep over the joint tape.
 
@@ -814,24 +765,20 @@ def grad_columns(tape: _Tape, bindings: list[dict[str, float]],
                  wrt: list[str] | tuple[str, ...]) -> np.ndarray:
     """Every output's gradient at every binding, shape (bindings, outputs, len(wrt)).
 
-    The slot kernel at each binding, stacked into columns, then the column
-    kernel's reverse sweep per output; each entry is bitwise that output's
-    ``grad`` at that binding.  When a sweep raises, the bindings are re-run one
-    by one, and at each the outputs one by one, through ``grad``: the error is
-    the first failing binding's, and there the first failing output's, with
-    its own message.
+    The gradient kernel at each binding: the forward sweep once, then each
+    output's reverse sweep in its own post-order, so each entry is bitwise that
+    output's ``grad`` at that binding.  When a sweep raises, the bindings are
+    re-run one by one, and at each the outputs one by one, through ``grad``:
+    the error is the first failing binding's, and there the first failing
+    output's, with its own message.
     """
     wrt = tuple(wrt)
-    _, revs, slots, dep = tape.plan(wrt)
+    kernel = tape.kernel(wrt, _GRAD)
     try:
-        vals = np.array([_slots(tape, wrt, b) for b in bindings]).reshape(len(bindings), len(dep)).T
-        jac = np.zeros((len(revs), len(slots), len(bindings)))
-        with np.errstate(all="ignore"):  # inf and NaN are the float sweeps' values too
-            tape.kernel(wrt, _COLUMNS)(vals, jac)
-        return jac.transpose(2, 0, 1)
+        adjoints = [_run(tape, kernel, b) for b in bindings]
     except Exception:
-        per_binding = [[grad(e, b, wrt) for e in tape.roots] for b in bindings]
-        return np.array(per_binding).reshape(len(bindings), len(tape.roots), len(wrt))
+        adjoints = [[grad(e, b, wrt) for e in tape.roots] for b in bindings]
+    return np.array(adjoints, dtype=float).reshape(len(bindings), len(tape.roots), len(wrt))
 
 
 def _second_order(e: Expression, binding: dict[str, float], wrt: tuple[str, ...]) -> tuple:

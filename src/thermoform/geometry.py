@@ -88,6 +88,8 @@ class OneForm:
     coefficients: tuple[ScalarField, ...]
 
     def __post_init__(self):
+        if not self.coords:
+            raise GeometryError("a 1-form needs at least one coordinate")
         if len(self.coefficients) != len(self.coords):
             raise GeometryError("coefficient count must equal coordinate count")
         for c in self.coefficients:
@@ -112,10 +114,10 @@ def d_residual(form: OneForm, x: dict[str, float] | list[dict[str, float]]) -> n
     """C_ij = da_i/dx^j - da_j/dx^i; exactly antisymmetric, zero iff closed at x.
 
     At one binding C is (m, m); at a list of N bindings it is (N, m, m), from
-    the joint tape's slot kernel at each binding, stacked into (N,) columns,
-    then one reverse sweep per coefficient over the columns.  Either is bitwise
-    the Jacobian of the coefficients' own gradients, and raises what they
-    raise, binding by binding.
+    the joint tape's gradient kernel at each binding: the forward sweep once,
+    then one reverse sweep per coefficient.  Either is bitwise the Jacobian of
+    the coefficients' own gradients, and raises what they raise, binding by
+    binding.
     """
     jac = grad_columns(form.tape, [x] if isinstance(x, dict) else x, form.coords)
     with np.errstate(over="ignore", invalid="ignore"):  # worst_residual reports inf and NaN

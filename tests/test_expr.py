@@ -969,6 +969,11 @@ def test_certify_forms_residual_matches_the_per_coefficient_jacobian(n, rng):
             assert list(map(_hex, (jac - jac.T).ravel())) == list(map(_hex, res.ravel()))
             assert list(map(_hex, d_residual(form, x).ravel())) == list(map(_hex, res.ravel()))
             assert list(map(_hex, form.values(x))) == [_hex(c.value(x)) for c in form.coefficients]
+        # the verdict reads the same matrices: the worst |C_ij|, first sample and pair on ties
+        k, i, j = np.unravel_index(int(np.abs(batch).argmax()), batch.shape)
+        worst = abs(float(batch[k, i, j]))
+        assert worst_residual(form, samples) == (worst, (form.coords[i], form.coords[j]))
+        assert is_closed(form, samples) == (worst <= 1e-8, worst)
 
 
 class TestTape:
@@ -1113,7 +1118,7 @@ class TestKernels:
                 u for child in ast.iter_child_nodes(node) for u in unguarded(child, guarded)]
 
         for wrt, kind in ((None, _expr._VALUES), (None, _expr._SLOTS), (("x", "y"), _expr._SLOTS),
-                          (("x", "y"), _expr._GRAD), (("x", "y"), _expr._COLUMNS),
+                          (("x", "y"), _expr._GRAD), (("y",), _expr._GRAD),
                           (("x", "y"), _expr._HESSIAN), (("y",), _expr._HESSIAN)):
             source = _expr._source(tape, wrt, kind)
             tree = ast.parse(source)
@@ -1121,8 +1126,25 @@ class TestKernels:
             allowed = set(tape.kernel(wrt, kind).__globals__) | {"float", "int", "abs", "round"}
             for node in ast.walk(tree):
                 if isinstance(node, ast.Call):
-                    assert (node.func.id in allowed if isinstance(node.func, ast.Name)
-                            else node.func.attr == "tolist"), ast.unparse(node)
+                    assert isinstance(node.func, ast.Name) and node.func.id in allowed, ast.unparse(node)
+
+    def test_kernels_see_only_float_names(self):
+        # every kind computes in Python floats: no numpy name is in a kernel's namespace
+        tape = lower(JOINT_CORPUS)
+        for wrt, kind in ((None, _expr._VALUES), (("x", "y"), _expr._SLOTS), (("x", "y"), _expr._GRAD),
+                          (("x",), _expr._GRAD), (("x", "y"), _expr._HESSIAN)):
+            names = set(tape.kernel(wrt, kind).__globals__) - {"__builtins__", "kernel"}
+            assert names == {"_Fault", "exp", "log", "sqrt", "isnan"}
+
+    def test_gradient_kernel_returns_one_flat_list(self):
+        # a one-output tape's kernel returns its gradient, as grad reads it; a joint
+        # tape's returns every output's, output by output
+        binding, wrt = {"x": 3.0, "y": 2.0}, ("x", "y", "z")
+        alone, joint = lower([parse("x^2*y")]), lower([parse("x^2*y"), parse("y"), Num(2.5)])
+        assert alone.kernel(wrt, _expr._GRAD)(alone.consts, binding, alone.names) == [12.0, 9.0, 0.0]
+        assert joint.kernel(wrt, _expr._GRAD)(joint.consts, binding, joint.names) == [
+            12.0, 9.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+        assert lower([]).kernel(wrt, _expr._GRAD)((), binding, ()) == []
 
     def test_a_tape_of_the_same_shape_reuses_the_compiled_code(self):
         first, second = parse("2*x + exp(x)"), parse("5*y + exp(y)")
@@ -1133,17 +1155,19 @@ class TestKernels:
         kernels = _lowered(first).kernels, _lowered(second).kernels
         assert kernels[0][None, _expr._VALUES] is kernels[1][None, _expr._VALUES]
         assert kernels[0][("x",), _expr._GRAD] is kernels[1][("y",), _expr._GRAD]
-        grad_columns(_lowered(first), [{"x": 2.0}], ("x",))
-        grad_columns(_lowered(second), [{"y": 2.0}], ("y",))
-        assert kernels[0][("x",), _expr._COLUMNS] is kernels[1][("y",), _expr._COLUMNS]
+        joint = lower([first, parse("x*3")]), lower([second, parse("y*7")])
+        grad_columns(joint[0], [{"x": 2.0}], ("x",))
+        grad_columns(joint[1], [{"y": 2.0}], ("y",))
+        assert joint[0].kernels[("x",), _expr._GRAD] is joint[1].kernels[("y",), _expr._GRAD]
 
     def test_no_constant_or_name_is_in_the_source(self):
         e = parse("2.718281828*theta_long + ln(theta_long)*1234.5 - sqrt(0.1*mu_other)^2.5"
                   " + pow(theta_long, mu_other) + mu_other^-7")
         names = ("theta_long", "mu_other")
-        tape = _lowered(e)
-        for wrt, kind in ((None, _expr._VALUES), (names, _expr._SLOTS), (names, _expr._GRAD),
-                          (names, _expr._COLUMNS), (names, _expr._HESSIAN)):
+        alone, joint = _lowered(e), lower([e, parse("0.375*mu_other - theta_long^3")])
+        for tape, wrt, kind in ((alone, None, _expr._VALUES), (alone, names, _expr._SLOTS),
+                                (alone, names, _expr._GRAD), (joint, names, _expr._GRAD),
+                                (alone, names, _expr._HESSIAN)):
             source = _expr._source(tape, wrt, kind)
             for name in names:
                 assert name not in source

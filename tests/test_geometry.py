@@ -62,6 +62,11 @@ class TestOneForm:
         with pytest.raises(GeometryError, match="^all coefficients must live on the form's coordinate space$"):
             OneForm(("x", "y"), (ScalarField.from_text("x", ("x", "y")), ScalarField.from_text("y", ("y", "x"))))
 
+    def test_no_coordinates_is_refused(self):
+        # is_closed over it raised numpy's "attempt to get argmax of an empty sequence"
+        with pytest.raises(GeometryError, match="^a 1-form needs at least one coordinate$"):
+            OneForm((), ())
+
 
 class TestContactEval:
     chart = ContactChart(n=1, q_names=("q",), p_names=("p",))
