@@ -97,8 +97,8 @@ def time_fn(value: Any, path: str, shape: tuple[int, ...]) -> TimeFunction:
 
     The entries are lowered into one tape with an output per entry (a ``Forcing`` reads
     them from its joint tape instead).  A call is one float value sweep over it (sqrt(0)
-    stays legal), an ndarray of ``shape`` or a float for ().  When the sweep fails, the
-    entries are re-run one by one, so the error is the first failing entry's own.
+    stays legal), an ndarray of ``shape`` or a float for ().  The sweep runs entry by
+    entry, so its error is the first failing entry's own.
     """
     if value is None:
         return TimeFunction(None, shape)

@@ -24,11 +24,11 @@ message, an overflow from the try around a rule that can overflow.
 A tuple of expressions lowers to one tape with one output per expression
 (``lower``), merged across them; a single expression is the 1-tuple case.
 ``evaluate_all`` takes every output's value from one float sweep;
-``grad_columns`` runs the gradient kernel at each of a batch of bindings: the
-forward sweep once, then every output's reverse sweep in its own order.  Both
-are bitwise the per-expression ``evaluate`` and ``grad``; when a joint or
-batched sweep fails, they re-run the outputs (and bindings) one by one through
-those, so the error is the first failing one's, with its own message.
+``grad_columns`` runs the gradient kernel at each of a batch of bindings, each
+instruction's forward lines once.  Both are bitwise the per-expression
+``evaluate`` and ``grad``.  Their kernels run output by output, each output's
+new lines in its own order, so the error is the first failing output's (and
+binding's), with its own message.
 """
 from __future__ import annotations
 
@@ -367,10 +367,10 @@ _UNARY_FNS = {"exp": _EXP, "ln": _LN, "sqrt": _SQRT, "abs": _ABS}
 
 
 class _Tape:
-    __slots__ = ("consts", "names", "code", "nodes", "base", "roots", "outs", "orders",
+    __slots__ = ("consts", "names", "code", "nodes", "base", "roots", "outs", "orders", "ends",
                  "plans", "kernels")
 
-    def __init__(self, consts, names, code, nodes, roots, outs, orders):
+    def __init__(self, consts, names, code, nodes, roots, outs, orders, ends):
         self.consts = consts            # constant slot values
         self.names = names              # coordinate per coordinate slot
         self.code = code                # (op, a, b): operand slots; b is the exponent of _POWI
@@ -379,6 +379,7 @@ class _Tape:
         self.roots = roots              # the lowered expressions
         self.outs = outs                # slot per root
         self.orders = orders            # per root, its instructions in its own post-order
+        self.ends = ends                # per root, (coordinates, instructions) the roots up to it use
         self.plans: dict = {}
         self.kernels: dict = {}         # (wrt, kind) -> compiled kernel
 
@@ -430,6 +431,7 @@ def _lower(roots: tuple[Expression, ...]) -> _Tape:
     interned: dict[tuple, tuple] = {}   # (op, operand refs) -> ref
     ref_of: dict[int, tuple] = {}       # id(node) -> ref; refs are ("c"|"v"|"o", index)
     orders: list[list[int]] = []        # per root, its instructions in first-use order
+    ends: list[tuple[int, int]] = []    # per root, len(names) and len(code) after its walk
     reached: set[int] = set()           # instructions the current root has used
 
     def intern(key, node):
@@ -484,6 +486,7 @@ def _lower(roots: tuple[Expression, ...]) -> _Tape:
             else:
                 raise ExprError(f"unknown function '{e.fn}'")
             ref_of[id(e)] = ref
+        ends.append((len(names), len(code)))
 
     offset = {"c": 0, "v": len(consts), "o": len(consts) + len(names)}
 
@@ -492,7 +495,7 @@ def _lower(roots: tuple[Expression, ...]) -> _Tape:
 
     flat = [(op, slot(a), b if op == _POWI else 0 if b is None else slot(b)) for op, a, b in code]
     return _Tape(consts, tuple(names), flat, nodes, tuple(roots),
-                 [slot(ref_of[id(root)]) for root in roots], orders)
+                 [slot(ref_of[id(root)]) for root in roots], orders, ends)
 
 
 def _lowered(e: Expression) -> _Tape:
@@ -520,19 +523,22 @@ def lower(exprs) -> _Tape:
 # operation, and a memo keyed on the text compiles each shape once per
 # process.  Each instruction's lines do the float operations of its rule in
 # the rule's order, and each adjoint starts at 0.0 and accumulates in the
-# output's own reverse order.  Kinds of kernel:
-#   _VALUES   the domain checks and instructions in order, then the outputs;
-#   _SLOTS    the same, then every slot;
-#   _GRAD     the same, then per output its reverse sweep; one flat list of
-#             each output's adjoint at the slot of each wrt entry, output by
-#             output;
-#   _HESSIAN  the domain checks and instructions in order, then per instruction
-#             its second-order rule, then the one output's value, gradient and
-#             Hessian upper triangle.
-# Every failure raises _Fault(instruction, message, value): a domain check from
-# its line, and an ArithmeticError (overflow in ** or exp, round(inf), a division
-# by an underflowed zero) from the try around the lines of a rule that holds one
-# of those operations, with the instruction's first operand as the value.
+# output's own reverse order.  Every kernel runs output by output: the reads
+# and the instructions (domain checks included) that the output's walk added to
+# the tape, in that order, which is how a tape of the output alone orders them;
+# then, per kind:
+#   _VALUES   a check that the output is finite; at the end, the outputs;
+#   _SLOTS    nothing; at the end, every slot;
+#   _GRAD     the output's reverse sweep; at the end, one flat list of each
+#             output's adjoint at the slot of each wrt entry, output by output;
+#   _HESSIAN  nothing; at the end, per instruction its second-order rule, then
+#             the one output's value, gradient and Hessian upper triangle.
+# So the first failure is the first failing output's own.  Every failure
+# raises _Fault(instruction, message, value): a domain check from its line, an
+# ArithmeticError (overflow in ** or exp, round(inf), a division by an
+# underflowed zero) from the try around the lines of a rule that holds one of
+# those operations, with the instruction's first operand as the value, and a
+# non-finite output j from its check, with ~j for the instruction.
 # ---------------------------------------------------------------------------
 
 _VALUES, _SLOTS, _GRAD, _HESSIAN = range(4)
@@ -676,10 +682,32 @@ def _source(tape: _Tape, wrt: tuple[str, ...] | None, kind: int) -> str:
     text = ["def kernel(c, b, n):"]
     if ncon:
         text.append(" " + "".join(f"v{j}, " for j in range(ncon)) + "= c")
-    text += [f" v{ncon + j} = float(b[n[{j}]])" for j in range(base - ncon)]
-    for k, (op, a, b) in enumerate(code):
-        chunk = _POLE_CHUNK if op == _POWI and b < 0 else _FORWARD_CHUNKS[op]
-        text.append(chunk.format(k=k, a=a, b=b, s=base + k))
+    read = done = 0  # the coordinates read and instructions emitted for the earlier outputs
+    adjoints = ""  # _GRAD: the previous output's list; each earlier one is kept as r<j>, then unpacked
+    for j, ((out, rev), (names, length)) in enumerate(zip(revs, tape.ends)):
+        # output j's reads and forward lines, those no earlier output emitted, in its own order
+        text += [f" v{ncon + i} = float(b[n[{i}]])" for i in range(read, names)]
+        for k in range(done, length):
+            op, a, b = code[k]
+            chunk = _POLE_CHUNK if op == _POWI and b < 0 else _FORWARD_CHUNKS[op]
+            text.append(chunk.format(k=k, a=a, b=b, s=base + k))
+        read, done = names, length
+        if kind == _VALUES:  # v - v is 0.0 unless v is inf or NaN; ~j marks output j's root
+            text.append(f" if v{out} - v{out} != 0.0: raise _Fault({~j}, 'non-finite result', v{out})")
+        elif kind == _GRAD:
+            if j:  # this output's sweep resets the adjoints the previous one returns
+                text.append(f" r{j - 1} = [{adjoints}]")
+            # the adjoints this output's sweep writes, the only ones it reads
+            held = {out, *((a, b)[operand] for op, a, b, _ in rev for operand, _ in _REVERSE_CHUNKS[op]
+                           if dep[(a, b)[operand]])}
+            if len(held) > 1:
+                text.append(" " + "".join(f"a{i} = " for i in sorted(held - {out})) + "0.0")
+            text.append(f" a{out} = 1.0")
+            for op, a, b, i in rev:
+                for operand, chunk in _REVERSE_CHUNKS[_ADD][:1] if op == _POWI and b == 1 else _REVERSE_CHUNKS[op]:
+                    if dep[(a, b)[operand]]:
+                        text.append(chunk.format(k=i - base, a=a, b=b, c=b - 1 if op == _POWI else None, i=i))
+            adjoints = ", ".join(f"a{i}" if i in held else "0.0" for i in slots)
     if kind == _VALUES:
         text.append(" return [" + ", ".join(f"v{j}" for j in tape.outs) + "]")
     elif kind == _SLOTS:
@@ -694,22 +722,7 @@ def _source(tape: _Tape, wrt: tuple[str, ...] | None, kind: int) -> str:
                 text.append(rules[op].format(k=k, s=base + k, a=a, b=b))
         text.append(" return [" + ", ".join((f"v{tape.outs[0]}",) + jet).format(tape.outs[0]) + "]")
     else:
-        adjoints = ""  # output k's list; each earlier one is kept as r<k>, then unpacked
-        for k, (out, rev) in enumerate(revs):
-            if k:  # this output's sweep resets the adjoints the previous one returns
-                text.append(f" r{k - 1} = [{adjoints}]")
-            # the adjoints this output's sweep writes, the only ones it reads
-            held = {out, *((a, b)[operand] for op, a, b, _ in rev for operand, _ in _REVERSE_CHUNKS[op]
-                           if dep[(a, b)[operand]])}
-            if len(held) > 1:
-                text.append(" " + "".join(f"a{j} = " for j in sorted(held - {out})) + "0.0")
-            text.append(f" a{out} = 1.0")
-            for op, a, b, i in rev:
-                for operand, chunk in _REVERSE_CHUNKS[_ADD][:1] if op == _POWI and b == 1 else _REVERSE_CHUNKS[op]:
-                    if dep[(a, b)[operand]]:
-                        text.append(chunk.format(k=i - base, a=a, b=b, c=b - 1 if op == _POWI else None, i=i))
-            adjoints = ", ".join(f"a{j}" if j in held else "0.0" for j in slots)
-        text.append(" return [" + "".join(f"*r{k}, " for k in range(len(revs) - 1)) + adjoints + "]")
+        text.append(" return [" + "".join(f"*r{j}, " for j in range(len(revs) - 1)) + adjoints + "]")
     return "\n".join(text) + "\n"
 
 
@@ -726,9 +739,9 @@ def _run(tape: _Tape, kernel, binding: dict[str, float]) -> list[float]:
     is a BindError, and a fault a DomainError naming its instruction's subexpression."""
     try:
         return kernel(tape.consts, binding, tape.names)
-    except KeyError as exc:  # only the reads of the binding, before any instruction, can raise it
+    except KeyError as exc:  # only the reads of the binding can raise it
         raise BindError(f"unbound coordinate '{exc.args[0]}'") from None
-    except OverflowError:  # likewise only those reads: each rule's own overflow is a _Fault
+    except OverflowError:  # likewise only those reads, in names order: each rule's own overflow is a _Fault
         for name in tape.names:
             try:
                 float(binding[name])
@@ -737,7 +750,7 @@ def _run(tape: _Tape, kernel, binding: dict[str, float]) -> list[float]:
         raise
     except _Fault as fault:
         k, message, value = fault.args
-        raise DomainError(message, tape.nodes[k], value) from None
+        raise DomainError(message, tape.nodes[k] if k >= 0 else tape.roots[~k], value) from None
 
 
 def _slots(tape: _Tape, wrt: tuple[str, ...] | None, binding: dict[str, float]) -> list[float]:
@@ -748,36 +761,24 @@ def _slots(tape: _Tape, wrt: tuple[str, ...] | None, binding: dict[str, float]) 
 def evaluate_all(tape: _Tape, binding: dict[str, float]) -> list[float]:
     """Every output's value at a binding, from one float sweep over the joint tape.
 
-    Bitwise each output's ``evaluate``.  When the sweep raises or an output is
-    not finite, the outputs are re-run through ``evaluate`` one by one, so the
-    error is the one the first failing output gives on its own.
+    Bitwise each output's ``evaluate``.  The sweep runs output by output, each
+    with its finiteness check, so its error is the one the first failing output
+    gives on its own.
     """
-    try:
-        values = _run(tape, tape.kernel(None, _VALUES), binding)
-        if all(map(math.isfinite, values)):
-            return values
-    except Exception:
-        pass
-    return [evaluate(e, binding) for e in tape.roots]
+    return _run(tape, tape.kernel(None, _VALUES), binding)
 
 
 def grad_columns(tape: _Tape, bindings: list[dict[str, float]],
                  wrt: list[str] | tuple[str, ...]) -> np.ndarray:
     """Every output's gradient at every binding, shape (bindings, outputs, len(wrt)).
 
-    The gradient kernel at each binding: the forward sweep once, then each
-    output's reverse sweep in its own post-order, so each entry is bitwise that
-    output's ``grad`` at that binding.  When a sweep raises, the bindings are
-    re-run one by one, and at each the outputs one by one, through ``grad``:
-    the error is the first failing binding's, and there the first failing
-    output's, with its own message.
+    The gradient kernel at each binding in turn runs output by output: its
+    forward lines not yet run, then its reverse sweep in its own post-order.  So
+    each entry is bitwise that output's ``grad`` at that binding, and the error
+    is the first failing binding's, there the first failing output's own.
     """
-    wrt = tuple(wrt)
-    kernel = tape.kernel(wrt, _GRAD)
-    try:
-        adjoints = [_run(tape, kernel, b) for b in bindings]
-    except Exception:
-        adjoints = [[grad(e, b, wrt) for e in tape.roots] for b in bindings]
+    kernel = tape.kernel(tuple(wrt), _GRAD)
+    adjoints = [_run(tape, kernel, b) for b in bindings]
     return np.array(adjoints, dtype=float).reshape(len(bindings), len(tape.roots), len(wrt))
 
 
@@ -794,10 +795,7 @@ def _second_order(e: Expression, binding: dict[str, float], wrt: tuple[str, ...]
 def evaluate(e: Expression, binding: dict[str, float]) -> float:
     """Evaluate at a binding; domain violations raise instead of returning NaN/inf."""
     tape = _lowered(e)
-    value = _run(tape, tape.kernel(None, _VALUES), binding)[0]
-    if not math.isfinite(value):
-        raise DomainError("non-finite result", e, value)
-    return value
+    return _run(tape, tape.kernel(None, _VALUES), binding)[0]
 
 
 def grad(e: Expression, binding: dict[str, float], wrt: list[str] | tuple[str, ...]) -> np.ndarray:

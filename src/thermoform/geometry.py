@@ -114,10 +114,10 @@ def d_residual(form: OneForm, x: dict[str, float] | list[dict[str, float]]) -> n
     """C_ij = da_i/dx^j - da_j/dx^i; exactly antisymmetric, zero iff closed at x.
 
     At one binding C is (m, m); at a list of N bindings it is (N, m, m), from
-    the joint tape's gradient kernel at each binding: the forward sweep once,
-    then one reverse sweep per coefficient.  Either is bitwise the Jacobian of
-    the coefficients' own gradients, and raises what they raise, binding by
-    binding.
+    the joint tape's gradient kernel at each binding: per coefficient, its
+    forward lines not yet run, then its reverse sweep.  Either is bitwise the
+    Jacobian of the coefficients' own gradients, and raises what they raise,
+    binding by binding.
     """
     jac = grad_columns(form.tape, [x] if isinstance(x, dict) else x, form.coords)
     with np.errstate(over="ignore", invalid="ignore"):  # worst_residual reports inf and NaN
@@ -140,9 +140,9 @@ def worst_residual(form: OneForm, samples: list[dict[str, float]]) -> tuple[floa
     Ties go to the first sample, then the first pair in row-major order.  A
     non-finite residual is no evidence either way: it raises DomainError.
     All samples go through one ``d_residual`` call, and a call that returns
-    is final.  Only when it raises are the samples re-run one by one, so that
-    the error, worded by the per-expression sweeps, is the first failing
-    sample's, as a loop over the samples would raise it.
+    is final.  A call that raises gives the first raising sample's own error,
+    but an earlier sample's non-finite residual comes first in a loop over the
+    samples, so then the samples are re-run one by one to find which.
     """
     if not samples:
         raise GeometryError("empty sample set")

@@ -106,8 +106,9 @@ def admissibility(surface: ConstitutiveSurface, curve: ProcessCurve,
     """Sign test of the production rate along the curve.
 
     Tangents use central differences on the grid (one-sided at endpoints);
-    endpoint rates are excluded from the verdict by default because their
-    stencils are first-order.  A curve with no sample left to judge is a ProcessError.
+    endpoint rates are left out by default because their stencils are
+    first-order, and a sample left out takes no gradient, so it cannot fail.
+    A curve with no sample left to judge is a ProcessError.
     """
     if not tol >= 0:  # a NaN or negative tolerance would decide the verdict on no evidence
         raise ProcessError(f"admissibility tolerance must be a number >= 0, got {tol!r}")
@@ -125,10 +126,8 @@ def admissibility(surface: ConstitutiveSurface, curve: ProcessCurve,
         tangents[0] = (pts[1] - pts[0]) / (t[1] - t[0])
         tangents[-1] = (pts[-1] - pts[-2]) / (t[-1] - t[-2])
         tangents[1:-1] = (pts[2:] - pts[:-2]) / (t[2:] - t[:-2])[:, None]
-        all_rates = np.array([float(surface.production.finite_grad(b, labels) @ tangent)
-                              for b, tangent in zip(points, tangents)])
-
-    rates = all_rates[offset:n - offset]
+        rates = np.array([float(surface.production.finite_grad(b, labels) @ tangent)
+                          for b, tangent in zip(points[offset:n - offset], tangents[offset:n - offset])])
     _check_finite(rates, offset, "production rate")
     bad = tuple(int(i + offset) for i in np.nonzero(rates < -tol)[0])
 

@@ -875,6 +875,21 @@ curve: "{curve}"
         assert captured.out == ""
         assert captured.err == "error: non-finite dsigma/dq1 in '-1e+300*q1^0.5' (value -inf)\n"
 
+    def test_a_left_out_endpoint_takes_no_gradient(self, tmp_path, capsys):
+        # exited 1 with "square root not differentiable at zero" from the first sample,
+        # whose rate is not judged; the one judged rate and delta_sigma are finite
+        curve = write(tmp_path / "curve.csv", "t,q1,q2\n0.0,0.0,1.0\n0.5,0.2,1.0\n1.0,0.4,1.0\n")
+        config = write(tmp_path / "c.yaml", f"""
+coords: [q1, q2]
+potential: "q1*q2"
+sigma: "sqrt(q1)"
+curve: "{curve}"
+""")
+        code, doc = run_json(capsys, ["admissible", "--config", config])
+        assert code == EXIT_OK
+        assert doc["rates"] == [0.5 / math.sqrt(0.2) * 0.4] and doc["admissible"] is True
+        assert doc["delta_sigma"] == math.sqrt(0.4)
+
     def test_overflowing_rate_exits_1(self, tmp_path, capsys):
         # a finite gradient times a finite tangent overflowed: a RuntimeWarning,
         # "rates": [Infinity] and "admissible": true with exit 0

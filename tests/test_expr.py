@@ -3,7 +3,6 @@ import math
 import re
 import struct
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from thermoform.expr import (
     BindError,
     Call,
     DomainError,
+    Expression,
     ExprError,
     Neg,
     Num,
@@ -903,19 +903,10 @@ _EDGE_VALUES = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0, 1e-300, 5e
        wrt=st.sampled_from([_ALL, ("y", "S"), ()]))
 @settings(max_examples=40, deadline=None)
 def test_column_sweep_raises_iff_some_binding_raises(roots, bindings, wrt):
-    """grad_columns re-runs the batch through grad iff some binding's grad raises."""
-    tape = lower(roots)
-
-    def raises(fn):
-        try:
-            fn()
-        except Exception:
-            return True
-        return False
-
-    with mock.patch.object(_expr, "grad", wraps=_expr.grad) as rerun:
-        raises(lambda: grad_columns(tape, bindings, wrt))
-    assert rerun.called == any(raises(lambda: grad(e, b, wrt)) for b in bindings for e in roots)
+    """grad_columns raises iff some binding's grad raises, and then the per-expression loop's error."""
+    _, batch_err = _outcome(lambda: grad_columns(lower(roots), bindings, wrt))
+    _, loop_err = _outcome(lambda: [[grad(e, b, wrt) for e in roots] for b in bindings])
+    assert batch_err == loop_err
 
 
 def test_adjoints_sum_in_each_outputs_own_order():
@@ -940,6 +931,96 @@ def test_joint_tape_merges_across_outputs():
     roots = [parse("exp(x*y) + x"), parse("exp(x*y) * y"), parse("x*y")]
     alone = sum(len(_lowered(e).code) for e in roots)
     assert len(lower(roots).code) == 4 < alone  # x*y, exp, + and *, once each
+
+
+# a seeded differential: the joint kernels' errors against the per-expression loops
+
+_DIFF_NAMES = ("x", "y", "z")
+_DIFF_VALUES = (-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0, 1e-300, 5e-324, 1e300)  # _EDGE_VALUES' draws
+_DIFF_WRT = (("x", "y", "z", "w"), ("y", "w"), ("z",), ())
+
+
+def _draw_tree(rng, leaves: int) -> Expression:
+    """A tree of ``leaves`` leaves over x, y and z, from every operator of the grammar."""
+    if leaves == 1:
+        if rng.random() < 0.6:
+            return Var(_DIFF_NAMES[rng.integers(3)])
+        return Num(float(rng.choice((0.0, 0.5, 1.0, 2.0, 3.0, 1e300)) if rng.random() < 0.7 else rng.uniform(0, 10)))
+    kind = int(rng.integers(8))
+    if kind == 0:
+        return Neg(_draw_tree(rng, leaves - 1))
+    if kind == 1:
+        return Call(("exp", "ln", "sqrt", "abs")[rng.integers(4)], (_draw_tree(rng, leaves - 1),))
+    left = int(rng.integers(1, leaves))
+    a, b = _draw_tree(rng, left), _draw_tree(rng, leaves - left)
+    return Call("pow", (a, b)) if kind == 7 else Bin("+-*/^"[kind - 2], a, b)
+
+
+def _draw_roots(rng) -> list:
+    """_joint_roots' draw on a seeded generator, plus one root over w, which no earlier root reads."""
+    parts = [_draw_tree(rng, int(rng.integers(1, 7))) for _ in range(rng.integers(1, 4))]
+    roots = list(parts)
+    for _ in range(rng.integers(0, 4)):
+        a, b = parts[rng.integers(len(parts))], parts[rng.integers(len(parts))]
+        roots.append((Bin("+", a, b), Bin("*", a, b), Bin("/", a, b), Call("pow", (a, b)),
+                      Call("exp", (Neg(a),)), Call("ln", (b,)))[rng.integers(6)])
+    roots = [roots[k] for k in rng.permutation(len(roots))]
+    roots.insert(int(rng.integers(1, len(roots) + 1)), Bin("*", Var("w"), parts[rng.integers(len(parts))]))
+    return roots
+
+
+def _draw_binding(rng) -> dict:
+    """Edge values or uniform ones; w unbound one time in five, and one name an int too large for a float
+    one time in ten."""
+    b = {n: float(rng.choice(_DIFF_VALUES)) if rng.random() < 0.6 else float(rng.uniform(-3, 3))
+         for n in (*_DIFF_NAMES, "w")}
+    draw = rng.random()
+    if draw < 0.2:
+        del b["w"]
+    elif draw < 0.3:
+        b[(*_DIFF_NAMES, "w")[rng.integers(4)]] = 10 ** 400
+    return b
+
+
+def _error_kind(err) -> str:
+    """An error's type and message, without its names, subexpression and value."""
+    return f"{err[0].__name__}: " + re.sub(r" in '.*| ?'[^']*'", "", err[1])
+
+
+def test_joint_kernels_raise_what_the_per_expression_loops_raise():
+    # 1,000 tapes, each at 8 batches of 1-3 bindings: 16,008 evaluate_all cases (10,355 raise) and
+    # 8,000 grad_columns cases (6,268 raise), each against the loop over its outputs (and bindings)
+    rng = np.random.default_rng(32)
+    faults = {"evaluate_all": [], "grad_columns": []}
+    before_w = 0  # value faults raised while w, read by a later output only, is unbound or too large
+    for _ in range(1000):
+        roots = _draw_roots(rng)
+        tape, wrt = lower(roots), _DIFF_WRT[rng.integers(len(_DIFF_WRT))]
+        for _ in range(8):
+            bindings = [_draw_binding(rng) for _ in range(rng.integers(1, 4))]
+            for b in bindings:
+                joint, joint_err = _outcome(lambda: evaluate_all(tape, b))
+                alone, alone_err = _outcome(lambda: [evaluate(e, b) for e in roots])
+                assert joint_err == alone_err
+                if alone_err is None:
+                    assert list(map(_hex, joint)) == list(map(_hex, alone))
+                else:
+                    faults["evaluate_all"].append(_error_kind(alone_err))
+                    before_w += alone_err[0] is DomainError and not isinstance(b.get("w"), float)
+            batch, batch_err = _outcome(lambda: grad_columns(tape, bindings, wrt))
+            loop, loop_err = _outcome(lambda: [[grad(e, b, wrt) for e in roots] for b in bindings])
+            assert batch_err == loop_err
+            if loop_err is None:
+                assert [[list(map(_hex, g)) for g in row] for row in batch] == [
+                    [list(map(_hex, g)) for g in row] for row in loop]
+            else:
+                faults["grad_columns"].append(_error_kind(loop_err))
+    assert len(faults["evaluate_all"]) + len(faults["grad_columns"]) >= 10_000 and before_w
+    assert {"BindError: unbound coordinate", "BindError: coordinate is too large for a float",
+            "DomainError: non-finite result", "DomainError: division by zero",
+            "DomainError: logarithm of a non-positive value", "DomainError: floating-point overflow",
+            "DomainError: square root of a negative value"} <= set(faults["evaluate_all"])
+    assert "DomainError: square root not differentiable at zero" in faults["grad_columns"]
 
 
 def _certify_forms(rng):

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_polynomial_text
 from test_cli import _fuzz_expression
+from thermoform import expr
 from thermoform import ferroelectric as fe
 from thermoform import point
 from thermoform import thermoelastic as te
@@ -429,3 +431,19 @@ def test_a_forcing_lowers_its_time_functions_once_per_channel_list():
     fe_read = f._read(fe.FerroelectricState._CHANNELS, 1.0)
     assert fe_read[3] == [1.0, 1.0, 1.0] and fe_read[2] == 0.0 and fe_read[-1] == [0.0] * 9
     assert set(f._joints) == {channels, fe.FerroelectricState._CHANNELS}
+
+
+def test_a_failing_read_lowers_no_one_entry_tape():
+    # the joint sweep's error used to be worded by re-running each entry through evaluate,
+    # which lowered a one-entry tape for each; only the channels' own tapes run now
+    f = Forcing(L=time_fn([["t", "0", "0"], ["0", "ln(t)", "0"], ["0", "0", "1/(t-1)"]], "config.forcing.L", (3, 3)),
+                divq=time_fn("sqrt(t)", "config.forcing.divq", ()))
+    channels, calls = fe.FerroelectricState._CHANNELS, []
+    assert f._read(channels, 2.0)[1] == math.sqrt(2.0) and f._read(channels, 0.5)[1] == math.sqrt(0.5)
+    for t, message in ((1.0, r"division by zero in '1/\(t-1\)' \(value 0\.0\)"),
+                       (-1.0, r"logarithm of a non-positive value in 'ln\(t\)' \(value -1\.0\)")):
+        with mock.patch.object(expr, "_lower", wraps=expr._lower) as lowering:
+            outcome = read_outcome(lambda g, c, s: g._read(c, s), f, channels, t, calls)
+        assert lowering.call_count == 0
+        assert outcome == read_outcome(loop_forcing_read, f, channels, t, calls)
+        assert outcome[0][0] is DomainError and re.fullmatch(message, outcome[0][1])

@@ -201,6 +201,32 @@ class TestAdmissibility:
         assert len(admissibility(surface_q2("q1"), c).rates) == 3
         assert len(admissibility(surface_q2("q1"), c, include_endpoints=True).rates) == 5
 
+    def test_a_left_out_endpoint_takes_no_gradient(self):
+        # d sqrt(q1) is undefined at the first sample: the run failed there, though that
+        # rate was thrown away; include it and the same error is the verdict's
+        c = ProcessCurve(("q1", "q2"), np.array([0.0, 0.5, 1.0]), np.array([[0.0, 1.0], [0.2, 1.0], [0.4, 1.0]]))
+        surf = surface_q2("sqrt(q1)")
+        report = admissibility(surf, c)
+        assert report.rates.tolist() == [0.5 / math.sqrt(0.2) * 0.4]
+        assert report.admissible and report.delta_sigma == math.sqrt(0.4)
+        with pytest.raises(DomainError, match=r"^square root not differentiable at zero in 'sqrt\(q1\)' \(value 0\.0\)$"):
+            admissibility(surf, c, include_endpoints=True)
+
+    def test_the_first_judged_failure_is_raised(self):
+        # the first sample fails first, but it is left out: the interior sample 2's pole is raised
+        c = ProcessCurve(("q1", "q2"), np.arange(4.0), np.column_stack([[0.0, 0.2, 0.4, 0.6], np.ones(4)]))
+        with pytest.raises(DomainError, match=r"^division by zero in '1/\(q1-0\.4\)' \(value 0\.0\)$"):
+            admissibility(surface_q2("sqrt(q1) + 1/(q1-0.4)"), c)
+        with pytest.raises(DomainError, match=r"^square root not differentiable at zero"):
+            admissibility(surface_q2("sqrt(q1) + 1/(q1-0.4)"), c, include_endpoints=True)
+
+    def test_judged_rates_are_those_of_the_run_with_endpoints(self, rng):
+        surf = surface_q2(random_polynomial_text(["q1", "q2"], rng), random_polynomial_text(["q1", "q2"], rng))
+        c = ProcessCurve(("q1", "q2"), np.linspace(0.0, 1.0, 9), rng.uniform(-0.5, 0.5, (9, 2)))
+        inner, every = admissibility(surf, c), admissibility(surf, c, include_endpoints=True)
+        assert list(map(float.hex, inner.rates.tolist())) == list(map(float.hex, every.rates[1:-1].tolist()))
+        assert (inner.delta_sigma, inner.delta_U, inner.delta_s) == (every.delta_sigma, every.delta_U, every.delta_s)
+
     def test_curve_must_be_over_the_surface_coordinates(self):
         curve = ProcessCurve(("q1", "x"), np.arange(3.0), np.zeros((3, 2)))
         with pytest.raises(ProcessError, match="^curve coordinates must match the surface's base coordinates$"):
