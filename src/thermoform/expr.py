@@ -532,7 +532,8 @@ def lower(exprs) -> _Tape:
 #   _GRAD     the output's reverse sweep; at the end, one flat list of each
 #             output's adjoint at the slot of each wrt entry, output by output;
 #   _HESSIAN  nothing; at the end, per instruction its second-order rule, then
-#             the one output's value, gradient and Hessian upper triangle.
+#             the one output's value, gradient and Hessian row by row, each lower
+#             entry its upper-triangle local.
 # So the first failure is the first failing output's own.  Every failure
 # raises _Fault(instruction, message, value): a domain check from its line, an
 # ArithmeticError (overflow in ** or exp, round(inf), a division by an
@@ -656,23 +657,18 @@ _REVERSE_CHUNKS = {op: tuple((operand, _chunk(lines)) for operand, lines in upda
 
 
 @lru_cache(maxsize=None)
-def _triangle(n: int):
-    """(i, j) pairs of the upper triangle row by row, and the (n, n) index of its mirror."""
-    pairs = tuple((i, j) for i in range(n) for j in range(i, n))
-    mirror = [[pairs.index((min(i, j), max(i, j))) for j in range(n)] for i in range(n)]
-    return pairs, np.array(mirror, dtype=np.intp).reshape(n, n)
-
-
-@lru_cache(maxsize=None)
-def _second_chunks(n: int) -> tuple[dict, tuple[str, ...]]:
+def _second_chunks(n: int) -> tuple[dict, tuple[str, ...], tuple[str, ...]]:
     """Per op, its second-order rule for n wrt entries as one format string in {k}, {s},
-    {a} and {b}; and a slot's jet entries, as format strings in {0}."""
-    pairs = _triangle(n)[0]
+    {a} and {b}; a slot's jet entries, and its gradient and Hessian row by row (a lower
+    entry naming its upper-triangle local), as format strings in {0}."""
+    pairs = tuple((i, j) for i in range(n) for j in range(i, n))
     at = ((0, 0),), tuple((i, 0) for i in range(n)), pairs  # by the count of {i} and {j} in a line
     rules = {op: _chunk(tuple(line.format(s="{s}", a="{a}", b="{b}", i=i, j=j) for line in lines
                               for i, j in at[("{i}" in line) + ("{j}" in line)]))
              for op, lines in _SECOND.items()}
-    return rules, tuple(f"g{{0}}_{i}" for i in range(n)) + tuple(f"h{{0}}_{i}_{j}" for i, j in pairs)
+    grads = tuple(f"g{{0}}_{i}" for i in range(n))
+    rows = tuple(f"h{{0}}_{min(i, j)}_{max(i, j)}" for i in range(n) for j in range(n))
+    return rules, grads + tuple(f"h{{0}}_{i}_{j}" for i, j in pairs), grads + rows
 
 
 def _source(tape: _Tape, wrt: tuple[str, ...] | None, kind: int) -> str:
@@ -713,14 +709,14 @@ def _source(tape: _Tape, wrt: tuple[str, ...] | None, kind: int) -> str:
     elif kind == _SLOTS:
         text.append(" return [" + ", ".join(f"v{j}" for j in range(len(dep))) + "]")
     elif kind == _HESSIAN:
-        rules, jet = _second_chunks(len(slots))
+        rules, jet, result = _second_chunks(len(slots))
         # the constants' and coordinates' jets are zero, but for the seed of each wrt entry
         text += [" " + " = ".join(jet).format(j) + " = 0.0" for j in range(base) if jet]
         text += [f" g{j}_{i} = 1.0" for i, j in enumerate(slots) if j < len(dep)]
         for k, (op, a, b) in enumerate(code):
             if rules[op]:  # with no wrt entry, + - * and negation have no lines
                 text.append(rules[op].format(k=k, s=base + k, a=a, b=b))
-        text.append(" return [" + ", ".join((f"v{tape.outs[0]}",) + jet).format(tape.outs[0]) + "]")
+        text.append(" return [" + ", ".join((f"v{tape.outs[0]}",) + result).format(tape.outs[0]) + "]")
     else:
         text.append(" return [" + "".join(f"*r{j}, " for j in range(len(revs) - 1)) + adjoints + "]")
     return "\n".join(text) + "\n"
@@ -783,7 +779,7 @@ def grad_columns(tape: _Tape, bindings: list[dict[str, float]],
 
 
 def _second_order(e: Expression, binding: dict[str, float], wrt: tuple[str, ...]) -> tuple:
-    """Value, gradient and Hessian upper triangle of ``e`` from its second-order kernel."""
+    """Value, gradient and Hessian (row by row, bitwise symmetric) of ``e`` from its second-order kernel."""
     tape = _lowered(e)
     out = _run(tape, tape.kernel(wrt, _HESSIAN), binding)
     # a float product or sum overflows to inf silently; from finite inputs only an overflow gives inf/NaN
@@ -806,9 +802,9 @@ def grad(e: Expression, binding: dict[str, float], wrt: list[str] | tuple[str, .
 
 def hessian(e: Expression, binding: dict[str, float], wrt: list[str] | tuple[str, ...]) -> np.ndarray:
     """Exact second derivatives from a float second-order sweep that stores the upper
-    triangle; the lower triangle copies it, so the matrix is symmetric bitwise."""
+    triangle; the kernel returns each lower entry as its upper one, so the matrix is symmetric bitwise."""
     wrt = tuple(wrt)
-    return np.array(_second_order(e, binding, wrt)[2])[_triangle(len(wrt))[1]]
+    return np.array(_second_order(e, binding, wrt)[2]).reshape(len(wrt), len(wrt))
 
 
 # ---------------------------------------------------------------------------

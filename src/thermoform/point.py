@@ -23,8 +23,8 @@ each enters the dynamics as a forcing channel.
 An RK4 step (``_rk4``, on the state vector as a list of floats; ``rk4_step`` wraps it)
 reads the forcing once per distinct t (3 reads a step: stages 2 and 3 share t + dt/2),
 and sums the rates in a fixed order with no BLAS or LAPACK call, so their bits do not depend on the CPU.
-A read takes every ``TimeFunction`` channel (``config.time_fn``'s) from one float sweep over a joint
-tape of their entries, a zero one as zeros, and calls any other callable.
+A read is one float sweep over a joint tape of the channels' entries if all are ``TimeFunction``s of
+their shapes (``config.time_fn``'s; a zero one is zeros), else a call of each channel in turn.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .expr import ExprError, ScalarField, const, div, evaluate_all, lower, mul, neg
+from .expr import ScalarField, const, div, evaluate_all, lower, mul, neg
 from .geometry import OneForm
 
 EPS_NAME = "eps"
@@ -59,7 +59,7 @@ class ModelError(Exception):
 
 
 class TemperatureSingularity(ModelError):
-    """dU/d(eps) vanished: the inverse temperature is undefined."""
+    """dU/d(eps) vanished or is so small that the temperature 1/dU/d(eps) overflows."""
 
 
 def _oriented(F: list) -> None:
@@ -149,35 +149,36 @@ class Forcing:
     source_grad_u: Callable[[float], np.ndarray] = TimeFunction(None, (3, 3))
 
     def _read(self, channels: tuple, t: float) -> list:
-        """``channels`` at t in order, each a flat float list (a scalar a float), the time functions from one
-        sweep of their joint tape; if it fails, each channel is called in order and the first failing raises."""
-        joints = self.__dict__.setdefault("_joints", {})  # channel list -> (joint tape, layout)
+        """``channels`` at t in order, each a flat float list (a scalar a float): one sweep of their joint
+        tape when every one is a ``TimeFunction`` of its shape, else each called in order through ``_entries``."""
+        joints = self.__dict__.setdefault("_joints", {})  # channel list -> (joint tape, layout); layout None: called
         if channels not in joints:
-            roots, layout = [], []
-            for name, shape in channels:  # at: where its entries sit in 9 zeros + the sweep; None: called
-                fn, at = getattr(self, name), None
-                if isinstance(fn, TimeFunction) and fn.shape == shape:
-                    at, roots = (9 + len(roots), [*roots, *fn.tape.roots]) if fn.tape else (0, roots)
-                    at = slice(at, at + math.prod(shape)) if shape else at
-                layout.append((name, shape, at))
+            fns, roots, layout = [getattr(self, name) for name, _ in channels], [], None
+            if all(isinstance(fn, TimeFunction) and fn.shape == shape for fn, (_, shape) in zip(fns, channels)):
+                layout = []  # per channel, where its entries sit in 9 zeros + the sweep
+                for fn, (_, shape) in zip(fns, channels):
+                    at = 9 + len(roots) if fn.tape else 0
+                    roots += fn.tape.roots if fn.tape else ()
+                    layout.append(slice(at, at + math.prod(shape)) if shape else at)
             joints[channels] = (lower(roots) if roots else None), layout
         tape, layout = joints[channels]
-        try:
-            flat = [0.0] * 9 + (evaluate_all(tape, {"t": t}) if tape else [])
-        except ExprError:
-            flat = None
-        return [_entries(getattr(self, name)(t), shape) if at is None or flat is None else flat[at]
-                for name, shape, at in layout]
+        if layout is None:
+            with np.errstate(all="ignore"):  # a user callable's numpy overflow shows as a non-finite rate
+                return [_entries(getattr(self, name)(t), shape) for name, shape in channels]
+        flat = [0.0] * 9 + (evaluate_all(tape, {"t": t}) if tape else [])
+        return [flat[at] for at in layout]
 
 
 def _gradient(c: Constitutive, y: list) -> list:
-    """dU in state order at the state vector ``y``, checked: model, finite, dU/d(eps) != 0."""
+    """dU in state order at the state vector ``y``, checked: model, finite, theta = 1/dU/d(eps) finite."""
     b = dict(zip(_POTENTIAL_NAMES, y))
     if len(b) != len(c.potential.coords):
         raise ModelError("the state and the constitutive law are of different point models")
     g = c.potential.finite_grad_list(b, _DU_LABELS, _POTENTIAL_NAMES[:len(b)])
     if g[0] == 0.0:
         raise TemperatureSingularity("dU/d(eps) = 0 at the probe state")
+    if not math.isfinite(1.0 / g[0]):
+        raise TemperatureSingularity(f"dU/d(eps) = {g[0]!r} at the probe state: theta = 1/dU/d(eps) overflows")
     return g
 
 
@@ -247,8 +248,8 @@ def entropy_form(thetainv: ScalarField, stress: tuple[ScalarField, ...],
 
 
 def _entries(value, shape: tuple[int, ...]):
-    """A channel's value as a flat list of floats; a scalar channel's as returned."""
-    return np.asarray(value, dtype=float).reshape(shape).ravel().tolist() if shape else value
+    """A channel's value as a flat list of floats, a scalar channel's as a float."""
+    return np.asarray(value, dtype=float).reshape(shape).ravel().tolist() if shape else float(value)
 
 
 def _contract(w: float, a: list, b: list) -> float:
@@ -300,16 +301,15 @@ def _stage(n: int, y: list, c: Constitutive, f: Forcing, t: float, read: dict) -
 
 def _rk4(y: list, c: Constitutive, f: Forcing, t: float, dt: float) -> list:
     """One classical RK4 step of the state vector ``y`` (floats), combining the stages in numpy's
-    element-wise order.  Each stage's rates are checked to be finite before the next stage is
-    formed; only the returned state is checked for loss of orientation (det F <= 0)."""
+    element-wise order.  Each stage's rates are checked to be finite before the next stage is formed,
+    which names a forcing's overflow; only the returned state is checked for det F <= 0."""
     if not 0.0 < dt < math.inf:
         raise ModelError(f"dt must be positive and finite, got {dt!r}")
     half, sixth, mid, read = 0.5 * dt, dt / 6.0, t + 0.5 * dt, {}
-    with np.errstate(all="ignore"):  # a forcing's numpy overflow shows as a non-finite rate
-        k1 = _stage(1, y, c, f, t, read)
-        k2 = _stage(2, [a + half * k for a, k in zip(y, k1)], c, f, mid, read)
-        k3 = _stage(3, [a + half * k for a, k in zip(y, k2)], c, f, mid, read)
-        k4 = _stage(4, [a + dt * k for a, k in zip(y, k3)], c, f, t + dt, read)
+    k1 = _stage(1, y, c, f, t, read)
+    k2 = _stage(2, [a + half * k for a, k in zip(y, k1)], c, f, mid, read)
+    k3 = _stage(3, [a + half * k for a, k in zip(y, k2)], c, f, mid, read)
+    k4 = _stage(4, [a + dt * k for a, k in zip(y, k3)], c, f, t + dt, read)
     y = [a + sixth * (((p + 2.0 * q) + 2.0 * r) + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
     _oriented(y[_F])
     return y

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .expr import DomainError, ScalarField, _second_order, _triangle
+from .expr import DomainError, ScalarField, _second_order
 from .geometry import OneForm
 from .legendre import ConstitutiveSurface
 
@@ -216,8 +216,8 @@ def _check_finite(values: np.ndarray, offset: int, what: str) -> None:
 def spinodal_scan(potential: ScalarField, scan_name: str, lo: float, hi: float,
                   fixed: dict[str, float], samples: int = 200,
                   xtol: float = 1e-4) -> list[float]:
-    """Sign changes of the godograph determinant along one coordinate, by bisection.  The grid's
-    determinants are one stacked LAPACK call, bitwise ``godograph_det``'s, and the first failing
+    """Sign changes of the godograph determinant along one coordinate, by bisection.  The grid's Hessians
+    (the kernel's rows, reshaped) take one stacked LAPACK det, bitwise ``godograph_det``'s; the first failing
     sample is the error.  A bracket is halved until at most ``xtol`` wide or its midpoint no longer splits it."""
     if not (isinstance(samples, (int, np.integer)) and isinstance(xtol, (int, float)) and 0.0 < xtol < math.inf):
         raise ProcessError(f"spinodal scan of {scan_name}: need an integer samples and a finite xtol > 0, "
@@ -228,16 +228,15 @@ def spinodal_scan(potential: ScalarField, scan_name: str, lo: float, hi: float,
     if not math.isfinite(float(hi) - float(lo)):
         raise ProcessError(f"spinodal scan of {scan_name}: the span of [{lo!r}, {hi!r}] is not a finite float")
 
-    xs = np.linspace(lo, hi, samples).tolist()
-    mirror, tris = _triangle(len(potential.coords))[1], []
+    xs, n, rows = np.linspace(lo, hi, samples).tolist(), len(potential.coords), []
     for v in xs:
         try:
-            tris.append(_second_order(potential.expression, {**fixed, scan_name: v}, potential.coords)[2])
+            rows.append(_second_order(potential.expression, {**fixed, scan_name: v}, potential.coords)[2])
         except Exception:
-            if tris:  # an earlier sample's non-finite determinant comes first
-                _metric_det(potential, np.array(tris)[:, mirror])
+            if rows:  # an earlier sample's non-finite determinant comes first
+                _metric_det(potential, np.array(rows).reshape(len(rows), n, n))
             raise
-    ds = _metric_det(potential, np.array(tris)[:, mirror])
+    ds = _metric_det(potential, np.array(rows).reshape(len(rows), n, n))
     roots = []
     for i in range(len(xs)):
         if ds[i] == 0.0:  # the last sample too

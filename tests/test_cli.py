@@ -643,6 +643,35 @@ integration: {t1: 0.1, dt: 0.05}
         assert captured.err == "error: non-finite dU/dH1 in 'ln(eps)-1e+300*H1^0.5' (value -inf)\n"
         assert not out.exists()
 
+    def test_an_overflowing_initial_temperature_exits_1(self, tmp_path):
+        # theta = 1/1e-310 was written as inf, and the exit at RK stage 1 named a NaN rate
+        config = write(tmp_path / "c.yaml", """
+model: thermoelastic
+potential: "1e-310*eps - 0.1*(H1^2+H2^2+H3^2)"
+initial: {eps: 0.5, H: [1.0, 0.0, 0.0]}
+integration: {t1: 0.02, dt: 0.01}
+""")
+        assert _run_cli(["simulate", "--config", config]) == (EXIT_ERROR, "", (
+            "error: dU/d(eps) = 1e-310 at the probe state: theta = 1/dU/d(eps) overflows\n"))
+
+    def test_an_overflowing_temperature_mid_run_is_a_domain_exit_naming_it(self, tmp_path, capsys):
+        # dU/d(eps) = 2e-308 eps falls below 1/DBL_MAX at eps = 0.25, RK stage 4 of the third step;
+        # the exit line named the symptom, a NaN deps/dt
+        config = write(tmp_path / "c.yaml", """
+model: thermoelastic
+potential: "1e-308*eps^2"
+initial: {eps: 1.0}
+forcing: {divq: "1"}
+integration: {t1: 1.0, dt: 0.25}
+""")
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == (
+            "domain exit at t=0.5: dU/d(eps) = 5e-309 at the probe state: theta = 1/dU/d(eps) overflows\n")
+        header, rows = read_csv(out)
+        assert rows[:, header.index("eps")].tolist() == [1.0, 0.75, 0.5]
+        assert np.all(np.isfinite(rows))
+
     def test_forcing_entry_domain_exit_line(self, tmp_path, capsys):
         # the nine L entries are one tape; the exit line names entry [1][2] on its own
         config = write(tmp_path / "c.yaml", """
@@ -1078,6 +1107,15 @@ class TestVdw:
         flags = [f"--{axis}min=-1.7e308", f"--{axis}max=1.7e308", "--out", str(out)]
         assert _run_cli(["vdw", *flags]) == (EXIT_ERROR, "", (
             f"error: --{axis}min, --{axis}max: the span of [-1.7e+308, 1.7e+308] is not a finite float\n"))
+        assert not out.exists()
+
+    def test_an_infinite_pressure_exits_1_before_writing(self, tmp_path):
+        # p = -dU/dV overflowed to inf at V = 0.11, S = 704; the table printed it and exited 0
+        out = tmp_path / "vdw.csv"
+        flags = ["--smin", "704", "--smax", "705", "--sn", "1", "--vmin", "0.11", "--vmax", "3", "--vn", "3",
+                 "--r", "1", "--cv", "1"]
+        assert _run_cli(["vdw", *flags, "--out", str(out)]) == (EXIT_ERROR, "", (
+            "error: non-finite dU/dV in '(V-0.1)^(-1/1)*exp(S/1)-1/V' (value -inf)\n"))
         assert not out.exists()
 
     def test_deterministic_bytes(self, tmp_path, capsys):

@@ -323,6 +323,27 @@ def test_a_forcing_whose_numpy_arithmetic_overflows_names_the_stage():
         point.rk4_step(te_state(), law(point.BASE_COORDS), f, 0.0, 0.01)
 
 
+@pytest.mark.parametrize("forcing, rho", [
+    (lambda: Forcing(L=lambda t: np.full((3, 3), 1e300) * 1e10), 1.0),
+    (lambda: Forcing(divq=lambda t: np.float64(1e308)), 1e-10),  # a numpy scalar is read as a float
+], ids=["numpy overflow", "numpy scalar"])
+def test_rhs_returns_a_forcings_non_finite_rates_without_a_warning(forcing, rho):
+    # rhs warned here (RuntimeWarnings are errors in this suite); rk4_step already did not
+    rates = point.rhs(te_state().vector(), law(point.BASE_COORDS, rho=rho), forcing(), 0.0)
+    assert not math.isfinite(rates[0])
+
+
+def test_an_overflowing_temperature_is_a_temperature_singularity():
+    # 1/dU/d(eps) was inf: constitutive_from_potential returned it, and a step named a NaN rate
+    c = Constitutive(ScalarField.from_text("1e-310*eps - 0.1*H1^2", point.BASE_COORDS), rho=1.0, k=1.0)
+    x = te_state()
+    for run in (lambda: point.constitutive_from_potential(c, x), lambda: point.rhs(x.vector(), c, Forcing(), 0.0),
+                lambda: point.rk4_step(x, c, Forcing(), 0.0, 0.01)):
+        with pytest.raises(point.TemperatureSingularity,
+                           match=r"^dU/d\(eps\) = 1e-310 at the probe state: theta = 1/dU/d\(eps\) overflows$"):
+            run()
+
+
 def test_orientation_is_checked_by_the_sign_of_det_F():
     rotation = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert te.ThermoelasticState(eps=0.5, F=rotation, H=np.zeros(3)).F.tolist() == rotation.tolist()
@@ -447,3 +468,55 @@ def test_a_failing_read_lowers_no_one_entry_tape():
         assert lowering.call_count == 0
         assert outcome == read_outcome(loop_forcing_read, f, channels, t, calls)
         assert outcome[0][0] is DomainError and re.fullmatch(message, outcome[0][1])
+
+
+def _fe_time_functions(**texts):
+    """Every ferroelectric channel but those in ``texts`` as a config.time_fn of a few entries in t."""
+    entries = {"L": [["t", "0", "1"], ["0", "2*t", "0"], ["t^2", "0", "-t"]], "divq": "0.5*t",
+               "poynting_term": None, "E_ext": ["t", "1", "-t"], "div_e_tensor": ["t", "-t", "1/(t+2)"],
+               "div_J_grad_u": None, "source_grad_u": [["sqrt(t+1)", "0", "t"]] * 3, **texts}
+    return {name: time_fn(entries[name], f"config.forcing.{name}", shape)
+            for name, shape in fe.FerroelectricState._CHANNELS if entries[name] != "callable"}
+
+
+@pytest.mark.parametrize("t, message", [
+    (0.0, r"logarithm of a non-positive value in 'ln\(t\)' \(value 0\.0\)"),  # L's entry and divq's both fail
+    (1.0, r"division by zero in '1/\(t\*\(t-1\)\)' \(value 0\.0\)"),
+    (-1.0, r"logarithm of a non-positive value in 'ln\(t\)' \(value -1\.0\)"),
+])
+def test_a_faulting_sweep_calls_no_time_function(t, message):
+    # the joint sweep's error is the first failing channel's own, so no channel is called to word it
+    f = Forcing(**_fe_time_functions(L=[["t", "0", "0"], ["0", "ln(t)", "0"], ["0", "0", "1"]],
+                                     divq="1/(t*(t-1))"))
+    channels, calls = fe.FerroelectricState._CHANNELS, []
+    assert f._read(channels, 2.0)[1] == 0.5  # the joint tape is built
+    with mock.patch.object(point.TimeFunction, "__call__") as called:
+        outcome = read_outcome(lambda g, c, s: g._read(c, s), f, channels, t, calls)
+    assert called.call_count == 0
+    assert outcome == read_outcome(loop_forcing_read, f, channels, t, calls)
+    assert outcome[0][0] is DomainError and re.fullmatch(message, outcome[0][1])
+
+
+def test_a_mixed_forcing_calls_each_channel_once_per_read_in_order():
+    # one user callable among time functions: every channel is called, none read from a joint sweep
+    calls = []
+
+    def e_ext(t):
+        calls.append(("E_ext", t))
+        return np.array([t, 1.0, -t])
+
+    fns = _fe_time_functions(E_ext="callable")
+    names, call = {id(fn): name for name, fn in fns.items()}, point.TimeFunction.__call__
+
+    def recording(fn, t):
+        calls.append((names[id(fn)], t))
+        return call(fn, t)
+
+    f, channels = Forcing(E_ext=e_ext, **fns), fe.FerroelectricState._CHANNELS
+    with mock.patch.object(point.TimeFunction, "__call__", recording):
+        for t in (0.0, 0.5, -0.75):
+            values, called = read_outcome(lambda g, c, s: g._read(c, s), f, channels, t, calls)
+            assert called == [(name, t) for name, _ in channels]
+            assert (values, called) == read_outcome(loop_forcing_read, f, channels, t, calls)
+            # read_outcome gives a float as its hex and anything else as its repr
+            assert all(v.startswith(("0x", "-0x")) for e in values for v in (e if isinstance(e, list) else [e]))
