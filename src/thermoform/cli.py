@@ -362,7 +362,10 @@ def cmd_vdw(args) -> int:
     rows = []
     for s_val, v_val in itertools.product(s_axis, v_axis):
         q = {"S": float(s_val), "V": float(v_val)}
-        g = u.finite_grad(q, ("dU/dS", "dU/dV"))
+        try:
+            g = u.finite_grad(q, ("dU/dS", "dU/dV"))
+        except DomainError as exc:  # the grid point, on the error path only
+            raise DomainError(f"{exc} at S={q['S']!r}, V={q['V']!r}") from None
         rows.append([s_val, v_val, u.value(q), float(g[0]), -float(g[1])])
     # the scan rejects an empty V range, so it runs before any output is written
     roots = spinodal_scan(u, "V", args.vmin, args.vmax, {"S": 0.0}, xtol=1e-4)

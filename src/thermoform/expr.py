@@ -33,6 +33,7 @@ binding's), with its own message.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -771,11 +772,14 @@ def grad_columns(tape: _Tape, bindings: list[dict[str, float]],
     The gradient kernel at each binding in turn runs output by output: its
     forward lines not yet run, then its reverse sweep in its own post-order.  So
     each entry is bitwise that output's ``grad`` at that binding, and the error
-    is the first failing binding's, there the first failing output's own.
+    is the first failing binding's, there the first failing output's own.  Each
+    binding's flat result is packed as C doubles (exact, so bitwise the floats)
+    and numpy reads the joined bytes: a fraction of the cost of converting lists.
     """
     kernel = tape.kernel(tuple(wrt), _GRAD)
-    adjoints = [_run(tape, kernel, b) for b in bindings]
-    return np.array(adjoints, dtype=float).reshape(len(bindings), len(tape.roots), len(wrt))
+    shape = (len(bindings), len(tape.roots), len(wrt))
+    pack = struct.Struct(f"{shape[1] * shape[2]}d").pack
+    return np.frombuffer(bytearray().join(pack(*_run(tape, kernel, b)) for b in bindings)).reshape(shape)
 
 
 def _second_order(e: Expression, binding: dict[str, float], wrt: tuple[str, ...]) -> tuple:

@@ -63,9 +63,9 @@ class TemperatureSingularity(ModelError):
 
 
 def _oriented(F: list) -> None:
-    """ModelError unless det F > 0, F row-major; det by cofactors, no LAPACK call."""
+    """ModelError unless det F > 0 (a NaN det is not), F row-major; det by cofactors, no LAPACK call."""
     a, b, c, d, e, f, g, h, i = F
-    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) <= 0.0:
+    if not a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) > 0.0:
         raise ModelError("deformation gradient must have positive determinant")
 
 
@@ -302,7 +302,7 @@ def _stage(n: int, y: list, c: Constitutive, f: Forcing, t: float, read: dict) -
 def _rk4(y: list, c: Constitutive, f: Forcing, t: float, dt: float) -> list:
     """One classical RK4 step of the state vector ``y`` (floats), combining the stages in numpy's
     element-wise order.  Each stage's rates are checked to be finite before the next stage is formed,
-    which names a forcing's overflow; only the returned state is checked for det F <= 0."""
+    which names a forcing's overflow; only the returned state is checked to be finite, then for det F <= 0."""
     if not 0.0 < dt < math.inf:
         raise ModelError(f"dt must be positive and finite, got {dt!r}")
     half, sixth, mid, read = 0.5 * dt, dt / 6.0, t + 0.5 * dt, {}
@@ -311,6 +311,9 @@ def _rk4(y: list, c: Constitutive, f: Forcing, t: float, dt: float) -> list:
     k3 = _stage(3, [a + half * k for a, k in zip(y, k2)], c, f, mid, read)
     k4 = _stage(4, [a + dt * k for a, k in zip(y, k3)], c, f, t + dt, read)
     y = [a + sixth * (((p + 2.0 * q) + 2.0 * r) + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, y)):  # finite rates whose weighted sum overflows
+        i = next(i for i, v in enumerate(y) if not math.isfinite(v))
+        raise ModelError(f"non-finite {STATE_NAMES[i]} after the RK4 step to t={t + dt!r} (value {y[i]!r})")
     _oriented(y[_F])
     return y
 

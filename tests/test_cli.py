@@ -707,6 +707,20 @@ forcing:
             "domain exit at t=0.0: non-finite deps/dt in RK stage 2 at t=0.005 (value nan)\n")
         assert len(read_csv(out)[1]) == 1
 
+    def test_an_overflowing_step_is_a_domain_exit_naming_the_state_entry(self, tmp_path):
+        # every stage's deps/dt is 1.5e308, finite, but the step's weighted sum of them overflows; the
+        # exit line named a symptom of the next step, dU/d(eps) = 0 at the probe state
+        config = write(tmp_path / "c.yaml", """
+model: thermoelastic
+potential: "ln(eps)"
+initial: {eps: 0.5}
+forcing: {divq: "-1.5e308"}
+integration: {t1: 0.5, dt: 0.25}
+""")
+        code, out, err = _run_cli(["simulate", "--config", config])
+        assert (code, out.count("\n"), err) == (
+            EXIT_DOMAIN, 2, "domain exit at t=0.0: non-finite eps after the RK4 step to t=0.25 (value inf)\n")
+
     def test_rows_are_written_as_they_are_made(self, tmp_path, capsys, monkeypatch):
         config = write(tmp_path / "c.yaml", self.THERMO.replace("t1: 1.0", "t1: 0.01"))
         seen = []
@@ -1110,12 +1124,13 @@ class TestVdw:
         assert not out.exists()
 
     def test_an_infinite_pressure_exits_1_before_writing(self, tmp_path):
-        # p = -dU/dV overflowed to inf at V = 0.11, S = 704; the table printed it and exited 0
+        # p = -dU/dV overflowed to inf at V = 0.11, S = 704; the table printed it and exited 0,
+        # and then the error did not name the grid point
         out = tmp_path / "vdw.csv"
         flags = ["--smin", "704", "--smax", "705", "--sn", "1", "--vmin", "0.11", "--vmax", "3", "--vn", "3",
                  "--r", "1", "--cv", "1"]
         assert _run_cli(["vdw", *flags, "--out", str(out)]) == (EXIT_ERROR, "", (
-            "error: non-finite dU/dV in '(V-0.1)^(-1/1)*exp(S/1)-1/V' (value -inf)\n"))
+            "error: non-finite dU/dV in '(V-0.1)^(-1/1)*exp(S/1)-1/V' (value -inf) at S=704.0, V=0.11\n"))
         assert not out.exists()
 
     def test_deterministic_bytes(self, tmp_path, capsys):

@@ -1059,6 +1059,49 @@ def test_certify_forms_residual_matches_the_per_coefficient_jacobian(n, rng):
         assert is_closed(form, samples) == (worst <= 1e-8, worst)
 
 
+# --- grad_columns hands numpy packed doubles: the per-binding grad loop's array, byte for byte
+
+def _grad_loop_bytes(roots, bindings, wrt) -> bytes:
+    loop = np.array([[grad(e, b, wrt) for e in roots] for b in bindings], dtype=float)
+    return loop.reshape(len(bindings), len(roots), len(wrt)).tobytes()
+
+
+def test_grad_columns_is_a_writable_c_contiguous_float64_array():
+    batch = grad_columns(lower(JOINT_CORPUS), [{"x": 0.5, "y": 1.5}] * 3, ("x", "y"))
+    assert batch.dtype == np.float64 and batch.flags.c_contiguous and batch.flags.writeable
+    batch[2, 1, 0] = 7.0
+    assert batch[2, 1, 0] == 7.0 and batch[1, 1, 0] != 7.0
+
+
+@pytest.mark.parametrize("n, wrt", [(0, ("x", "y")), (0, ()), (3, ())])
+def test_grad_columns_shape_with_no_bindings_or_no_wrt(n, wrt):
+    batch = grad_columns(lower(JOINT_CORPUS), [{"x": 0.5, "y": 1.5}] * n, wrt)
+    assert batch.shape == (n, len(JOINT_CORPUS), len(wrt)) and batch.dtype == np.float64
+
+
+def test_grad_columns_bytes_with_inf_and_nan():
+    # x*x overflows at x = 1e160: d/dx takes 0 * inf = NaN, d/dy is x^3 = inf
+    roots = [parse("x*x*x*y"), parse("-x*y")]
+    bindings = [{"x": 1e160, "y": 0.0}, {"x": 2.0, "y": 0.5}, {"x": -1e160, "y": 1.0}]
+    assert [_hex(g) for g in grad(roots[0], bindings[0], ("x", "y"))] == ["nan", "inf"]
+    batch = grad_columns(lower(roots), bindings, ("x", "y"))
+    assert batch.tobytes() == _grad_loop_bytes(roots, bindings, ("x", "y"))
+    assert {_hex(v) for v in batch.ravel()} >= {"nan", "inf", "-inf"}
+
+
+@pytest.mark.parametrize("n", [1, 8, 64])
+def test_grad_columns_bytes_on_the_joint_corpus_and_certify_forms(n, rng):
+    inside = [{"x": float(rng.uniform(0.1, 2.0)), "y": float(rng.uniform(0.1, 2.0))} for _ in range(n)]
+    batch = grad_columns(lower(JOINT_CORPUS), inside, ("x", "y"))
+    assert batch.tobytes() == _grad_loop_bytes(JOINT_CORPUS, inside, ("x", "y"))
+    for form in _certify_forms(rng):
+        samples = low_discrepancy_samples({name: (0.05, 0.3) for name in form.coords}, n,
+                                          seed=int(rng.integers(4096)))
+        roots = [c.expression for c in form.coefficients]
+        assert grad_columns(form.tape, samples, form.coords).tobytes() == _grad_loop_bytes(
+            roots, samples, form.coords)
+
+
 class TestTape:
     def test_shared_subexpressions_are_merged(self):
         tape = _lowered(parse("exp(x*y) + exp(x*y) / (x*y)"))

@@ -347,9 +347,17 @@ def test_an_overflowing_temperature_is_a_temperature_singularity():
 def test_orientation_is_checked_by_the_sign_of_det_F():
     rotation = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert te.ThermoelasticState(eps=0.5, F=rotation, H=np.zeros(3)).F.tolist() == rotation.tolist()
-    for F in (-np.eye(3), np.diag([1.0, 1.0, 0.0]), rotation[[1, 0, 2]]):
+    for F in (-np.eye(3), np.diag([1.0, 1.0, 0.0]), rotation[[1, 0, 2]], np.full((3, 3), np.nan)):
         with pytest.raises(ModelError, match="positive determinant"):
             te.ThermoelasticState(eps=0.5, F=F, H=np.zeros(3))
+
+
+def test_finite_rates_whose_weighted_sum_overflows_name_the_state_entry():
+    # deps/dt = -divq/rho = 1.5e308 at every stage, and k1 + 2k2 + 2k3 + k4 overflows: the step returned
+    # eps = inf, and the next one named a symptom, dU/d(eps) = 0 at the probe state
+    f = Forcing(divq=lambda t: -1.5e308)
+    with pytest.raises(ModelError, match=r"^non-finite eps after the RK4 step to t=0.25 \(value inf\)$"):
+        point.rk4_step(te_state(), law(point.BASE_COORDS), f, 0.0, 0.25)
 
 
 # --- the forcing read: one joint tape against the per-channel loop it replaced ---
